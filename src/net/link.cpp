@@ -12,12 +12,19 @@ namespace lsl::net {
 Link::Link(sim::Simulator& simulator, LinkConfig config, Rng rng)
     : sim_(simulator), config_(config), rng_(rng) {}
 
+const LinkStats& Link::stats() {
+  settle(sim_.now(), /*inclusive=*/false);
+  return stats_;
+}
+
 void Link::set_loss_rate(double p) {
+  settle(sim_.now(), /*inclusive=*/false);
   config_.loss_rate = p;
   sync_fluid();
 }
 
 void Link::set_rate(Bandwidth rate) {
+  settle(sim_.now(), /*inclusive=*/false);
   config_.rate = rate;
   sync_fluid();
 }
@@ -45,6 +52,8 @@ void Link::sync_fluid() {
 }
 
 void Link::enqueue(Packet packet) {
+  const SimTime now = sim_.now();
+  settle(now, /*inclusive=*/false);
   const std::uint64_t size = packet.wire_bytes();
   if (queued_bytes_ + size > config_.queue_capacity_bytes) {
     ++stats_.packets_dropped_queue;
@@ -57,50 +66,83 @@ void Link::enqueue(Packet packet) {
   queued_bytes_ += size;
   stats_.max_queue_bytes = std::max(stats_.max_queue_bytes, queued_bytes_);
   queue_.push_back(std::move(packet));
-  if (!transmitting_) {
-    start_transmission();
+  if (queue_.size() == 1) {
+    busy_until_ = now + config_.rate.transmit_time(size);
+    arm();
   }
 }
 
-void Link::start_transmission() {
-  LSL_ASSERT(!queue_.empty());
-  transmitting_ = true;
-  const SimTime tx = config_.rate.transmit_time(queue_.front().wire_bytes());
-  sim_.schedule_after(tx, [this] { finish_transmission(); }, "net.link.tx");
-}
+void Link::settle(SimTime t, bool inclusive) {
+  while (!queue_.empty() &&
+         (busy_until_ < t || (inclusive && busy_until_ == t))) {
+    const SimTime done = busy_until_;
+    Packet packet = std::move(queue_.front());
+    queue_.pop_front();
+    queued_bytes_ -= packet.wire_bytes();
+    ++stats_.packets_sent;
+    stats_.bytes_sent += packet.wire_bytes();
+    if (!queue_.empty()) {
+      busy_until_ =
+          done + config_.rate.transmit_time(queue_.front().wire_bytes());
+    }
 
-void Link::finish_transmission() {
-  LSL_ASSERT(!queue_.empty());
-  Packet packet = std::move(queue_.front());
-  queue_.pop_front();
-  queued_bytes_ -= packet.wire_bytes();
-
-  ++stats_.packets_sent;
-  stats_.bytes_sent += packet.wire_bytes();
-
-  if (rng_.chance(config_.loss_rate)) {
-    ++stats_.packets_dropped_loss;
-    LSL_TRACE("link: loss drop uid=%llu seq=%llu",
-              static_cast<unsigned long long>(packet.uid),
-              static_cast<unsigned long long>(packet.tcp.seq));
-  } else {
-    LSL_ASSERT_MSG(static_cast<bool>(deliver_), "link has no receiver");
+    if (rng_.chance(config_.loss_rate)) {
+      ++stats_.packets_dropped_loss;
+      LSL_TRACE("link: loss drop uid=%llu seq=%llu",
+                static_cast<unsigned long long>(packet.uid),
+                static_cast<unsigned long long>(packet.tcp.seq));
+      continue;
+    }
     SimTime delay = config_.propagation_delay;
     if (config_.jitter > SimTime::zero()) {
       delay += SimTime::nanoseconds(static_cast<std::int64_t>(
           rng_.next_below(static_cast<std::uint64_t>(config_.jitter.ns()))));
     }
-    sim_.schedule_after(
-        delay,
-        [this, p = std::move(packet)]() mutable { deliver_(std::move(p)); },
-        "net.link.propagate");
+    const SimTime arrival = done + delay;
+    auto pos = in_flight_.end();
+    if (!in_flight_.empty() && arrival < in_flight_.back().arrival) {
+      pos = std::upper_bound(
+          in_flight_.begin(), in_flight_.end(), arrival,
+          [](SimTime a, const InFlight& f) { return a < f.arrival; });
+    }
+    in_flight_.insert(pos, InFlight{arrival, std::move(packet)});
   }
+}
 
-  if (!queue_.empty()) {
-    start_transmission();
-  } else {
-    transmitting_ = false;
+void Link::on_arrival() {
+  event_ = sim::EventId{};
+  const SimTime now = sim_.now();
+  settle(now, /*inclusive=*/true);
+  while (!in_flight_.empty() && in_flight_.front().arrival <= now) {
+    Packet packet = std::move(in_flight_.front().packet);
+    in_flight_.pop_front();
+    LSL_ASSERT_MSG(static_cast<bool>(deliver_), "link has no receiver");
+    deliver_(std::move(packet));
   }
+  arm();
+}
+
+void Link::arm() {
+  // The head is the earliest in-flight arrival, or the packet in service,
+  // which cannot arrive before its serialization ends plus the propagation
+  // delay. Its loss and jitter are drawn only when it completes, so an event
+  // armed on that bound may fire early and re-arm.
+  SimTime head = SimTime::max();
+  if (!in_flight_.empty()) {
+    head = in_flight_.front().arrival;
+  }
+  if (!queue_.empty()) {
+    head = std::min(head, busy_until_ + config_.propagation_delay);
+  }
+  if (head == SimTime::max() || (event_.valid() && event_at_ <= head)) {
+    return;
+  }
+  if (event_.valid()) {
+    sim_.cancel(event_);  // jitter: a new packet may arrive before the head
+  }
+  event_at_ = head;
+  event_ =
+      sim_.schedule_at(head, [this] { on_arrival(); }, "net.link.propagate");
 }
 
 }  // namespace lsl::net

@@ -1,5 +1,14 @@
 // Unidirectional link with a drop-tail byte-bounded queue, store-and-forward
 // serialization, fixed propagation delay, and Bernoulli packet loss.
+//
+// A link costs one kernel event per delivered packet. Packets wait in a
+// drop-tail FIFO behind a busy-until serialization clock; once serialized
+// they move to an in-flight FIFO ordered by arrival time. While anything is
+// queued or in flight the link keeps exactly one pending kernel event, armed
+// at the head packet's arrival. Serialization completions are not events:
+// they are settled lazily and in order whenever the link is touched (an
+// enqueue, a rate or loss change, a stats read, its own event), each with
+// the rate and loss rate that were in force when it completed.
 #pragma once
 
 #include <cstdint>
@@ -68,8 +77,10 @@ class Link {
   void enqueue(Packet packet);
 
   [[nodiscard]] const LinkConfig& config() const { return config_; }
-  [[nodiscard]] const LinkStats& stats() const { return stats_; }
-  [[nodiscard]] std::uint64_t queued_bytes() const { return queued_bytes_; }
+
+  /// Counters as of now. Settles the serializations completed so far, which
+  /// is why this is not const; the settling is invisible to the simulation.
+  [[nodiscard]] const LinkStats& stats();
 
   /// Mutable loss-rate knob; experiments vary path quality mid-run.
   void set_loss_rate(double p);
@@ -89,17 +100,35 @@ class Link {
   [[nodiscard]] double fluid_capacity_bps() const;
 
  private:
-  void start_transmission();
-  void finish_transmission();
+  struct InFlight {
+    SimTime arrival;
+    Packet packet;
+  };
+
+  /// Complete, in FIFO order, every serialization that ends before `t` (or
+  /// at `t` too when `inclusive`): count it, draw its loss, and move it to
+  /// the in-flight FIFO. Callers touching the link at `t` from outside pass
+  /// inclusive=false, so a completion at exactly `t` sees their change.
+  void settle(SimTime t, bool inclusive);
+  /// The pending event: deliver the packets arriving now, then re-arm.
+  void on_arrival();
+  /// Keep one kernel event pending at (or before) the head packet's arrival.
+  void arm();
   void sync_fluid();
 
   sim::Simulator& sim_;
   LinkConfig config_;
   Rng rng_;
   DeliverFn deliver_;
+  /// Drop-tail queue; its front is being serialized until busy_until_.
   std::deque<Packet> queue_;
   std::uint64_t queued_bytes_ = 0;
-  bool transmitting_ = false;
+  SimTime busy_until_ = SimTime::zero();
+  /// Serialized, not lost, not yet delivered; sorted by arrival (ties keep
+  /// completion order). Without jitter every insert is a push_back.
+  std::deque<InFlight> in_flight_;
+  sim::EventId event_{};
+  SimTime event_at_ = SimTime::zero();
   LinkStats stats_;
   flow::FluidNetwork* fluid_ = nullptr;
   std::uint32_t fluid_id_ = 0;

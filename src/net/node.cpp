@@ -8,13 +8,15 @@
 namespace lsl::net {
 
 void Node::set_route(NodeId dst, Link* out) {
-  LSL_ASSERT(out != nullptr);
+  LSL_ASSERT(out != nullptr && dst != kInvalidNode);
+  if (dst >= routes_.size()) {
+    routes_.resize(static_cast<std::size_t>(dst) + 1, nullptr);
+  }
   routes_[dst] = out;
 }
 
 Link* Node::route_for(NodeId dst) const {
-  const auto it = routes_.find(dst);
-  return it != routes_.end() ? it->second : nullptr;
+  return dst < routes_.size() ? routes_[dst] : nullptr;
 }
 
 void Node::handle_packet(Packet packet) {

@@ -1,14 +1,15 @@
 // A network node: endpoint host or router.
 //
 // Nodes hold a forwarding table (destination -> outgoing link) filled in by
-// the Topology's route computation (or by explicit policy routes). Packets
-// addressed to the node are handed to the registered local delivery sink
-// (the TCP stack); everything else is forwarded.
+// the Topology's route computation (or by explicit policy routes). The table
+// is a dense vector indexed by destination id: every packet-hop reads it.
+// Packets addressed to the node are handed to the registered local delivery
+// sink (the TCP stack); everything else is forwarded.
 #pragma once
 
 #include <functional>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "net/link.hpp"
 #include "net/packet.hpp"
@@ -53,7 +54,7 @@ class Node {
   NodeId id_;
   std::string name_;
   std::string site_;
-  std::unordered_map<NodeId, Link*> routes_;
+  std::vector<Link*> routes_;  ///< by destination id; nullptr = no route
   LocalDeliverFn local_;
   std::uint64_t packets_forwarded_ = 0;
   std::uint64_t packets_delivered_ = 0;

@@ -112,7 +112,7 @@ Simulator::Simulator() {
 Simulator::~Simulator() { clear_log_clock(this); }
 
 // ---------------------------------------------------------------------------
-// 4-ary heap of 24-byte POD keys. Children of i are 4i+1 .. 4i+4. A wider
+// 4-ary heap of 16-byte POD keys. Children of i are 4i+1 .. 4i+4. A wider
 // node fans the tree out to ~half the depth of a binary heap: pops do more
 // comparisons per level but fewer key moves. Sifts use hole insertion (save
 // the key, shift, place) rather than pairwise swaps.

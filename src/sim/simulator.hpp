@@ -1,7 +1,7 @@
 // Discrete-event simulation kernel.
 //
 // A Simulator owns an indexed 4-ary min-heap laid out in a flat vector: the
-// heap holds 24-byte (time, sequence, id) keys, and the event closures
+// heap holds 16-byte (time, sequence|slot) keys, and the event closures
 // (sim::Action, small-buffer-optimized) live in a side slot table, so heap
 // sifts never relocate a closure. Sequence numbers break ties so that
 // same-timestamp events fire in schedule order, which makes every run fully

@@ -4,6 +4,12 @@
 // cancelled constantly; Timer wraps the generation-counted cancellation
 // dance so the protocol code can't leak stale events. The callback is fixed
 // at construction; arming only chooses the deadline.
+//
+// Re-arming is lazy: pushing a pending deadline later only stores the new
+// deadline, and the kernel event re-arms itself when it fires early. A
+// retransmission timer restarted on every ACK therefore costs no kernel
+// event per ACK. Only a re-arm to an earlier deadline (or cancel()) touches
+// the kernel.
 #pragma once
 
 #include <functional>
@@ -26,17 +32,15 @@ class Timer {
 
   ~Timer() { cancel(); }
 
-  /// (Re)arm the timer to fire `delay` from now. A pending arm is replaced.
+  /// (Re)arm the timer to fire `delay` from now. A pending arm is replaced;
+  /// the callback runs once, at the last deadline set.
   void arm(SimTime delay) {
-    cancel();
     deadline_ = sim_.now() + delay;
-    pending_ = sim_.schedule_after(
-        delay,
-        [this] {
-          pending_ = EventId{};
-          on_fire_();
-        },
-        category_);
+    if (pending_.valid() && event_at_ <= deadline_) {
+      return;  // the pending event fires early and re-arms itself
+    }
+    cancel();
+    schedule();
   }
 
   /// Arm only if not already armed.
@@ -59,11 +63,27 @@ class Timer {
   [[nodiscard]] SimTime deadline() const { return deadline_; }
 
  private:
+  void schedule() {
+    event_at_ = deadline_;
+    pending_ = sim_.schedule_at(event_at_, [this] { on_event(); }, category_);
+  }
+
+  void on_event() {
+    pending_ = EventId{};
+    if (sim_.now() < deadline_) {
+      schedule();  // the deadline moved later since this event was armed
+      return;
+    }
+    on_fire_();
+  }
+
   Simulator& sim_;
   std::function<void()> on_fire_;
   const char* category_ = nullptr;
   EventId pending_{};
   SimTime deadline_ = SimTime::zero();
+  /// When the pending kernel event fires (<= deadline_ while armed).
+  SimTime event_at_ = SimTime::zero();
 };
 
 }  // namespace lsl::sim

@@ -473,10 +473,12 @@ void Connection::arm_rto() {
 }
 
 void Connection::restart_rto_if_needed() {
-  rto_timer_.cancel();
   if (flight() > 0) {
+    // A lazy re-arm: pushing the deadline later costs no kernel event.
     rto_timer_.arm(rtt_.rto());
     rto_armed_at_ = sim_.now();
+  } else {
+    rto_timer_.cancel();
   }
 }
 

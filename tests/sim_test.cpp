@@ -319,6 +319,68 @@ TEST(TimerTest, CanRearmFromCallback) {
   EXPECT_EQ(sim.now(), 15_ms);
 }
 
+TEST(TimerTest, RearmLaterSchedulesNothingNew) {
+  Simulator sim;
+  Timer t(sim, [] {});
+  t.arm(10_ms);
+  t.arm(20_ms);
+  t.arm(30_ms);
+  EXPECT_EQ(sim.profile().events_scheduled, 1u);
+  EXPECT_EQ(sim.profile().events_cancelled, 0u);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_EQ(t.deadline(), 30_ms);
+}
+
+TEST(TimerTest, RearmEarlierReschedules) {
+  Simulator sim;
+  SimTime fired = SimTime::zero();
+  Timer t(sim, [&] { fired = sim.now(); });
+  t.arm(30_ms);
+  t.arm(10_ms);
+  EXPECT_EQ(sim.profile().events_scheduled, 2u);
+  EXPECT_EQ(sim.profile().events_cancelled, 1u);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run();
+  EXPECT_EQ(fired, 10_ms);
+}
+
+TEST(TimerTest, LazyRearmFiresOnceAtLastDeadline) {
+  // Restarted every 4 ms, like an RTO on each ACK: the kernel event fires
+  // early, re-arms at the deadline it finds, and the callback runs once.
+  Simulator sim;
+  std::vector<SimTime> fires;
+  Timer t(sim, [&] { fires.push_back(sim.now()); });
+  t.arm(10_ms);
+  for (int i = 1; i <= 5; ++i) {
+    sim.schedule_at(SimTime::milliseconds(4 * i), [&] { t.arm(10_ms); });
+  }
+  sim.run();
+  ASSERT_EQ(fires.size(), 1u);
+  EXPECT_EQ(fires[0], 30_ms);  // last arm at 20 ms
+  EXPECT_FALSE(t.armed());
+  EXPECT_EQ(sim.profile().events_cancelled, 0u);
+}
+
+TEST(TimerTest, CancelAndDestructionLeaveNoPendingEvents) {
+  Simulator sim;
+  int fires = 0;
+  {
+    Timer t(sim, [&] { ++fires; });
+    t.arm(10_ms);
+    t.arm(20_ms);  // lazy: the 10 ms event stays queued
+    t.cancel();
+    EXPECT_FALSE(t.armed());
+    EXPECT_EQ(sim.pending_events(), 0u);
+    t.arm(5_ms);
+    t.arm(50_ms);
+    EXPECT_EQ(sim.pending_events(), 1u);
+  }
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.run();
+  EXPECT_EQ(fires, 0);
+  EXPECT_EQ(sim.events_executed(), 0u);
+}
+
 TEST(TimerTest, DestructionCancelsPendingEvent) {
   Simulator sim;
   int fires = 0;

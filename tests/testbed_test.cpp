@@ -217,5 +217,35 @@ TEST(PathTestbedTest, LslOutperformsDirectAtSteadyState) {
   EXPECT_GT(lsl_bw.mean(), direct_bw.mean());
 }
 
+TEST(PathTestbedTest, LosslessDepotTransferCostsOneEventPerPacketHop) {
+  // The packet data plane's event budget: each link keeps one pending
+  // kernel event for all its in-flight packets, and restarting the RTO on
+  // every ACK schedules nothing. So a transfer costs one kernel event per
+  // delivered packet-hop plus a handful of per-connection events, and the
+  // heap holds one entry per busy link plus a few timers per connection.
+  auto scenario = ucsb_uiuc_via_denver();
+  scenario.leg1_loss = 0.0;
+  scenario.leg2_loss = 0.0;
+  scenario.direct_loss = 0.0;
+  PathTestbed bed(scenario, 3);
+  const auto outcome = bed.run(/*via_depot=*/true, mib(4));
+  ASSERT_TRUE(outcome.completed);
+
+  auto& topo = bed.harness().topology();
+  std::uint64_t hops = 0;
+  for (std::size_t i = 0; i < topo.link_count(); ++i) {
+    const auto& stats = topo.link(i).stats();
+    hops += stats.packets_sent - stats.packets_dropped_loss;
+  }
+  const auto profile = bed.harness().simulator().profile();
+  EXPECT_GT(hops, 2 * mib(4) / 1500);  // two TCP legs carried the payload
+  EXPECT_LE(profile.events_executed, hops + 32);
+  constexpr std::uint64_t kConnections = 2;
+  EXPECT_LE(profile.queue_high_water, topo.link_count() + 4 * kConnections);
+  for (const auto& [category, count] : profile.category_counts) {
+    EXPECT_NE(category, "net.link.tx");
+  }
+}
+
 }  // namespace
 }  // namespace lsl::testbed
