@@ -691,10 +691,7 @@ std::vector<ScenarioOutcome> run_scenario(
         nws::PerformanceMonitor(std::move(sites), noise,
                                 seed ^ 0xC2B2AE3D27D4EB4FULL),
         topology_truth(topo), SimTime::from_seconds(rr.interval_s),
-        options, /*on_schedule=*/nullptr);
-    rescheduler->subscribe(
-        [&advisor, &harness](const sched::Scheduler& scheduler,
-                             std::size_t /*changed_edges*/) {
+        options, [&advisor, &harness](const sched::Scheduler& scheduler) {
           advisor->on_schedule(scheduler, harness.simulator().now());
         });
     injector.set_nws_control([&rescheduler](bool blackout) {

@@ -9,14 +9,13 @@ namespace lsl::nws {
 Rescheduler::Rescheduler(sim::Simulator& simulator,
                          PerformanceMonitor monitor, TruthFn truth,
                          SimTime interval, sched::SchedulerOptions options,
-                         OnSchedule on_schedule, ReschedulerConfig config)
+                         OnSchedule on_schedule)
     : sim_(simulator),
       monitor_(std::move(monitor)),
       truth_(std::move(truth)),
       interval_(interval),
       options_(std::move(options)),
       on_schedule_(std::move(on_schedule)),
-      config_(config),
       timer_(simulator, [this] { tick(); }) {}
 
 void Rescheduler::start() { tick(); }
@@ -25,42 +24,24 @@ void Rescheduler::stop() { timer_.cancel(); }
 
 void Rescheduler::tick() {
   monitor_.observe_epoch(truth_);
-  if (current_ == nullptr || !config_.incremental) {
+  std::size_t changed_edges = 0;
+  if (current_ == nullptr) {
     current_ = std::make_unique<sched::Scheduler>(monitor_.build_matrix(),
                                                   options_);
-    last_changed_edges_ = 0;
   } else {
     // Diff-apply the fresh forecasts: cached trees stay live and repair
     // only their affected subtrees on next use.
-    last_changed_edges_ = current_->apply_matrix(monitor_.build_matrix());
-  }
-  if (config_.prebuild_jobs > 0) {
-    current_->prebuild_trees(config_.prebuild_jobs);
+    changed_edges = current_->apply_matrix(monitor_.build_matrix());
   }
   ++rebuilds_;
   if (obs::SpanRecorder* sr = obs::spans()) {
     sr->instant(sim_.now(), obs::SpanKind::kForecastEpoch, /*session=*/0, 0, 0,
-                config_.incremental ? "incremental" : "rebuild",
-                static_cast<double>(last_changed_edges_));
+                "incremental", static_cast<double>(changed_edges));
   }
   if (on_schedule_) {
     on_schedule_(*current_);
   }
-  for (const auto& [token, listener] : listeners_) {
-    listener(*current_, last_changed_edges_);
-  }
   timer_.arm(interval_);
-}
-
-std::uint64_t Rescheduler::subscribe(TickListener listener) {
-  const std::uint64_t token = next_listener_token_++;
-  listeners_.emplace_back(token, std::move(listener));
-  return token;
-}
-
-void Rescheduler::unsubscribe(std::uint64_t token) {
-  std::erase_if(listeners_,
-                [token](const auto& entry) { return entry.first == token; });
 }
 
 }  // namespace lsl::nws

@@ -2,18 +2,17 @@
 // 5 minute intervals and was based on relatively current information").
 //
 // The Rescheduler owns the measure -> matrix -> schedule loop: on every
-// tick it takes one measurement epoch and refreshes the scheduler from the
-// accumulated forecasts -- by default diff-applying the new matrix onto the
-// live scheduler so its cached MMP trees repair incrementally (the tick
-// cost scales with forecast movement, not pool size) -- then invokes a
-// callback so the deployment can install fresh route tables.
+// tick it takes one measurement epoch, refreshes the scheduler from the
+// accumulated forecasts, then invokes a callback so the deployment can
+// install fresh route tables or re-evaluate live sessions. The first tick
+// builds the scheduler; later ticks diff-apply the new matrix onto it, so
+// its cached MMP trees repair lazily and only where forecasts moved (the
+// tick cost scales with forecast movement, not pool size).
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <functional>
 #include <memory>
-#include <utility>
-#include <vector>
 
 #include "nws/monitor.hpp"
 #include "sched/scheduler.hpp"
@@ -21,33 +20,14 @@
 
 namespace lsl::nws {
 
-struct ReschedulerConfig {
-  /// Diff-apply each epoch's matrix onto the live scheduler (incremental
-  /// MMP tree repair) instead of constructing a fresh scheduler per tick.
-  /// Decisions are identical either way -- repair produces exactly the
-  /// rebuild's trees or transparently falls back to one (at epsilon > 0
-  /// only decrease-only drift repairs in place; see repair_mmp_tree) --
-  /// so this is purely a control-plane cost knob.
-  bool incremental = true;
-  /// Worker threads for an eager tree refresh right after each tick
-  /// (0 = lazy: trees build/repair on first use).
-  std::size_t prebuild_jobs = 0;
-};
-
 class Rescheduler {
  public:
-  /// Invoked after every rebuild with the fresh scheduler.
+  /// Invoked after every tick with the fresh scheduler.
   using OnSchedule = std::function<void(const sched::Scheduler&)>;
-  /// Tick fan-out: subscribers see the fresh scheduler plus how many
-  /// directed edges the tick moved (0 after a full rebuild). Live-session
-  /// consumers (sched::RouteAdvisor) hang off this.
-  using TickListener =
-      std::function<void(const sched::Scheduler&, std::size_t changed_edges)>;
 
   Rescheduler(sim::Simulator& simulator, PerformanceMonitor monitor,
               TruthFn truth, SimTime interval,
-              sched::SchedulerOptions options, OnSchedule on_schedule,
-              ReschedulerConfig config = {});
+              sched::SchedulerOptions options, OnSchedule on_schedule);
 
   Rescheduler(const Rescheduler&) = delete;
   Rescheduler& operator=(const Rescheduler&) = delete;
@@ -59,19 +39,9 @@ class Rescheduler {
   /// The most recently built scheduler; null before the first tick.
   [[nodiscard]] const sched::Scheduler* current() const { return current_.get(); }
   [[nodiscard]] std::size_t rebuilds() const { return rebuilds_; }
-  /// Directed edges the last incremental tick changed (0 after a full
-  /// rebuild tick or before the first tick).
-  [[nodiscard]] std::size_t last_changed_edges() const {
-    return last_changed_edges_;
-  }
 
   /// The owned monitor (fault injection flips its measurement blackout).
   [[nodiscard]] PerformanceMonitor& monitor() { return monitor_; }
-
-  /// Subscribe to matrix ticks; fired after on_schedule, in subscription
-  /// order. Returns a token for unsubscribe().
-  std::uint64_t subscribe(TickListener listener);
-  void unsubscribe(std::uint64_t token);
 
  private:
   void tick();
@@ -82,14 +52,9 @@ class Rescheduler {
   SimTime interval_;
   sched::SchedulerOptions options_;
   OnSchedule on_schedule_;
-  ReschedulerConfig config_;
   std::unique_ptr<sched::Scheduler> current_;
   sim::Timer timer_;
   std::size_t rebuilds_ = 0;
-  std::size_t last_changed_edges_ = 0;
-  /// Ordered so tick fan-out is deterministic across runs.
-  std::vector<std::pair<std::uint64_t, TickListener>> listeners_;
-  std::uint64_t next_listener_token_ = 1;
 };
 
 }  // namespace lsl::nws

@@ -124,7 +124,7 @@ class RouteAdvisor {
   void unwatch(std::uint64_t token);
   [[nodiscard]] std::size_t watched() const { return sessions_.size(); }
 
-  /// Rescheduler tick fan-in: re-evaluate every watched session against the
+  /// Rescheduler tick hook: re-evaluate every watched session against the
   /// fresh scheduler. Sessions are visited in watch order (deterministic).
   /// Returns the number of reroutes applied.
   std::size_t on_schedule(const Scheduler& scheduler, SimTime now);

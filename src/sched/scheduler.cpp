@@ -30,15 +30,6 @@ SchedMetrics* SchedMetrics::get() {
     metrics.reroutes = &reg.counter("sched.mmp.reroutes");
     metrics.tree_build_us = &reg.histogram(
         "sched.mmp.tree_build_us", obs::exponential_buckets(1.0, 4.0, 10));
-    metrics.rs_snapshot_swaps =
-        &reg.counter("sched.route_service.snapshot_swaps");
-    metrics.rs_lookups = &reg.counter("sched.route_service.lookups");
-    metrics.rs_stale_epochs = &reg.counter("sched.route_service.stale_epochs");
-    metrics.rs_epoch = &reg.gauge("sched.route_service.epoch");
-    metrics.rs_epoch_age_ticks =
-        &reg.gauge("sched.route_service.epoch_age_ticks");
-    metrics.rs_batch_size = &reg.histogram(
-        "sched.route_service.batch_size", obs::exponential_buckets(1.0, 2.0, 12));
   }
   return &metrics;
 }

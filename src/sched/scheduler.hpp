@@ -44,15 +44,6 @@ struct SchedMetrics {
   obs::Counter* reroutes;          ///< sched.mmp.reroutes (blacklist repairs)
   obs::Histogram* tree_build_us;   ///< sched.mmp.tree_build_us (wall clock)
 
-  // Route-service instruments (readers touch these through their own
-  // thread's registry; see obs::ScopedRegistry).
-  obs::Counter* rs_snapshot_swaps;  ///< sched.route_service.snapshot_swaps
-  obs::Counter* rs_lookups;         ///< sched.route_service.lookups
-  obs::Counter* rs_stale_epochs;    ///< sched.route_service.stale_epochs
-  obs::Gauge* rs_epoch;             ///< sched.route_service.epoch
-  obs::Gauge* rs_epoch_age_ticks;   ///< sched.route_service.epoch_age_ticks
-  obs::Histogram* rs_batch_size;    ///< sched.route_service.batch_size
-
   /// nullptr while obs::metrics_enabled() is false.
   static SchedMetrics* get();
 };

@@ -1,6 +1,7 @@
 #include "tcp/connection.hpp"
 
 #include <algorithm>
+#include <tuple>
 #include <utility>
 
 #include "obs/span.hpp"
@@ -1149,6 +1150,16 @@ void Connection::become_dead() {
   if (on_closed) {
     on_closed();
   }
+}
+
+void Connection::release_callbacks() {
+  // Take every callback out before any is destroyed: destroying one may
+  // destroy an owner whose destructor touches this socket.
+  const auto released = std::make_tuple(
+      std::exchange(on_connected, nullptr), std::exchange(on_readable, nullptr),
+      std::exchange(on_writable, nullptr), std::exchange(on_eof, nullptr),
+      std::exchange(on_closed, nullptr), std::exchange(on_error, nullptr),
+      std::exchange(on_ack_advance, nullptr));
 }
 
 // ---------------------------------------------------------------------------

@@ -226,6 +226,11 @@ class Connection : public std::enable_shared_from_this<Connection> {
   void on_fin_acked();
   void enter_time_wait();
   void become_dead();
+  /// Drop every application callback. They usually capture the socket's
+  /// owner, which holds the socket, so a dead connection that kept them
+  /// would keep itself and its owner alive; TcpStack calls this once the
+  /// connection is reaped, and at teardown for the ones still tracked.
+  void release_callbacks();
 
   // ---- fluid data plane ------------------------------------------------
   // When the topology runs at flow fidelity, payload bytes ride a fluid

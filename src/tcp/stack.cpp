@@ -14,6 +14,12 @@ TcpStack::TcpStack(net::Topology& topology, net::NodeId node)
   topology_.set_protocol_handle(node, this);
 }
 
+TcpStack::~TcpStack() {
+  for (auto& [key, conn] : conns_) {
+    conn->release_callbacks();
+  }
+}
+
 void TcpStack::listen(net::Port port, AcceptFn on_accept, TcpOptions options) {
   LSL_ASSERT_MSG(!listeners_.contains(port), "port already listening");
   listeners_.emplace(port, Listener{std::move(on_accept), options});
@@ -96,9 +102,12 @@ void TcpStack::deliver_accept(const ConnKey& key) {
 
 void TcpStack::reap(const ConnKey& key) {
   // Defer the erase: reap is called from inside the connection's own
-  // processing, and erasing could destroy it mid-method.
+  // processing, often from one of its callbacks, and erasing it or
+  // dropping that callback's owner could destroy either mid-method.
   simulator().schedule_after(SimTime::zero(), [this, key] {
-    conns_.erase(key);
+    if (auto node = conns_.extract(key)) {
+      node.mapped()->release_callbacks();
+    }
   });
 }
 

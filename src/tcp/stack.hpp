@@ -31,6 +31,9 @@ class TcpStack : public net::ProtocolStack {
 
   TcpStack(const TcpStack&) = delete;
   TcpStack& operator=(const TcpStack&) = delete;
+  /// Releases the callbacks of every connection still tracked (live, in
+  /// TIME_WAIT, or dead but not yet reaped), so none outlives the stack.
+  ~TcpStack() override;
 
   /// Accept connections on `port`; `on_accept` fires once each passive
   /// connection reaches ESTABLISHED. `options` applies to accepted sockets.
@@ -71,8 +74,9 @@ class TcpStack : public net::ProtocolStack {
   friend class Connection;
 
   void on_packet(net::Packet packet);
-  /// Deferred erase; safe to call from within the connection's own
-  /// packet/timer processing.
+  /// Deferred erase, which also releases the connection's callbacks; safe
+  /// to call from within the connection's own packet/timer processing and
+  /// its callbacks.
   void reap(const ConnKey& key);
   void emit(net::Packet packet);
   void deliver_accept(const ConnKey& key);

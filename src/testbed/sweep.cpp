@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 
 #include "exp/parallel.hpp"
 #include "nws/monitor.hpp"
-#include "sched/route_service.hpp"
 #include "testbed/materialize.hpp"
 #include "util/assert.hpp"
 
@@ -57,22 +55,7 @@ SweepResult run_speedup_sweep(const SyntheticGrid& grid,
           1.0 / grid.host(h).host_cap.megabits_per_second();
     }
   }
-  // Route either through the direct scheduler or, when route_shards > 0,
-  // through a sharded RouteService snapshot (same trees at one shard, so
-  // the single-shard output is bitwise identical to the direct path).
-  std::unique_ptr<sched::Scheduler> scheduler;
-  std::unique_ptr<sched::RouteService> route_service;
-  if (config.route_shards > 0) {
-    sched::RouteServiceOptions service_options;
-    service_options.shards = config.route_shards;
-    service_options.scheduler = sched_options;
-    service_options.prebuild_jobs = config.jobs;
-    route_service = std::make_unique<sched::RouteService>(std::move(matrix),
-                                                          service_options);
-  } else {
-    scheduler =
-        std::make_unique<sched::Scheduler>(std::move(matrix), sched_options);
-  }
+  sched::Scheduler scheduler(std::move(matrix), sched_options);
 
   // 2. Find the pairs where the scheduler picked a depot path. The n^2
   // discovery loop parallelizes per source: the source trees are prebuilt
@@ -87,11 +70,7 @@ SweepResult run_speedup_sweep(const SyntheticGrid& grid,
       endpoints[i] = i;
     }
   }
-  if (scheduler != nullptr) {
-    scheduler->prebuild_trees(config.jobs, endpoints);
-  }
-  const std::shared_ptr<const sched::RouteSnapshot> route_snapshot =
-      route_service != nullptr ? route_service->snapshot() : nullptr;
+  scheduler.prebuild_trees(config.jobs, endpoints);
   struct Case {
     std::size_t src;
     std::size_t dst;
@@ -112,16 +91,9 @@ SweepResult run_speedup_sweep(const SyntheticGrid& grid,
             continue;
           }
           ++out.eligible;
-          if (route_snapshot != nullptr) {
-            auto resolved = route_snapshot->resolve(src, dst);
-            if (resolved.uses_depots()) {
-              out.cases.push_back(Case{src, dst, std::move(resolved.path)});
-            }
-          } else {
-            const auto decision = scheduler->route(src, dst);
-            if (decision.uses_depots()) {
-              out.cases.push_back(Case{src, dst, decision.path});
-            }
+          const auto decision = scheduler.route(src, dst);
+          if (decision.uses_depots()) {
+            out.cases.push_back(Case{src, dst, decision.path});
           }
         }
         return out;

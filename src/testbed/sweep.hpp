@@ -54,12 +54,6 @@ struct SweepConfig {
   /// simulation). Monitor/scheduler/discovery phases are identical across
   /// fidelities; only the per-case timing differs.
   SweepFidelity fidelity = SweepFidelity::kAnalytic;
-  /// Discover routes through a sharded sched::RouteService with this many
-  /// shards instead of the direct Scheduler (0 = direct). A single shard
-  /// reproduces the direct scheduler's decisions exactly (the output is
-  /// bitwise identical); more shards relay inter-shard routes through
-  /// gateway depots.
-  std::size_t route_shards = 0;
 };
 
 struct SweepResult {

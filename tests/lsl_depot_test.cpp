@@ -254,6 +254,48 @@ TEST(DepotTest, AsyncSessionStoredAtLastDepotAndFetched) {
   EXPECT_EQ(fetched_bytes, mib(2));
 }
 
+TEST(DepotTest, FinishedEndpointsDoNotOutliveTheirStacks) {
+  // Socket callbacks capture their owner, and the owner holds the socket:
+  // neither may keep the other alive once the transfer is over.
+  std::weak_ptr<session::LslSource> source;
+  std::weak_ptr<tcp::Connection> source_conn;
+  std::weak_ptr<session::AsyncFetcher> fetcher;
+  {
+    SimHarness h(9);
+    const auto a = h.add_host("a");
+    const auto d = h.add_host("d");
+    const auto b = h.add_host("b");
+    h.add_link(a, d, wan(100, 5_ms));
+    h.add_link(d, b, wan(100, 5_ms));
+    h.deploy(depot_cfg(mib(1), mib(8)));
+
+    TransferSpec spec;
+    spec.dst = b;
+    spec.via = {d};
+    spec.payload_bytes = mib(1);
+    spec.async_session = true;
+    const auto started = session::LslSource::start(h.stack(a), spec, h.rng());
+    const auto sid = started->session_id();
+    source = started;
+    source_conn = started->connection()->shared_from_this();
+    h.simulator().run(h.simulator().now() + 60_s);
+    ASSERT_TRUE(h.depot(d).stored_bytes(sid).has_value());
+
+    bool fetched = false;
+    const auto fetch =
+        session::AsyncFetcher::start(h.stack(b), d, sid, tcp::TcpOptions{});
+    fetch->on_complete = [&](const session::AsyncFetcher::Result&) {
+      fetched = true;
+    };
+    fetcher = fetch;
+    h.simulator().run(h.simulator().now() + 60_s);
+    ASSERT_TRUE(fetched);
+  }
+  EXPECT_TRUE(source.expired());
+  EXPECT_TRUE(source_conn.expired());
+  EXPECT_TRUE(fetcher.expired());
+}
+
 TEST(DepotTest, FetchOfUnknownSessionFails) {
   SimHarness h(10);
   const auto a = h.add_host("a");

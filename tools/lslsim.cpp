@@ -51,7 +51,6 @@ void usage() {
                "              [--explain[=SESSION]]\n"
                "       lslsim --pool-size N [--seed N] [--jobs N]\n"
                "              [--fidelity=packet|flow] [--metrics=<path>]\n"
-               "              [--route-service [--shards=N]]\n"
                "  Runs the transfers described in the scenario file over the\n"
                "  packet-level simulator and prints a result row for each.\n"
                "  --sweep re-runs every transfer at doubling sizes from 1 MiB\n"
@@ -87,11 +86,6 @@ void usage() {
                "  measurement sweep). Equivalent to a scenario file holding\n"
                "  just `pool size=N`; a scenario's pool directive can also\n"
                "  set epsilon/iterations/cases/sizes/drift.\n"
-               "  --route-service discovers the pool sweep's routes through\n"
-               "  the sharded, epoch-versioned RouteService snapshot instead\n"
-               "  of the direct scheduler; --shards=N picks the shard count\n"
-               "  (default 1, which reproduces the direct scheduler's output\n"
-               "  bit for bit -- the CI determinism smoke pins this).\n"
                "  --profile prints the simulation kernel's self-profile.\n"
                "  --verify[=RUNS] model-checks the scenario instead of\n"
                "  running it once: DFS over event interleavings (fault vs\n"
@@ -161,8 +155,6 @@ int main(int argc, char** argv) {
   bool profile = false;
   std::size_t jobs = 1;
   std::size_t pool_size = 0;
-  bool route_service = false;
-  std::size_t route_shards = 1;
   const char* fidelity_arg = nullptr;
   const char* cca_arg = nullptr;
   const char* metrics_path = nullptr;
@@ -188,15 +180,6 @@ int main(int argc, char** argv) {
       jobs = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--pool-size") == 0 && i + 1 < argc) {
       pool_size = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--route-service") == 0) {
-      route_service = true;
-    } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      route_service = true;
-      route_shards = std::strtoull(argv[i] + 9, nullptr, 10);
-      if (route_shards == 0) {
-        std::fprintf(stderr, "lslsim: --shards needs a positive count\n");
-        return 2;
-      }
     } else if (std::strncmp(argv[i], "--fidelity=", 11) == 0) {
       fidelity_arg = argv[i] + 11;
       if (std::strcmp(fidelity_arg, "packet") != 0 &&
@@ -255,6 +238,10 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--help") == 0) {
       usage();
       return 0;
+    } else if (std::strncmp(argv[i], "--", 2) == 0) {
+      std::fprintf(stderr, "lslsim: unknown option '%s'\n", argv[i]);
+      usage();
+      return 2;
     } else if (path == nullptr) {
       path = argv[i];
     } else {
@@ -487,13 +474,6 @@ int main(int argc, char** argv) {
     sweep_config.max_size_exp = pool.max_size_exp;
     sweep_config.matrix_drift_sigma = pool.drift_sigma;
     sweep_config.jobs = jobs;
-    if (route_service) {
-      sweep_config.route_shards = route_shards;
-      // stderr only: the stdout sweep report stays bitwise identical to the
-      // direct-scheduler path at one shard (the CI determinism smoke).
-      std::fprintf(stderr, "lslsim: routing via RouteService (%zu shard%s)\n",
-                   route_shards, route_shards == 1 ? "" : "s");
-    }
     // Unset: the analytic flow model (the paper's sweep). A fidelity
     // directive or --fidelity flag runs every measurement on the simulator
     // at that fidelity instead.
