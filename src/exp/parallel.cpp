@@ -9,10 +9,56 @@
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 #include "util/thread_pool.hpp"
 
 namespace lsl::exp {
+namespace {
+
+/// The caller's observability sinks, captured before any trial runs:
+/// registry is null when metrics are not scoped, spans when no span
+/// recorder is installed.
+struct CallerSinks {
+  obs::Registry* registry;
+  obs::SpanRecorder* spans;
+};
+
+/// One trial's private sinks, merged into the caller's in trial order.
+struct TrialSinks {
+  std::unique_ptr<obs::Registry> registry;
+  std::unique_ptr<obs::SpanRecorder> spans;
+};
+
+/// Runs body(trial) with built-in instrumentation scoped to fresh private
+/// sinks, so the caller's registry and recorder are never touched
+/// concurrently.
+TrialSinks run_scoped(std::size_t trial, const CallerSinks& caller,
+                      const std::function<void(std::size_t)>& body) {
+  TrialSinks own;
+  std::optional<obs::ScopedRegistry> registry_scope;
+  std::optional<obs::ScopedSpanRecorder> span_scope;
+  if (caller.registry != nullptr) {
+    own.registry = std::make_unique<obs::Registry>();
+    registry_scope.emplace(*own.registry);
+  }
+  if (caller.spans != nullptr) {
+    own.spans = std::make_unique<obs::SpanRecorder>(
+        caller.spans->per_session_capacity());
+    span_scope.emplace(own.spans.get());
+  }
+  body(trial);
+  return own;
+}
+
+void merge(const TrialSinks& trial, const CallerSinks& caller) {
+  if (trial.registry != nullptr) {
+    caller.registry->merge_from(*trial.registry);
+  }
+  if (trial.spans != nullptr) {
+    caller.spans->append_from(*trial.spans);
+  }
+}
+
+}  // namespace
 
 void for_each_trial(std::size_t n, const TrialOptions& options,
                     const std::function<void(std::size_t)>& body) {
@@ -22,6 +68,9 @@ void for_each_trial(std::size_t n, const TrialOptions& options,
   std::size_t jobs =
       options.jobs == 0 ? ThreadPool::default_jobs() : options.jobs;
   jobs = std::min(jobs, n);
+  const CallerSinks caller{
+      options.scope_metrics ? &obs::Registry::global() : nullptr,
+      obs::spans()};
   if (jobs <= 1) {
     // The reference serial loop: no threads, but the same per-trial sink
     // scoping as the workers use. Without it, gauges would accumulate their
@@ -29,42 +78,8 @@ void for_each_trial(std::size_t n, const TrialOptions& options,
     // runs while parallel runs reset them per trial -- the merged output
     // would depend on --jobs. Scoping here and merging immediately in loop
     // order makes every jobs value reproduce this exact stream.
-    obs::Registry& parent_registry = obs::Registry::global();
-    obs::TraceRecorder* parent_tracer = obs::tracer();
-    obs::SpanRecorder* parent_spans = obs::spans();
     for (std::size_t trial = 0; trial < n; ++trial) {
-      std::unique_ptr<obs::Registry> trial_registry;
-      std::unique_ptr<obs::TraceRecorder> trial_trace;
-      std::unique_ptr<obs::SpanRecorder> trial_spans;
-      {
-        std::optional<obs::ScopedRegistry> registry_scope;
-        std::optional<obs::ScopedTracer> tracer_scope;
-        std::optional<obs::ScopedSpanRecorder> span_scope;
-        if (options.scope_metrics) {
-          trial_registry = std::make_unique<obs::Registry>();
-          registry_scope.emplace(*trial_registry);
-        }
-        if (parent_tracer != nullptr) {
-          trial_trace =
-              std::make_unique<obs::TraceRecorder>(options.trace_capacity);
-          tracer_scope.emplace(trial_trace.get());
-        }
-        if (parent_spans != nullptr) {
-          trial_spans = std::make_unique<obs::SpanRecorder>(
-              parent_spans->per_session_capacity());
-          span_scope.emplace(trial_spans.get());
-        }
-        body(trial);
-      }
-      if (trial_registry != nullptr) {
-        parent_registry.merge_from(*trial_registry);
-      }
-      if (trial_trace != nullptr) {
-        obs::append_snapshot(*parent_tracer, *trial_trace);
-      }
-      if (trial_spans != nullptr) {
-        parent_spans->append_from(*trial_spans);
-      }
+      merge(run_scoped(trial, caller, body), caller);
     }
     return;
   }
@@ -76,23 +91,7 @@ void for_each_trial(std::size_t n, const TrialOptions& options,
     chunk = std::max<std::size_t>(1, n / (jobs * 8));
   }
 
-  // Caller-side observability sinks, captured before workers start.
-  obs::Registry& parent_registry = obs::Registry::global();
-  obs::TraceRecorder* parent_tracer = obs::tracer();
-  obs::SpanRecorder* parent_spans = obs::spans();
-  std::vector<std::unique_ptr<obs::Registry>> trial_registries;
-  std::vector<std::unique_ptr<obs::TraceRecorder>> trial_traces;
-  std::vector<std::unique_ptr<obs::SpanRecorder>> trial_spans;
-  if (options.scope_metrics) {
-    trial_registries.resize(n);
-  }
-  if (parent_tracer != nullptr) {
-    trial_traces.resize(n);
-  }
-  if (parent_spans != nullptr) {
-    trial_spans.resize(n);
-  }
-
+  std::vector<TrialSinks> trial_sinks(n);
   std::atomic<std::size_t> cursor{0};
   std::atomic<bool> failed{false};
   std::mutex error_mutex;
@@ -109,27 +108,8 @@ void for_each_trial(std::size_t n, const TrialOptions& options,
       }
       const std::size_t end = std::min(begin + chunk, n);
       for (std::size_t trial = begin; trial < end; ++trial) {
-        // Scope this trial's built-in instrumentation to private sinks so
-        // the shared registry/recorder are never touched concurrently.
-        std::optional<obs::ScopedRegistry> registry_scope;
-        std::optional<obs::ScopedTracer> tracer_scope;
-        std::optional<obs::ScopedSpanRecorder> span_scope;
-        if (options.scope_metrics) {
-          trial_registries[trial] = std::make_unique<obs::Registry>();
-          registry_scope.emplace(*trial_registries[trial]);
-        }
-        if (parent_tracer != nullptr) {
-          trial_traces[trial] =
-              std::make_unique<obs::TraceRecorder>(options.trace_capacity);
-          tracer_scope.emplace(trial_traces[trial].get());
-        }
-        if (parent_spans != nullptr) {
-          trial_spans[trial] = std::make_unique<obs::SpanRecorder>(
-              parent_spans->per_session_capacity());
-          span_scope.emplace(trial_spans[trial].get());
-        }
         try {
-          body(trial);
+          trial_sinks[trial] = run_scoped(trial, caller, body);
         } catch (...) {
           const std::lock_guard<std::mutex> lock(error_mutex);
           // Keep the lowest-index failure so the rethrown exception does
@@ -148,18 +128,10 @@ void for_each_trial(std::size_t n, const TrialOptions& options,
     std::rethrow_exception(first_error);
   }
 
-  // Post-hoc, ordered merge: totals and trace streams come out exactly as
+  // Post-hoc, ordered merge: totals and span streams come out exactly as
   // the serial loop would have produced them.
-  for (std::size_t trial = 0; trial < n; ++trial) {
-    if (options.scope_metrics && trial_registries[trial] != nullptr) {
-      parent_registry.merge_from(*trial_registries[trial]);
-    }
-    if (parent_tracer != nullptr && trial_traces[trial] != nullptr) {
-      obs::append_snapshot(*parent_tracer, *trial_traces[trial]);
-    }
-    if (parent_spans != nullptr && trial_spans[trial] != nullptr) {
-      parent_spans->append_from(*trial_spans[trial]);
-    }
+  for (const TrialSinks& sinks : trial_sinks) {
+    merge(sinks, caller);
   }
 }
 

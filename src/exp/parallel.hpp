@@ -13,9 +13,9 @@
 //     order after all workers finish, so aggregation never observes worker
 //     scheduling.
 //   * Built-in observability stays lock-free: each trial runs under a
-//     per-trial obs::Registry (and, when tracing, a per-trial
-//     obs::TraceRecorder) installed thread-locally; the engine folds the
-//     per-trial registries/traces into the caller's in trial order.
+//     per-trial obs::Registry (and, when the caller records spans, a
+//     per-trial obs::SpanRecorder) installed thread-locally; the engine
+//     folds them into the caller's in trial order.
 //
 // Scheduling is chunked, not work-stealing: workers claim fixed-size runs
 // of consecutive trial indices off one atomic cursor. Chunking amortizes
@@ -32,8 +32,8 @@ namespace lsl::exp {
 struct TrialOptions {
   /// Total worker count, including the calling thread. 1 runs inline with
   /// no threads and no locking, but still under per-trial observability
-  /// scoping (registry / trace / span sinks are reset each trial and merged
-  /// in trial order), so serial and parallel runs emit identical streams --
+  /// scoping (registry and span sinks are reset each trial and merged in
+  /// trial order), so serial and parallel runs emit identical streams --
   /// including gauge high-water marks. 0 means ThreadPool::default_jobs().
   std::size_t jobs = 1;
   /// Trials claimed per cursor bump (0 = pick from n and jobs).
@@ -43,8 +43,6 @@ struct TrialOptions {
   /// body does not touch built-in instrumentation and the copies would be
   /// pure overhead.
   bool scope_metrics = true;
-  /// Capacity of each per-trial trace ring, when a tracer is installed.
-  std::size_t trace_capacity = 1 << 12;
 };
 
 /// Runs body(trial) for every trial in [0, n). Blocks until all trials

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/trace.hpp"
 #include "util/assert.hpp"
 #include "util/units.hpp"
 
@@ -18,12 +17,6 @@ void SeqTrace::attach(tcp::Connection& conn, SimTime origin) {
 
 void SeqTrace::add_sample(SimTime t, std::uint64_t bytes) {
   samples_.emplace_back(t, bytes);
-  // Mirror the sample into the structured trace (a Chrome 'C' counter track)
-  // when a recorder is installed; timestamps go out in absolute sim time.
-  if (auto* tr = obs::tracer(); tr != nullptr) {
-    tr->counter(origin_ + t, "exp", "exp.seq.acked_bytes",
-                static_cast<double>(bytes));
-  }
 }
 
 std::uint64_t SeqTrace::value_at(SimTime t) const {

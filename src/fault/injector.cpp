@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 #include "util/log.hpp"
 
 namespace lsl::fault {
@@ -196,29 +195,6 @@ void FaultInjector::note(const FaultSpec& fault, bool applied) {
     } else if (fault.kind == FaultKind::kDepotCrash) {
       metrics_->depot_restarts->inc();
     }
-  }
-  if (obs::TraceRecorder* tr = obs::tracer()) {
-    // Trace names must be literals with static storage duration.
-    const char* name = "?";
-    switch (fault.kind) {
-      case FaultKind::kLinkDown:
-        name = applied ? "fault.link_down" : "fault.heal.link_down";
-        break;
-      case FaultKind::kLinkBrownout:
-        name = applied ? "fault.brownout" : "fault.heal.brownout";
-        break;
-      case FaultKind::kDepotCrash:
-        name = applied ? "fault.depot_crash" : "fault.depot_restart";
-        break;
-      case FaultKind::kNwsBlackout:
-        name = applied ? "fault.nws_blackout" : "fault.heal.nws_blackout";
-        break;
-    }
-    const std::uint64_t arg =
-        fault.kind == FaultKind::kDepotCrash
-            ? fault.node
-            : (fault.kind == FaultKind::kNwsBlackout ? 0 : fault.link_a);
-    tr->instant(sim_.now(), "fault", name, arg);
   }
   if (obs::SpanRecorder* sr = obs::spans()) {
     const char* kind_name = to_string(fault.kind);

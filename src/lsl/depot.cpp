@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "mc/hooks.hpp"
-#include "obs/trace.hpp"
 #include "util/assert.hpp"
 #include "util/log.hpp"
 
@@ -670,22 +669,6 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
         (phase_ == Phase::kRelaying || phase_ == Phase::kMulticast)) {
       depot_.metrics_->relay_session_mib->observe(
           static_cast<double>(payload_seen_) / static_cast<double>(kMiB));
-    }
-    if (auto* tr = obs::tracer(); tr != nullptr) {
-      // One complete span per session; overlapping sessions stay legible in
-      // the Chrome trace because 'X' events carry their own duration.
-      const char* name = "lsl.session";
-      switch (phase_) {
-        case Phase::kRelaying: name = "lsl.relay"; break;
-        case Phase::kDelivering: name = "lsl.deliver"; break;
-        case Phase::kStoring: name = "lsl.store"; break;
-        case Phase::kServingFetch: name = "lsl.fetch"; break;
-        case Phase::kServingOffset: name = "lsl.offset_query"; break;
-        case Phase::kMulticast: name = "lsl.multicast"; break;
-        default: break;
-      }
-      tr->complete(accepted_at_, now - accepted_at_, "lsl", name,
-                   SessionIdHash{}(hdr_.session_id));
     }
     phase_ = Phase::kDone;
     depot_.release_user_memory(user_buffer_granted_);

@@ -6,7 +6,6 @@
 
 #include "mc/hooks.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 #include "util/assert.hpp"
 #include "util/log.hpp"
 
@@ -167,9 +166,6 @@ void ReliableTransfer::on_failure(const char* reason) {
             reason, retries_);
   if (metrics_ != nullptr) {
     metrics_->failures_detected->inc();
-  }
-  if (obs::TraceRecorder* tr = obs::tracer()) {
-    tr->instant(sim_.now(), "lsl", "recovery.failure", SessionIdHash{}(id_));
   }
   if (obs::SpanRecorder* sr = obs::spans()) {
     // Stall-triggered failures cover a retroactive dead-air window: the
@@ -438,9 +434,6 @@ void ReliableTransfer::relaunch_with(std::uint64_t sink_committed) {
       }
     }
   }
-  if (obs::TraceRecorder* tr = obs::tracer()) {
-    tr->instant(sim_.now(), "lsl", "recovery.retry", SessionIdHash{}(id_));
-  }
   if (obs::SpanRecorder* sr = obs::spans()) {
     sr->instant(sim_.now(), obs::SpanKind::kResume, span_session(),
                 transfer_span_, last_attempt_span_, "retry",
@@ -465,9 +458,6 @@ bool ReliableTransfer::reroute_to(const std::vector<net::NodeId>& new_via) {
   ++handovers_;
   if (metrics_ != nullptr) {
     metrics_->planned_handovers->inc();
-  }
-  if (obs::TraceRecorder* tr = obs::tracer()) {
-    tr->instant(sim_.now(), "lsl", "recovery.handover", SessionIdHash{}(id_));
   }
   // Drain: stop feeding the old path and ask the sink how far it got. The
   // relaunch in probe_finish resumes from that committed offset, so bytes
@@ -513,10 +503,6 @@ void ReliableTransfer::notify_delivered() {
     if (metrics_ != nullptr) {
       metrics_->sessions_recovered->inc();
     }
-    if (obs::TraceRecorder* tr = obs::tracer()) {
-      tr->instant(sim_.now(), "lsl", "recovery.recovered",
-                  SessionIdHash{}(id_));
-    }
   }
   end_probe_span("abandoned");
   end_backoff_span();
@@ -537,9 +523,6 @@ void ReliableTransfer::finish_failed() {
   source_.reset();
   if (metrics_ != nullptr) {
     metrics_->sessions_failed->inc();
-  }
-  if (obs::TraceRecorder* tr = obs::tracer()) {
-    tr->instant(sim_.now(), "lsl", "recovery.failed", SessionIdHash{}(id_));
   }
   end_probe_span("aborted");
   end_backoff_span();

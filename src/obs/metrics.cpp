@@ -291,42 +291,6 @@ std::string Registry::to_json() const {
   return out;
 }
 
-std::string Registry::to_table() const {
-  std::size_t width = 6;
-  for (const auto& entry : entries_) {
-    width = std::max(width, entry.name().size());
-  }
-  std::string out;
-  char buf[256];
-  for (const auto& entry : entries_) {
-    switch (entry.kind) {
-      case Kind::kCounter:
-        std::snprintf(buf, sizeof buf, "%-*s  %llu\n",
-                      static_cast<int>(width), entry.counter->name().c_str(),
-                      static_cast<unsigned long long>(entry.counter->value()));
-        break;
-      case Kind::kGauge:
-        std::snprintf(buf, sizeof buf, "%-*s  %.6g (high %.6g)\n",
-                      static_cast<int>(width), entry.gauge->name().c_str(),
-                      entry.gauge->value(), entry.gauge->high_water());
-        break;
-      case Kind::kHistogram: {
-        const auto& h = *entry.histogram;
-        std::snprintf(buf, sizeof buf,
-                      "%-*s  n=%llu mean=%.6g p50=%.6g p90=%.6g p99=%.6g "
-                      "p999=%.6g max=%.6g\n",
-                      static_cast<int>(width), h.name().c_str(),
-                      static_cast<unsigned long long>(h.count()), h.mean(),
-                      h.quantile(0.50), h.quantile(0.90), h.quantile(0.99),
-                      h.quantile(0.999), h.max());
-        break;
-      }
-    }
-    out += buf;
-  }
-  return out;
-}
-
 namespace {
 
 /// Prometheus metric names allow [a-zA-Z0-9_:]; our dotted names map with

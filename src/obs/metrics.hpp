@@ -144,8 +144,6 @@ class Registry {
 
   /// {"counters": {...}, "gauges": {...}, "histograms": {...}}
   [[nodiscard]] std::string to_json() const;
-  /// Aligned text table for terminal output.
-  [[nodiscard]] std::string to_table() const;
   /// Prometheus text exposition format (metric names have dots replaced by
   /// underscores; gauges add a `<name>_high_water` series, histograms emit
   /// cumulative `_bucket{le=...}` plus `_sum`/`_count`). Scrapeable and

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <unordered_map>
 
 namespace lsl::obs {
 
@@ -75,21 +76,16 @@ std::uint64_t SpanRecorder::record(SpanEvent event) {
 }
 
 void SpanRecorder::push(const SpanEvent& event) {
-  const std::uint64_t seq = next_seq_++;
-  if (std::find(session_order_.begin(), session_order_.end(),
-                event.session) == session_order_.end()) {
+  const auto [it, created] = rings_.try_emplace(event.session);
+  if (created) {
     session_order_.push_back(event.session);
   }
-  if (capacity_ == 0) {
-    log_.push_back({event, seq});
-    return;
-  }
-  std::deque<Slot>& ring = rings_[event.session];
-  if (ring.size() >= capacity_) {
+  std::deque<Slot>& ring = it->second;
+  if (capacity_ != 0 && ring.size() >= capacity_) {
     ring.pop_front();
     ++dropped_;
   }
-  ring.push_back({event, seq});
+  ring.push_back({event, next_seq_++});
 }
 
 std::uint64_t SpanRecorder::session_root(std::uint64_t session) const {
@@ -98,9 +94,6 @@ std::uint64_t SpanRecorder::session_root(std::uint64_t session) const {
 }
 
 std::size_t SpanRecorder::size() const {
-  if (capacity_ == 0) {
-    return log_.size();
-  }
   std::size_t total = 0;
   for (const auto& [session, ring] : rings_) {
     total += ring.size();
@@ -108,13 +101,11 @@ std::size_t SpanRecorder::size() const {
   return total;
 }
 
-std::vector<SpanEvent> SpanRecorder::snapshot() const {
+template <typename Keep>
+std::vector<SpanEvent> SpanRecorder::gather(Keep keep) const {
   std::vector<Slot> slots;
-  if (capacity_ == 0) {
-    slots = log_;
-  } else {
-    slots.reserve(size());
-    for (const auto& [session, ring] : rings_) {
+  for (const auto& [session, ring] : rings_) {
+    if (keep(session)) {
       slots.insert(slots.end(), ring.begin(), ring.end());
     }
   }
@@ -128,36 +119,14 @@ std::vector<SpanEvent> SpanRecorder::snapshot() const {
   return events;
 }
 
+std::vector<SpanEvent> SpanRecorder::snapshot() const {
+  return gather([](std::uint64_t) { return true; });
+}
+
 std::vector<SpanEvent> SpanRecorder::session_events(
     std::uint64_t session) const {
-  std::vector<Slot> slots;
-  const auto keep = [&](const Slot& slot) {
-    return slot.event.session == session || slot.event.session == 0;
-  };
-  if (capacity_ == 0) {
-    for (const Slot& slot : log_) {
-      if (keep(slot)) {
-        slots.push_back(slot);
-      }
-    }
-  } else {
-    for (const auto& [key, ring] : rings_) {
-      if (key != session && key != 0) {
-        continue;
-      }
-      for (const Slot& slot : ring) {
-        slots.push_back(slot);
-      }
-    }
-    std::sort(slots.begin(), slots.end(),
-              [](const Slot& a, const Slot& b) { return a.seq < b.seq; });
-  }
-  std::vector<SpanEvent> events;
-  events.reserve(slots.size());
-  for (const Slot& slot : slots) {
-    events.push_back(slot.event);
-  }
-  return events;
+  return gather(
+      [session](std::uint64_t key) { return key == session || key == 0; });
 }
 
 std::vector<std::uint64_t> SpanRecorder::sessions() const {
@@ -171,7 +140,6 @@ std::vector<std::uint64_t> SpanRecorder::sessions() const {
 }
 
 void SpanRecorder::clear() {
-  log_.clear();
   rings_.clear();
   open_sessions_.clear();
   session_order_.clear();
@@ -250,19 +218,45 @@ std::string SpanRecorder::to_json() const {
   std::string out = "[";
   bool first = true;
   char buf[384];
+  // Span id -> the root of its tree, which names the track. Parents are
+  // recorded before their children; a parent evicted from a flight ring
+  // roots its orphans' track itself.
+  std::unordered_map<std::uint64_t, std::uint64_t> root_of;
+  const auto root = [&root_of](std::uint64_t id) {
+    const auto it = root_of.find(id);
+    return it == root_of.end() ? id : it->second;
+  };
   for (const SpanEvent& e : snapshot()) {
+    std::uint64_t tid = 0;
+    if (e.phase == SpanPhase::kEnd) {
+      tid = root(e.span_id);
+    } else if (e.parent != 0) {
+      tid = root_of[e.span_id] = root(e.parent);
+    } else if (e.phase != SpanPhase::kInstant) {
+      tid = root_of[e.span_id] = e.span_id;
+    }
     if (!first) {
       out += ",";
     }
     first = false;
     std::snprintf(
         buf, sizeof buf,
-        "\n  {\"ts\": %.3f, \"ph\": \"%c\", \"kind\": \"%s\", "
-        "\"id\": %" PRIu64 ", \"parent\": %" PRIu64 ", \"follows\": %" PRIu64
-        ", \"session\": \"%016" PRIx64 "\", \"dur\": %.3f, "
-        "\"reason\": \"%s\", \"value\": %.6g}",
-        e.ts.to_seconds() * 1e6, to_char(e.phase), to_string(e.kind),
-        e.span_id, e.parent, e.follows, e.session, e.dur.to_seconds() * 1e6,
+        "\n  {\"name\": \"%s\", \"cat\": \"span\", \"ph\": \"%c\", "
+        "\"ts\": %.3f, ",
+        to_string(e.kind), to_char(e.phase), e.ts.to_seconds() * 1e6);
+    out += buf;
+    if (e.phase == SpanPhase::kComplete) {
+      std::snprintf(buf, sizeof buf, "\"dur\": %.3f, ",
+                    e.dur.to_seconds() * 1e6);
+      out += buf;
+    }
+    std::snprintf(
+        buf, sizeof buf,
+        "\"pid\": 1, \"tid\": %" PRIu64 ", \"args\": {\"id\": %" PRIu64
+        ", \"parent\": %" PRIu64 ", \"follows\": %" PRIu64
+        ", \"session\": \"%016" PRIx64 "\", \"reason\": \"%s\", "
+        "\"value\": %.6g}}",
+        tid, e.span_id, e.parent, e.follows, e.session,
         e.reason != nullptr ? e.reason : "", e.value);
     out += buf;
   }

@@ -1,5 +1,6 @@
 // Causal span layer: typed, parent/child-linked spans over transfer
-// lifecycles, layered on top of the flat trace ring (obs/trace.hpp).
+// lifecycles -- the repo's one event record. It feeds --explain, the
+// flight-recorder post-mortems and the Chrome trace export (lslsim --trace).
 //
 // The span model follows the session stack top-down:
 //
@@ -12,17 +13,18 @@
 // failover chain of a transfer (attempt 0 -> stall -> backoff -> attempt 1
 // -> handover -> attempt 2 ...) is walkable from the event stream alone.
 //
-// Two recording modes share one type:
-//   * unbounded (capacity 0): an append-only log for --explain time
-//     accounting and the span tests; and
-//   * flight recorder (capacity N): a bounded ring of the most recent
-//     events *per session* plus one global ring, cheap enough to leave on
-//     for every lslsim run and dumped as a post-mortem on failure.
+// Events are held in one ring per session plus one global ring. Two
+// recording modes differ only in the ring capacity:
+//   * unbounded (capacity 0): rings never evict -- the full log for
+//     --explain time accounting, the Chrome trace and the span tests; and
+//   * flight recorder (capacity N): each ring keeps its most recent N
+//     events, cheap enough to leave on for every lslsim run and dumped as a
+//     post-mortem on failure.
 //
 // Span ids are assigned by the recorder (monotonic from 1), never derived
 // from pointers or wall time, so runs are bit-for-bit reproducible and
 // per-trial recorders can be rebased and merged in trial order exactly like
-// obs::Registry / obs::TraceRecorder (docs/performance.md).
+// obs::Registry (docs/performance.md).
 #pragma once
 
 #include <cstdint>
@@ -150,7 +152,12 @@ class SpanRecorder {
   /// recorder's crash artifact): one line per event with causal links.
   [[nodiscard]] std::string post_mortem(std::uint64_t session) const;
 
-  /// JSON array of event objects (ts/dur in microseconds, ids as numbers).
+  /// Chrome trace_event JSON Array Format (loadable in Perfetto), one
+  /// event per held span event in record order: name = kind, ph = phase
+  /// (B/E/i/X), ts/dur in microseconds, and every other field in args.
+  /// Each span tree gets its own track (tid = the root span's id), so
+  /// overlapping trees never interleave their B/E pairs; instants without a
+  /// parent share track 0.
   [[nodiscard]] std::string to_json() const;
   bool write_json(const std::string& path) const;
 
@@ -167,18 +174,21 @@ class SpanRecorder {
   };
 
   void push(const SpanEvent& event);
+  /// Held events of the rings whose session hash `keep` accepts, in record
+  /// order.
+  template <typename Keep>
+  [[nodiscard]] std::vector<SpanEvent> gather(Keep keep) const;
 
-  std::size_t capacity_;  ///< 0 = unbounded log
+  std::size_t capacity_;  ///< events per ring; 0 = rings never evict
   std::uint64_t next_id_ = 1;
   std::uint64_t next_seq_ = 0;
   std::uint64_t dropped_ = 0;
-  std::vector<Slot> log_;  ///< unbounded mode storage
-  /// Bounded mode storage: one ring per session hash (0 = global events).
-  /// std::map keeps sessions() and snapshot() deterministic.
+  /// One ring per session hash (0 = global events).
   std::map<std::uint64_t, std::deque<Slot>> rings_;
   /// Open kSession spans, for session_root(). Keyed by session hash.
   std::map<std::uint64_t, std::uint64_t> open_sessions_;
-  std::vector<std::uint64_t> session_order_;  ///< first-seen session hashes
+  /// Session hashes in the order their rings were created.
+  std::vector<std::uint64_t> session_order_;
 };
 
 /// Concatenated post_mortem() dumps for every session held by `recorder`.

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/log.hpp"
 
 namespace lsl::sim {
@@ -452,7 +451,6 @@ void Simulator::dispatch_entry(const Entry& e) {
 
 std::uint64_t Simulator::run(SimTime limit) {
   stop_requested_ = false;
-  const SimTime run_start = now_;
   const double wall_start = profiling_ ? wall_now() : 0.0;
   std::uint64_t executed = 0;
   while (!stop_requested_ && settle_top()) {
@@ -470,9 +468,6 @@ std::uint64_t Simulator::run(SimTime limit) {
   }
   if (profiling_) {
     wall_seconds_ += wall_now() - wall_start;
-    if (obs::TraceRecorder* tr = obs::tracer(); tr != nullptr && executed > 0) {
-      tr->complete(run_start, now_ - run_start, "sim", "sim.run");
-    }
   }
   return executed;
 }

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "obs/trace.hpp"
 #include "util/assert.hpp"
 
 namespace lsl::tcp {
@@ -240,17 +239,13 @@ std::uint64_t BbrCc::bdp_bytes() const {
                                     min_rtt_.to_seconds());
 }
 
-void BbrCc::set_phase(Phase next, SimTime now) {
+void BbrCc::set_phase(Phase next) {
   if (phase_ == next) {
     return;
   }
   phase_ = next;
   if (metrics_ != nullptr) {
     metrics_->bbr_phase_moves->inc();
-  }
-  if (obs::TraceRecorder* tr = obs::tracer()) {
-    tr->instant(now, "tcp", "tcp.cca.bbr_phase",
-                static_cast<std::uint64_t>(next));
   }
 }
 
@@ -272,14 +267,14 @@ void BbrCc::end_round(std::uint64_t flight, SimTime now) {
         full_bw_bps_ = btl_bw_bps_;
         full_bw_rounds_ = 0;
       } else if (++full_bw_rounds_ >= 3) {
-        set_phase(Phase::kDrain, now);
+        set_phase(Phase::kDrain);
       }
       break;
     case Phase::kDrain:
       // Startup overshot to ~2.9x BDP; hold the cap at one BDP until the
       // queue it built has drained.
       if (flight <= bdp_bytes()) {
-        set_phase(Phase::kProbeBw, now);
+        set_phase(Phase::kProbeBw);
         cycle_index_ = 0;
       }
       break;

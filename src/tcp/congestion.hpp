@@ -192,7 +192,7 @@ class BbrCc final : public CongestionControl {
   static constexpr double kCwndGain = 2.0;       ///< probe-bw BDP multiple
 
   void end_round(std::uint64_t flight, SimTime now);
-  void set_phase(Phase next, SimTime now);
+  void set_phase(Phase next);
   [[nodiscard]] SimTime round_rtt(SimTime srtt) const;
   [[nodiscard]] std::uint64_t bdp_bytes() const;
   void recompute_cwnd();

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 #include "tcp/stack.hpp"
 #include "util/log.hpp"
 
@@ -292,9 +291,6 @@ void Connection::send_data_segment(std::uint64_t wire_seq, std::uint32_t len,
     if (metrics_ != nullptr) {
       metrics_->retransmits->inc();
     }
-    if (obs::TraceRecorder* tr = obs::tracer()) {
-      tr->instant(sim_.now(), "tcp", "tcp.retransmit", wire_seq);
-    }
   } else {
     stats_.bytes_sent += len;
     if (!timing_active_) {
@@ -494,9 +490,6 @@ void Connection::on_rto() {
   if (metrics_ != nullptr) {
     metrics_->timeouts->inc();
   }
-  if (obs::TraceRecorder* tr = obs::tracer()) {
-    tr->instant(sim_.now(), "tcp", "tcp.rto", snd_una_);
-  }
   if (stream_span_ != 0 && sim_.now() > rto_armed_at_) {
     if (obs::SpanRecorder* sr = obs::spans()) {
       // Retroactive dead-air episode: no ACK progress from the last RTO arm
@@ -601,9 +594,6 @@ void Connection::handle_packet(const net::Packet& packet) {
       snd_wnd_ = h.wnd;
       state_ = TcpState::kEstablished;
       stats_.established_at = sim_.now();
-      if (obs::TraceRecorder* tr = obs::tracer()) {
-        tr->instant(sim_.now(), "tcp", "tcp.established", local_port_);
-      }
       span_on_established();
       restart_rto_if_needed();
       send_pure_ack();
@@ -872,9 +862,6 @@ void Connection::enter_recovery() {
   if (metrics_ != nullptr) {
     metrics_->fast_retransmits->inc();
   }
-  if (obs::TraceRecorder* tr = obs::tracer()) {
-    tr->instant(sim_.now(), "tcp", "tcp.fast_retransmit", snd_una_);
-  }
   timing_active_ = false;  // Karn
   rtx_out_.clear();
   // Retransmit the presumed-lost head segment.
@@ -1045,9 +1032,6 @@ void Connection::maybe_accept_pending_fin() {
 void Connection::advance_handshake_established() {
   state_ = TcpState::kEstablished;
   stats_.established_at = sim_.now();
-  if (obs::TraceRecorder* tr = obs::tracer()) {
-    tr->instant(sim_.now(), "tcp", "tcp.established", local_port_);
-  }
   span_on_established();
   restart_rto_if_needed();
   stack_.deliver_accept(ConnKey{remote_node_, local_port_, remote_port_});
@@ -1134,9 +1118,6 @@ void Connection::become_dead() {
     return;
   }
   state_ = TcpState::kDead;
-  if (obs::TraceRecorder* tr = obs::tracer()) {
-    tr->instant(sim_.now(), "tcp", "tcp.closed", local_port_);
-  }
   end_spans(error_ != ConnectionError::kNone ? to_string(error_) : "closed");
   fluid_teardown();
   rto_timer_.cancel();

@@ -1,17 +1,17 @@
 // Observability layer: metrics registry semantics, histogram quantiles
-// against the exact percentile in util/stats, trace-ring overwrite, and
-// Chrome trace_event JSON well-formedness.
+// against the exact percentile in util/stats, and the span stream's Chrome
+// trace_event export.
 #include <cctype>
 #include <cstddef>
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "exp/trace.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/span.hpp"
 #include "sim/simulator.hpp"
 #include "util/stats.hpp"
 
@@ -345,68 +345,82 @@ TEST(ObsMetricsTest, RegistryJsonIsWellFormed) {
 }
 
 // ---------------------------------------------------------------------------
-// Trace recorder
-
-TEST(ObsTraceTest, RingOverwritesOldestEvents) {
-  obs::TraceRecorder rec(4);
-  for (int i = 0; i < 10; ++i) {
-    rec.instant(SimTime::seconds(i), "test", "tick",
-                static_cast<std::uint64_t>(i));
-  }
-  EXPECT_EQ(rec.capacity(), 4u);
-  EXPECT_EQ(rec.size(), 4u);
-  EXPECT_EQ(rec.total_recorded(), 10u);
-  EXPECT_EQ(rec.dropped(), 6u);
-  const auto events = rec.snapshot();
-  ASSERT_EQ(events.size(), 4u);
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].id, 6 + i);  // oldest-first, last four survive
-  }
-  rec.clear();
-  EXPECT_EQ(rec.size(), 0u);
-  EXPECT_EQ(rec.total_recorded(), 0u);
-}
+// Chrome trace export of the span stream
 
 TEST(ObsTraceTest, ChromeTraceJsonShape) {
-  obs::TraceRecorder rec(16);
-  rec.begin(SimTime::milliseconds(1), "tcp", "handshake", 7);
-  rec.end(SimTime::milliseconds(3), "tcp", "handshake", 7);
-  rec.instant(SimTime::milliseconds(4), "tcp", "tcp.retransmit");
-  rec.counter(SimTime::milliseconds(5), "exp", "acked_bytes", 1234.0);
-  rec.complete(SimTime::milliseconds(2), SimTime::milliseconds(6), "lsl",
-               "lsl.relay", 9);
-  const std::string json = rec.to_json();
+  // Every shape the stream can hold: a begin/end pair, a complete span, an
+  // instant, spans left open, a follows-from link and session-less events.
+  constexpr std::uint64_t kSession = 0xabcdef0123456789;
+  obs::SpanRecorder spans(0);
+  const auto fault =
+      spans.begin(SimTime::microseconds(500), obs::SpanKind::kFaultWindow, 0,
+                  0, 0, "depot-crash", 7.0);
+  const auto session =
+      spans.begin(SimTime::milliseconds(1), obs::SpanKind::kSession, kSession);
+  const auto attempt = spans.begin(SimTime::milliseconds(1),
+                                   obs::SpanKind::kAttempt, kSession, session);
+  spans.complete(SimTime::milliseconds(2), SimTime::milliseconds(3),
+                 obs::SpanKind::kStall, kSession, attempt, "stall");
+  spans.end(SimTime::milliseconds(5), obs::SpanKind::kAttempt, attempt,
+            kSession, "failed");
+  const auto resume =
+      spans.instant(SimTime::milliseconds(6), obs::SpanKind::kResume,
+                    kSession, session, attempt, "retry", 1234.0);
+  spans.begin(SimTime::milliseconds(6), obs::SpanKind::kAttempt, kSession,
+              session, resume);
+  spans.end(SimTime::milliseconds(7), obs::SpanKind::kFaultWindow, fault, 0);
+  spans.instant(SimTime::milliseconds(8), obs::SpanKind::kRouteDecision, 0, 0,
+                0, "keep");
+
+  const std::string json = spans.to_json();
   EXPECT_TRUE(JsonChecker(json).valid()) << json;
   EXPECT_EQ(json.front(), '[');
-  // Every phase we emitted appears, with ts in microseconds.
-  EXPECT_NE(json.find("\"ph\": \"B\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\": \"E\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\": \"i\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\": \"C\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"ts\": 1000.000"), std::string::npos);
-  EXPECT_NE(json.find("\"dur\": 6000.000"), std::string::npos);
-  EXPECT_NE(json.find("\"name\": \"handshake\""), std::string::npos);
-  EXPECT_NE(json.find("\"cat\": \"tcp\""), std::string::npos);
-  EXPECT_NE(json.find("\"value\": 1234"), std::string::npos);
-}
 
-TEST(ObsTraceTest, SeqTraceMirrorsSamplesIntoInstalledRecorder) {
-  obs::TraceRecorder rec(16);
-  obs::set_tracer(&rec);
-  exp::SeqTrace trace;
-  trace.add_sample(SimTime::seconds(1), 100);
-  trace.add_sample(SimTime::seconds(2), 250);
-  obs::set_tracer(nullptr);
-  trace.add_sample(SimTime::seconds(3), 400);  // recorder detached: dropped
-
-  ASSERT_EQ(trace.samples().size(), 3u);
-  const auto events = rec.snapshot();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].phase, obs::TracePhase::kCounter);
-  EXPECT_DOUBLE_EQ(events[0].value, 100.0);
-  EXPECT_DOUBLE_EQ(events[1].value, 250.0);
-  EXPECT_STREQ(events[1].name, "exp.seq.acked_bytes");
+  // One line per Chrome event, in stream order: ts/dur in microseconds,
+  // dur on complete ('X') events only, each span tree on the track named by
+  // its root's id, parentless instants on track 0.
+  const std::vector<std::string> want = {
+      R"({"name": "fault_window", "cat": "span", "ph": "B", "ts": 500.000, )"
+      R"("pid": 1, "tid": 1, "args": {"id": 1, "parent": 0, "follows": 0, )"
+      R"("session": "0000000000000000", "reason": "depot-crash", "value": 7}})",
+      R"({"name": "session", "cat": "span", "ph": "B", "ts": 1000.000, )"
+      R"("pid": 1, "tid": 2, "args": {"id": 2, "parent": 0, "follows": 0, )"
+      R"("session": "abcdef0123456789", "reason": "", "value": 0}})",
+      R"({"name": "attempt", "cat": "span", "ph": "B", "ts": 1000.000, )"
+      R"("pid": 1, "tid": 2, "args": {"id": 3, "parent": 2, "follows": 0, )"
+      R"("session": "abcdef0123456789", "reason": "", "value": 0}})",
+      R"({"name": "stall", "cat": "span", "ph": "X", "ts": 2000.000, )"
+      R"("dur": 3000.000, )"
+      R"("pid": 1, "tid": 2, "args": {"id": 4, "parent": 3, "follows": 0, )"
+      R"("session": "abcdef0123456789", "reason": "stall", "value": 0}})",
+      R"({"name": "attempt", "cat": "span", "ph": "E", "ts": 5000.000, )"
+      R"("pid": 1, "tid": 2, "args": {"id": 3, "parent": 0, "follows": 0, )"
+      R"("session": "abcdef0123456789", "reason": "failed", "value": 0}})",
+      R"({"name": "resume", "cat": "span", "ph": "i", "ts": 6000.000, )"
+      R"("pid": 1, "tid": 2, "args": {"id": 5, "parent": 2, "follows": 3, )"
+      R"("session": "abcdef0123456789", "reason": "retry", "value": 1234}})",
+      R"({"name": "attempt", "cat": "span", "ph": "B", "ts": 6000.000, )"
+      R"("pid": 1, "tid": 2, "args": {"id": 6, "parent": 2, "follows": 5, )"
+      R"("session": "abcdef0123456789", "reason": "", "value": 0}})",
+      R"({"name": "fault_window", "cat": "span", "ph": "E", "ts": 7000.000, )"
+      R"("pid": 1, "tid": 1, "args": {"id": 1, "parent": 0, "follows": 0, )"
+      R"("session": "0000000000000000", "reason": "", "value": 0}})",
+      R"({"name": "route_decision", "cat": "span", "ph": "i", "ts": 8000.000, )"
+      R"("pid": 1, "tid": 0, "args": {"id": 7, "parent": 0, "follows": 0, )"
+      R"("session": "0000000000000000", "reason": "keep", "value": 0}})",
+  };
+  std::vector<std::string> events;
+  std::istringstream lines(json);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("  {", 0) == 0) {
+      if (line.back() == ',') {
+        line.pop_back();
+      }
+      events.push_back(line.substr(2));
+    }
+  }
+  ASSERT_EQ(events.size(), spans.snapshot().size()) << json;
+  EXPECT_EQ(events, want) << json;
 }
 
 // ---------------------------------------------------------------------------

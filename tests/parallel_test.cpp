@@ -1,5 +1,6 @@
 // The parallel trial engine's determinism contract: any --jobs value
-// produces bit-identical results, metrics, and traces (docs/performance.md).
+// produces bit-identical results and metrics (docs/performance.md); the
+// merged span stream is checked in span_test.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,7 +10,6 @@
 
 #include "exp/parallel.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "testbed/grid.hpp"
 #include "testbed/sweep.hpp"
 #include "util/thread_pool.hpp"
@@ -128,31 +128,6 @@ TEST(ParallelTest, GaugeHighWaterResetsPerTrialAndMergesAsMax) {
         << "jobs=" << jobs;
     EXPECT_DOUBLE_EQ(parent.gauge("test.occupancy").value(), 0.0)
         << "jobs=" << jobs;
-  }
-}
-
-TEST(ParallelTest, AppendsPerTrialTracesInTrialOrder) {
-  constexpr std::size_t kTrials = 24;
-  for (const std::size_t jobs : {std::size_t{1}, std::size_t{2},
-                                 std::size_t{8}}) {
-    obs::TraceRecorder parent;
-    obs::set_tracer(&parent);
-    exp::TrialOptions options;
-    options.jobs = jobs;
-    options.scope_metrics = false;
-    exp::for_each_trial(kTrials, options, [](std::size_t trial) {
-      obs::tracer()->record(
-          {.ts = SimTime::milliseconds(static_cast<std::int64_t>(trial)),
-           .name = "trial",
-           .phase = obs::TracePhase::kCounter,
-           .value = static_cast<double>(trial)});
-    });
-    obs::set_tracer(nullptr);
-    const auto events = parent.snapshot();
-    ASSERT_EQ(events.size(), kTrials) << "jobs=" << jobs;
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      EXPECT_EQ(events[i].value, static_cast<double>(i)) << "jobs=" << jobs;
-    }
   }
 }
 

@@ -1,7 +1,7 @@
 // Causal span layer: well-formedness of the span stream under failover and
 // planned handover, exact sum-to-wall time accounting (--explain), flight
-// recorder bounds + post-mortem content, and --jobs determinism of the
-// merged stream.
+// recorder bounds + post-mortem content, one storage path for bounded and
+// unbounded recorders, and --jobs determinism of the merged stream.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -433,21 +433,48 @@ TEST(SpanTest, SessionEventsIncludeGlobalContext) {
 
 void expect_same_events(const std::vector<obs::SpanEvent>& a,
                         const std::vector<obs::SpanEvent>& b,
-                        std::size_t jobs) {
-  ASSERT_EQ(a.size(), b.size()) << "jobs=" << jobs;
+                        const std::string& label) {
+  ASSERT_EQ(a.size(), b.size()) << label;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].ts, b[i].ts) << "jobs=" << jobs << " event " << i;
-    EXPECT_EQ(a[i].dur, b[i].dur) << "jobs=" << jobs << " event " << i;
-    EXPECT_EQ(a[i].span_id, b[i].span_id) << "jobs=" << jobs << " event " << i;
-    EXPECT_EQ(a[i].parent, b[i].parent) << "jobs=" << jobs << " event " << i;
-    EXPECT_EQ(a[i].follows, b[i].follows) << "jobs=" << jobs << " event " << i;
-    EXPECT_EQ(a[i].session, b[i].session) << "jobs=" << jobs << " event " << i;
-    EXPECT_EQ(a[i].kind, b[i].kind) << "jobs=" << jobs << " event " << i;
-    EXPECT_EQ(a[i].phase, b[i].phase) << "jobs=" << jobs << " event " << i;
-    EXPECT_STREQ(a[i].reason, b[i].reason)
-        << "jobs=" << jobs << " event " << i;
-    EXPECT_EQ(a[i].value, b[i].value) << "jobs=" << jobs << " event " << i;
+    EXPECT_EQ(a[i].ts, b[i].ts) << label << " event " << i;
+    EXPECT_EQ(a[i].dur, b[i].dur) << label << " event " << i;
+    EXPECT_EQ(a[i].span_id, b[i].span_id) << label << " event " << i;
+    EXPECT_EQ(a[i].parent, b[i].parent) << label << " event " << i;
+    EXPECT_EQ(a[i].follows, b[i].follows) << label << " event " << i;
+    EXPECT_EQ(a[i].session, b[i].session) << label << " event " << i;
+    EXPECT_EQ(a[i].kind, b[i].kind) << label << " event " << i;
+    EXPECT_EQ(a[i].phase, b[i].phase) << label << " event " << i;
+    EXPECT_STREQ(a[i].reason, b[i].reason) << label << " event " << i;
+    EXPECT_EQ(a[i].value, b[i].value) << label << " event " << i;
   }
+}
+
+TEST(SpanTest, UnboundedLogEqualsUnfilledFlightRings) {
+  // Capacity 0 (rings never evict) and rings too large to fill hold the
+  // same stream: both modes share one storage path.
+  obs::SpanRecorder unbounded(0);
+  obs::SpanRecorder rings(1 << 20);
+  const auto a = run_failover(unbounded, 3, 1_s, 3_s);
+  const auto b = run_failover(rings, 3, 1_s, 3_s);
+  ASSERT_TRUE(a.outcome.completed);
+  ASSERT_EQ(a.session, b.session);
+  EXPECT_EQ(rings.dropped(), 0u);
+  EXPECT_EQ(unbounded.size(), rings.size());
+
+  expect_same_events(unbounded.snapshot(), rings.snapshot(), "snapshot");
+  ASSERT_EQ(unbounded.sessions(), rings.sessions());
+  ASSERT_FALSE(unbounded.sessions().empty());
+  for (const std::uint64_t session : unbounded.sessions()) {
+    expect_same_events(unbounded.session_events(session),
+                       rings.session_events(session), "session_events");
+    // Only the header's mode tag differs.
+    std::string flight = rings.post_mortem(session);
+    const std::size_t tag = flight.find(", flight ring");
+    ASSERT_NE(tag, std::string::npos) << flight;
+    flight.erase(tag, std::strlen(", flight ring"));
+    EXPECT_EQ(unbounded.post_mortem(session), flight);
+  }
+  EXPECT_EQ(unbounded.to_json(), rings.to_json());
 }
 
 TEST(SpanTest, MergedStreamAndExplainAreIdenticalForAnyJobs) {
@@ -485,7 +512,8 @@ TEST(SpanTest, MergedStreamAndExplainAreIdenticalForAnyJobs) {
   for (const std::size_t jobs : {std::size_t{2}, std::size_t{8}}) {
     obs::SpanRecorder parallel(0);
     run_sweep(jobs, parallel);
-    expect_same_events(serial_events, parallel.snapshot(), jobs);
+    expect_same_events(serial_events, parallel.snapshot(),
+                       "jobs=" + std::to_string(jobs));
     EXPECT_EQ(serial_explain,
               obs::render_breakdowns(obs::account_spans(parallel.snapshot())))
         << "jobs=" << jobs;

@@ -1,23 +1,29 @@
 // lslsim: run LSL transfer scenarios from a text description.
 //
 //   lslsim <scenario-file> [--seed N] [--sweep] [--jobs N]
-//          [--metrics=<path>] [--trace=<path>] [--profile]
+//          [--metrics=<path>] [--trace=<path>] [--explain] [--profile]
 //   lslsim --pool-size N [--seed N] [--jobs N] [--metrics=<path>]
 //
 // Prints one result row per transfer. See src/exp/scenario.hpp for the file
 // format, scenarios/ for ready-made examples, and docs/observability.md for
-// the metrics/trace output formats. With --pool-size (or a scenario `pool`
-// directive) it instead runs a synthetic PlanetLab-style speedup sweep --
-// the control-plane scaling path for 1000+ host pools.
+// the metrics and span-trace output formats. With --pool-size (or a
+// scenario `pool` directive) it instead runs a synthetic PlanetLab-style
+// speedup sweep -- the control-plane scaling path for 1000+ host pools.
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <numeric>
+#include <optional>
 #include <sstream>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "exp/parallel.hpp"
@@ -30,7 +36,6 @@
 #include "obs/explain.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 #include "sched/route_advisor.hpp"
 #include "sched/scheduler.hpp"
 #include "tcp/connection.hpp"
@@ -47,7 +52,7 @@ void usage() {
                "              [--fidelity=packet|flow]\n"
                "              [--cca=reno|newreno|cubic|bbr]\n"
                "              [--metrics=<path>] [--metrics-format=json|prom]\n"
-               "              [--trace=<path>] [--spans=<path>] [--profile]\n"
+               "              [--trace=<path>] [--profile]\n"
                "              [--explain[=SESSION]]\n"
                "       lslsim --pool-size N [--seed N] [--jobs N]\n"
                "              [--fidelity=packet|flow] [--metrics=<path>]\n"
@@ -73,9 +78,9 @@ void usage() {
                "  --metrics=<path> writes a snapshot of every metric;\n"
                "  --metrics-format=prom selects the Prometheus text format\n"
                "  instead of JSON.\n"
-               "  --trace=<path> writes Chrome trace-event JSON (load it in\n"
-               "  Perfetto or chrome://tracing).\n"
-               "  --spans=<path> writes the causal span stream as JSON.\n"
+               "  --trace=<path> writes every causal span event as Chrome\n"
+               "  trace-event JSON (load it in Perfetto or\n"
+               "  chrome://tracing).\n"
                "  --explain prints a per-transfer wall-time breakdown\n"
                "  (streaming / connect / stall / backoff / probe / handover\n"
                "  / retransmit-dominated); --explain=SESSION limits it to\n"
@@ -110,6 +115,41 @@ void usage() {
                "  each failed session's recent span events to stderr.\n"
                "  LSL_LOG=debug enables protocol traces; LSL_METRICS=off\n"
                "  disables the built-in instrumentation.\n");
+}
+
+/// Parses the whole of `text` as a number, or exits 2 naming `flag`: an
+/// unchecked strtoull/strtod would quietly read "banana" as 0. Unsigned
+/// values take no sign; floating values must be finite.
+template <typename T>
+T parse_number(const char* flag, const std::string& text, int base = 10) {
+  const char* begin = text.c_str();
+  char* end = nullptr;
+  errno = 0;
+  T value{};
+  bool ok = false;
+  if constexpr (std::is_floating_point_v<T>) {
+    value = std::strtod(begin, &end);
+    ok = std::isfinite(value);
+  } else {
+    value = std::strtoull(begin, &end, base);
+    ok = std::isxdigit(static_cast<unsigned char>(text[0])) != 0;
+  }
+  if (!ok || errno != 0 || end == begin || *end != '\0') {
+    std::fprintf(stderr, "lslsim: bad value for %s: '%s'\n", flag, begin);
+    std::exit(2);
+  }
+  return value;
+}
+
+/// Parses a comma-separated list of numbers (empty for an empty value).
+template <typename T>
+std::vector<T> parse_number_list(const char* flag, const char* text) {
+  std::vector<T> out;
+  std::istringstream list(text);
+  for (std::string item; std::getline(list, item, ',');) {
+    out.push_back(parse_number<T>(flag, item));
+  }
+  return out;
 }
 
 /// Touch every subsystem's instrument bundle so the JSON snapshot carries
@@ -160,26 +200,25 @@ int main(int argc, char** argv) {
   const char* metrics_path = nullptr;
   bool metrics_prom = false;
   const char* trace_path = nullptr;
-  const char* spans_path = nullptr;
   bool explain = false;
   std::uint64_t explain_session = 0;
   bool verify = false;
   std::uint64_t verify_runs = 48;
   std::size_t verify_depth = 24;
   std::uint64_t verify_slack_us = 0;
-  const char* verify_perturb = nullptr;
+  std::vector<double> verify_perturb;
   const char* verify_trace_path = "lslverify.trace";
-  const char* verify_replay = nullptr;
+  std::optional<std::vector<std::size_t>> replay_picks;
   std::uint64_t fuzz_runs = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
+      seed = parse_number<std::uint64_t>("--seed", argv[++i]);
     } else if (std::strcmp(argv[i], "--sweep") == 0) {
       sweep = true;
     } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = std::strtoull(argv[++i], nullptr, 10);
+      jobs = parse_number<std::size_t>("--jobs", argv[++i]);
     } else if (std::strcmp(argv[i], "--pool-size") == 0 && i + 1 < argc) {
-      pool_size = std::strtoull(argv[++i], nullptr, 10);
+      pool_size = parse_number<std::size_t>("--pool-size", argv[++i]);
     } else if (std::strncmp(argv[i], "--fidelity=", 11) == 0) {
       fidelity_arg = argv[i] + 11;
       if (std::strcmp(fidelity_arg, "packet") != 0 &&
@@ -211,30 +250,33 @@ int main(int argc, char** argv) {
       }
     } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
       trace_path = argv[i] + 8;
-    } else if (std::strncmp(argv[i], "--spans=", 8) == 0) {
-      spans_path = argv[i] + 8;
     } else if (std::strcmp(argv[i], "--explain") == 0) {
       explain = true;
     } else if (std::strncmp(argv[i], "--explain=", 10) == 0) {
       explain = true;
-      explain_session = std::strtoull(argv[i] + 10, nullptr, 16);
+      explain_session =
+          parse_number<std::uint64_t>("--explain", argv[i] + 10, 16);
     } else if (std::strcmp(argv[i], "--verify") == 0) {
       verify = true;
     } else if (std::strncmp(argv[i], "--verify=", 9) == 0) {
       verify = true;
-      verify_runs = std::strtoull(argv[i] + 9, nullptr, 10);
+      verify_runs = parse_number<std::uint64_t>("--verify", argv[i] + 9);
     } else if (std::strncmp(argv[i], "--verify-depth=", 15) == 0) {
-      verify_depth = std::strtoull(argv[i] + 15, nullptr, 10);
+      verify_depth =
+          parse_number<std::size_t>("--verify-depth", argv[i] + 15);
     } else if (std::strncmp(argv[i], "--verify-slack=", 15) == 0) {
-      verify_slack_us = std::strtoull(argv[i] + 15, nullptr, 10);
+      verify_slack_us =
+          parse_number<std::uint64_t>("--verify-slack", argv[i] + 15);
     } else if (std::strncmp(argv[i], "--verify-perturb=", 17) == 0) {
-      verify_perturb = argv[i] + 17;
+      verify_perturb =
+          parse_number_list<double>("--verify-perturb", argv[i] + 17);
     } else if (std::strncmp(argv[i], "--verify-trace=", 15) == 0) {
       verify_trace_path = argv[i] + 15;
     } else if (std::strncmp(argv[i], "--verify-replay=", 16) == 0) {
-      verify_replay = argv[i] + 16;
+      replay_picks =
+          parse_number_list<std::size_t>("--verify-replay", argv[i] + 16);
     } else if (std::strcmp(argv[i], "--fuzz-faults") == 0 && i + 1 < argc) {
-      fuzz_runs = std::strtoull(argv[++i], nullptr, 10);
+      fuzz_runs = parse_number<std::uint64_t>("--fuzz-faults", argv[++i]);
     } else if (std::strcmp(argv[i], "--help") == 0) {
       usage();
       return 0;
@@ -257,14 +299,10 @@ int main(int argc, char** argv) {
   if (metrics_path != nullptr) {
     preregister_metrics();
   }
-  lsl::obs::TraceRecorder recorder;
-  if (trace_path != nullptr) {
-    lsl::obs::set_tracer(&recorder);
-  }
   // Span recording is always on: a bounded per-session flight recorder in
   // normal runs (cheap; feeds the failure post-mortem), the full unbounded
-  // log when --explain or --spans needs complete coverage.
-  const bool full_spans = explain || spans_path != nullptr;
+  // log when --explain or --trace needs complete coverage.
+  const bool full_spans = explain || trace_path != nullptr;
   lsl::obs::SpanRecorder span_recorder(full_spans ? 0 : 64);
   lsl::obs::set_spans(&span_recorder);
 
@@ -303,7 +341,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (verify || verify_replay != nullptr || fuzz_runs > 0) {
+  if (verify || replay_picks.has_value() || fuzz_runs > 0) {
     if (scenario.pool.has_value() || scenario.hosts.empty()) {
       std::fprintf(stderr,
                    "lslsim: --verify / --fuzz-faults need an explicit "
@@ -321,18 +359,12 @@ int main(int argc, char** argv) {
       return result.ok() ? 0 : 1;
     }
 
-    if (verify_replay != nullptr) {
-      std::vector<std::size_t> picks;
-      for (const char* p = verify_replay; *p != '\0';) {
-        char* end = nullptr;
-        picks.push_back(std::strtoull(p, &end, 10));
-        p = (end != nullptr && *end == ',') ? end + 1 : (end ? end : p + 1);
-      }
+    if (replay_picks.has_value()) {
       lsl::mc::ExplorerOptions opts;
       opts.slack = lsl::SimTime::microseconds(
           static_cast<std::int64_t>(verify_slack_us));
       lsl::mc::Explorer explorer(lsl::mc::scenario_fn(scenario, seed), opts);
-      const auto run = explorer.replay(picks);
+      const auto run = explorer.replay(*replay_picks);
       std::printf("replay: %llu events, schedule hash %016llx, "
                   "%zu choice points, %zu violation(s)\n",
                   static_cast<unsigned long long>(run.events),
@@ -349,13 +381,8 @@ int main(int argc, char** argv) {
     vopts.explorer.max_depth = verify_depth;
     vopts.explorer.slack = lsl::SimTime::microseconds(
         static_cast<std::int64_t>(verify_slack_us));
-    if (verify_perturb != nullptr) {
-      for (const char* p = verify_perturb; *p != '\0';) {
-        char* end = nullptr;
-        vopts.perturb_offsets.push_back(
-            lsl::SimTime::from_seconds(std::strtod(p, &end)));
-        p = (end != nullptr && *end == ',') ? end + 1 : (end ? end : p + 1);
-      }
+    for (const double offset : verify_perturb) {
+      vopts.perturb_offsets.push_back(lsl::SimTime::from_seconds(offset));
     }
     const auto result = lsl::mc::verify_scenario(scenario, seed, vopts);
     std::printf("%s\n", result.stats.str().c_str());
@@ -406,7 +433,7 @@ int main(int argc, char** argv) {
   lsl::sim::KernelProfile total_profile;
 
   // Everything after the runs: kernel profile on stdout, metrics snapshot
-  // and Chrome trace to their files.
+  // and span trace to their files.
   const auto finish = [&](bool ok) {
     if (explain) {
       const auto breakdowns =
@@ -435,15 +462,8 @@ int main(int argc, char** argv) {
         ok = false;
       }
     }
-    if (trace_path != nullptr) {
-      if (!recorder.write_json(trace_path)) {
-        std::fprintf(stderr, "lslsim: cannot write %s\n", trace_path);
-        ok = false;
-      }
-      lsl::obs::set_tracer(nullptr);
-    }
-    if (spans_path != nullptr && !span_recorder.write_json(spans_path)) {
-      std::fprintf(stderr, "lslsim: cannot write %s\n", spans_path);
+    if (trace_path != nullptr && !span_recorder.write_json(trace_path)) {
+      std::fprintf(stderr, "lslsim: cannot write %s\n", trace_path);
       ok = false;
     }
     if (!ok) {
