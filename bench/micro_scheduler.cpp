@@ -3,14 +3,13 @@
 // dense-matrix variant is O(N^2) per tree, which must still be fast enough
 // to re-run at 5-minute scheduling intervals for hundreds of hosts).
 //
-// The incremental pairs measure the control-plane scaling work: tree
-// repair after bounded forecast drift vs. a full rebuild, and the
-// bitmask-overlay reroute vs. the old copy-the-matrix baseline. With
-// --json the run also emits the repair_vs_rebuild speedup records that
-// results/BENCH_sched.json tracks across PRs.
+// The paired benches measure the control plane around the tree build: the
+// bitmask-overlay reroute vs. the copy-the-matrix baseline, and a watched
+// session's reroute decision vs. a plain route(). With --json the run also
+// emits the mask_vs_copy speedup and advisor_evaluate_vs_route ratio
+// records that results/BENCH_sched.json tracks across PRs.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstring>
 #include <map>
 #include <string>
@@ -96,169 +95,22 @@ void BM_MinimaxOracle(benchmark::State& state) {
 }
 BENCHMARK(BM_MinimaxOracle)->Arg(16)->Arg(64);
 
-/// Increase-only drift on n random directed edges -- under 1% of the n^2
-/// edges at every benchmarked size, the "small forecast movement between
-/// scheduling intervals" regime the repair targets. Increase-only because
-/// that is what congestion drift looks like. The repair benches run at
-/// epsilon 0, the exact-repair regime: at epsilon > 0 any increase forces
-/// the rebuild fallback by design (incumbent histories are not
-/// reconstructible; see repair_mmp_tree).
-void apply_drift(CostMatrix& matrix, std::uint64_t seed) {
-  Rng rng(seed);
-  const auto n = matrix.size();
-  for (std::size_t k = 0; k < n; ++k) {
-    const auto i = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-    auto j = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(n) - 2));
-    if (j >= i) {
-      ++j;
-    }
-    matrix.set_cost(i, j, matrix.cost(i, j) * rng.uniform(1.01, 1.5));
-  }
-}
-
-/// One drifted matrix + change log per seed. Repair cost depends on
-/// whether the drift happens to land on the n-1 tree edges, so a single
-/// seed is not representative (one lucky seed can miss every tree edge at
-/// one size and hit several at another). The benches cycle through all
-/// variants, making the reported per-iteration time the mean across
-/// seeds.
-struct DriftVariant {
-  CostMatrix matrix;
-  std::vector<CostChange> changes;
-};
-
-constexpr std::uint64_t kDriftSeeds[] = {11, 17, 23, 31, 47, 59, 71, 83};
-
-std::vector<DriftVariant> make_drift_variants(const CostMatrix& base,
-                                              const MmpTree& tree,
-                                              std::size_t tree_edge_hits) {
-  std::vector<DriftVariant> variants;
-  for (const std::uint64_t seed : kDriftSeeds) {
-    CostMatrix m(base);
-    // Drop the construction-time change entries; only the drift counts.
-    m.compact_changes(m.generation());
-    const std::uint64_t before = m.generation();
-    apply_drift(m, seed);
-    for (std::size_t k = 0; k < tree_edge_hits; ++k) {
-      const auto v = tree.order[tree.order.size() - 1 - k];
-      const auto p = static_cast<std::size_t>(tree.parent[v]);
-      m.set_cost(p, v, m.cost(p, v) * 1.3);
-    }
-    const auto span = m.changes_since(before);
-    std::vector<CostChange> changes(span.begin(), span.end());
-    variants.push_back({std::move(m), std::move(changes)});
-  }
-  return variants;
-}
-
-void BM_IncrementalRepairAfterDrift(benchmark::State& state) {
-  // The periodic rescheduler's tick: random drift rarely lands on the
-  // n-1 tree edges, so the repair usually re-settles nothing and costs
-  // O(n + changes) against the rebuild's O(n^2). Mean across the drift
-  // seeds; resettled_max shows the worst seed's affected region.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  auto base_matrix = random_matrix(n, 42);
-  base_matrix.compact_changes(base_matrix.generation());
-  const auto base = build_mmp_tree(base_matrix, 0, {.epsilon = 0.0});
-  const auto variants = make_drift_variants(base_matrix, base, 0);
-  std::size_t fallbacks = 0;
-  std::size_t resettled_max = 0;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const DriftVariant& v = variants[i++ % variants.size()];
-    MmpTree tree = base;  // the per-tree cost a cached slot actually pays
-    const auto outcome =
-        repair_mmp_tree(tree, v.matrix, v.changes, {.epsilon = 0.0});
-    fallbacks += outcome.repaired ? 0 : 1;
-    resettled_max = std::max(resettled_max, outcome.resettled);
-    benchmark::DoNotOptimize(tree);
-  }
-  state.counters["fallbacks"] = static_cast<double>(fallbacks);
-  state.counters["resettled_max"] = static_cast<double>(resettled_max);
-}
-BENCHMARK(BM_IncrementalRepairAfterDrift)->Arg(142)->Arg(512)->Arg(1024);
-
-void BM_IncrementalRepairTreeEdges(benchmark::State& state) {
-  // Drift that does hit chosen paths: 4 tree-parent edges on top of the
-  // random drift, so whole subtrees genuinely re-settle on every variant.
-  // This is the conservative headline case -- repair_vs_rebuild_speedup
-  // in the JSON derives from it, so the committed trajectory number never
-  // rests on a seed that happened to miss the tree.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  auto base_matrix = random_matrix(n, 42);
-  base_matrix.compact_changes(base_matrix.generation());
-  const auto base = build_mmp_tree(base_matrix, 0, {.epsilon = 0.0});
-  const auto variants = make_drift_variants(base_matrix, base, 4);
-  std::size_t fallbacks = 0;
-  std::size_t resettled_max = 0;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const DriftVariant& v = variants[i++ % variants.size()];
-    MmpTree tree = base;
-    const auto outcome =
-        repair_mmp_tree(tree, v.matrix, v.changes, {.epsilon = 0.0});
-    fallbacks += outcome.repaired ? 0 : 1;
-    resettled_max = std::max(resettled_max, outcome.resettled);
-    benchmark::DoNotOptimize(tree);
-  }
-  state.counters["fallbacks"] = static_cast<double>(fallbacks);
-  state.counters["resettled_max"] = static_cast<double>(resettled_max);
-}
-BENCHMARK(BM_IncrementalRepairTreeEdges)->Arg(142)->Arg(512)->Arg(1024);
-
-void BM_FullRebuildAfterDrift(benchmark::State& state) {
-  // The pre-incremental cost of the same refresh: rebuild from scratch
-  // (cycling the same drift variants as the repair benches).
-  const auto n = static_cast<std::size_t>(state.range(0));
-  auto base_matrix = random_matrix(n, 42);
-  base_matrix.compact_changes(base_matrix.generation());
-  const auto base = build_mmp_tree(base_matrix, 0, {.epsilon = 0.0});
-  const auto variants = make_drift_variants(base_matrix, base, 0);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const DriftVariant& v = variants[i++ % variants.size()];
-    auto tree = build_mmp_tree(v.matrix, 0, {.epsilon = 0.0});
-    benchmark::DoNotOptimize(tree);
-  }
-}
-BENCHMARK(BM_FullRebuildAfterDrift)->Arg(142)->Arg(512)->Arg(1024);
-
 void BM_RouteAvoidingMasked(benchmark::State& state) {
   // Blacklist reroute through the bitmask overlay at the production
-  // epsilon (0.1): no matrix copy and no allocation of a second matrix,
-  // but exclusions at epsilon > 0 are not replay-exact, so this pays a
-  // masked from-scratch relaxation -- the win over the copy baseline is
-  // the skipped n x n copy, not a skipped build.
+  // epsilon (0.1): a masked from-scratch tree build with no matrix copy --
+  // the win over the copy baseline is the skipped n x n copy, not a
+  // skipped build.
   const auto n = static_cast<std::size_t>(state.range(0));
   const Scheduler scheduler(random_matrix(n, 7), {.epsilon = 0.1});
   const std::size_t src = 0;
   const std::size_t dst = n - 1;
   const std::vector<std::size_t> excluded = {n / 4, n / 2, 3 * n / 4};
-  (void)scheduler.route(src, dst);  // warm the cached tree
   for (auto _ : state) {
     auto decision = scheduler.route_avoiding(src, dst, excluded);
     benchmark::DoNotOptimize(decision);
   }
 }
 BENCHMARK(BM_RouteAvoidingMasked)->Arg(142)->Arg(512)->Arg(1024);
-
-void BM_RouteAvoidingMaskedExact(benchmark::State& state) {
-  // The same reroute at epsilon 0, where the mask repair is exact: only
-  // the excluded nodes' subtrees re-settle on the cached tree.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Scheduler scheduler(random_matrix(n, 7), {.epsilon = 0.0});
-  const std::size_t src = 0;
-  const std::size_t dst = n - 1;
-  const std::vector<std::size_t> excluded = {n / 4, n / 2, 3 * n / 4};
-  (void)scheduler.route(src, dst);  // warm the cached tree
-  for (auto _ : state) {
-    auto decision = scheduler.route_avoiding(src, dst, excluded);
-    benchmark::DoNotOptimize(decision);
-  }
-}
-BENCHMARK(BM_RouteAvoidingMaskedExact)->Arg(142)->Arg(512)->Arg(1024);
 
 void BM_RouteAvoidingMatrixCopy(benchmark::State& state) {
   // The old reroute: copy the whole matrix, blacklist in the copy, rebuild
@@ -337,7 +189,7 @@ void BM_AdvisorEvaluateBlacklisted(benchmark::State& state) {
 BENCHMARK(BM_AdvisorEvaluateBlacklisted)->Arg(142)->Arg(512)->Arg(1024);
 
 /// Console output as usual, plus one JsonRecords entry per benchmark and
-/// derived repair-vs-rebuild / mask-vs-copy speedup records. All names end
+/// derived mask-vs-copy speedup / advisor-vs-route ratio records. All names end
 /// in _wall_seconds / _per_second / _speedup: perf-trajectory numbers, not
 /// determinism-checked ones.
 class RecordingReporter : public benchmark::ConsoleReporter {
@@ -395,37 +247,15 @@ int main(int argc, char** argv) {
   RecordingReporter reporter(records);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
-  // Headline trajectory records: how much the incremental paths save. The
-  // repair_vs_rebuild headline derives from the tree-edge-hit bench --
-  // whole subtrees re-settle on every drift variant -- so it cannot be
-  // inflated by a seed whose drift happened to miss the tree; the
-  // drift-mean record (seed-averaged, mostly-miss regime) tracks the
-  // typical rescheduler tick separately.
+  // Paired trajectory records: both sides come from this run, so host
+  // speed cancels out and scripts/check_perf_gate.py can gate them.
   for (const char* n : {"142", "512", "1024"}) {
     const std::string size(n);
-    const double rebuild =
-        reporter.seconds("BM_FullRebuildAfterDrift/" + size);
-    const double subtree =
-        reporter.seconds("BM_IncrementalRepairTreeEdges/" + size);
-    if (subtree > 0.0 && rebuild > 0.0) {
-      records.add("repair_vs_rebuild_speedup_" + size, rebuild / subtree);
-    }
-    const double drift =
-        reporter.seconds("BM_IncrementalRepairAfterDrift/" + size);
-    if (drift > 0.0 && rebuild > 0.0) {
-      records.add("repair_vs_rebuild_drift_mean_speedup_" + size,
-                  rebuild / drift);
-    }
     const double masked = reporter.seconds("BM_RouteAvoidingMasked/" + size);
     const double copied =
         reporter.seconds("BM_RouteAvoidingMatrixCopy/" + size);
     if (masked > 0.0 && copied > 0.0) {
       records.add("mask_vs_copy_speedup_" + size, copied / masked);
-    }
-    const double exact =
-        reporter.seconds("BM_RouteAvoidingMaskedExact/" + size);
-    if (exact > 0.0 && copied > 0.0) {
-      records.add("mask_exact_vs_copy_speedup_" + size, copied / exact);
     }
     const double route = reporter.seconds("BM_SchedulerRoute/" + size);
     const double evaluate = reporter.seconds("BM_AdvisorEvaluate/" + size);

@@ -134,14 +134,4 @@ sched::CostMatrix PerformanceMonitor::build_matrix() const {
   return matrix;
 }
 
-std::size_t PerformanceMonitor::representative(const std::string& site) const {
-  for (std::size_t s = 0; s < site_names_.size(); ++s) {
-    if (site_names_[s] == site) {
-      return site_representative_[s];
-    }
-  }
-  LSL_ASSERT_MSG(false, "unknown site");
-  return 0;
-}
-
 }  // namespace lsl::nws

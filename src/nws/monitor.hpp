@@ -74,9 +74,6 @@ class PerformanceMonitor {
   [[nodiscard]] std::size_t host_count() const { return sites_.size(); }
 
  private:
-  /// Representative host of a site (first member).
-  [[nodiscard]] std::size_t representative(const std::string& site) const;
-
   std::vector<std::string> sites_;
   std::vector<std::string> site_names_;  ///< unique, in first-seen order
   NoiseModel noise_;

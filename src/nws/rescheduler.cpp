@@ -3,8 +3,30 @@
 #include <utility>
 
 #include "obs/span.hpp"
+#include "util/assert.hpp"
 
 namespace lsl::nws {
+
+namespace {
+
+/// Directed edges whose cost differs between two same-size matrices; absent
+/// edges (inf == inf) compare equal.
+std::size_t changed_edge_count(const sched::CostMatrix& old_matrix,
+                               const sched::CostMatrix& fresh) {
+  LSL_ASSERT(old_matrix.size() == fresh.size());
+  const std::size_t n = fresh.size();
+  std::size_t changed = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* was = old_matrix.row(i);
+    const double* now = fresh.row(i);
+    for (std::size_t j = 0; j < n; ++j) {
+      changed += was[j] != now[j] ? 1 : 0;
+    }
+  }
+  return changed;
+}
+
+}  // namespace
 
 Rescheduler::Rescheduler(sim::Simulator& simulator,
                          PerformanceMonitor monitor, TruthFn truth,
@@ -24,14 +46,15 @@ void Rescheduler::stop() { timer_.cancel(); }
 
 void Rescheduler::tick() {
   monitor_.observe_epoch(truth_);
+  sched::CostMatrix fresh = monitor_.build_matrix();
   std::size_t changed_edges = 0;
-  if (current_ == nullptr) {
-    current_ = std::make_unique<sched::Scheduler>(monitor_.build_matrix(),
-                                                  options_);
-  } else {
-    // Diff-apply the fresh forecasts: cached trees stay live and repair
-    // only their affected subtrees on next use.
-    changed_edges = current_->apply_matrix(monitor_.build_matrix());
+  if (current_ != nullptr) {
+    changed_edges = changed_edge_count(current_->matrix(), fresh);
+  }
+  // Re-run the scheduler only when the forecasts moved; an unchanged
+  // matrix (a monitor blackout, say) keeps the current trees.
+  if (current_ == nullptr || changed_edges > 0) {
+    current_ = std::make_unique<sched::Scheduler>(std::move(fresh), options_);
   }
   ++rebuilds_;
   if (obs::SpanRecorder* sr = obs::spans()) {

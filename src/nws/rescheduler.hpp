@@ -2,12 +2,12 @@
 // 5 minute intervals and was based on relatively current information").
 //
 // The Rescheduler owns the measure -> matrix -> schedule loop: on every
-// tick it takes one measurement epoch, refreshes the scheduler from the
+// tick it takes one measurement epoch, builds the cost matrix from the
 // accumulated forecasts, then invokes a callback so the deployment can
-// install fresh route tables or re-evaluate live sessions. The first tick
-// builds the scheduler; later ticks diff-apply the new matrix onto it, so
-// its cached MMP trees repair lazily and only where forecasts moved (the
-// tick cost scales with forecast movement, not pool size).
+// install fresh route tables or re-evaluate live sessions. A tick whose
+// matrix differs from the current scheduler's in any directed edge replaces
+// it with a fresh Scheduler, whose trees are built lazily on first use; a
+// tick with no change (a monitor blackout, say) keeps the current one.
 #pragma once
 
 #include <cstddef>
@@ -36,7 +36,8 @@ class Rescheduler {
   void start();
   void stop();
 
-  /// The most recently built scheduler; null before the first tick.
+  /// The most recently built scheduler; null before the first tick. The
+  /// pointer stays valid until a later tick finds the forecasts moved.
   [[nodiscard]] const sched::Scheduler* current() const { return current_.get(); }
   [[nodiscard]] std::size_t rebuilds() const { return rebuilds_; }
 

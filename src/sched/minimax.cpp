@@ -56,7 +56,6 @@ MmpTree build_mmp_tree(const CostMatrix& matrix, std::size_t start,
   tree.start = start;
   tree.parent.assign(n, -1);
   tree.cost.assign(n, kInfiniteCost);
-  tree.order.reserve(n);
   // Flat byte flags, not std::vector<bool>: the fringe scan reads this per
   // node per round, and the bit proxy costs a shift+mask on every access.
   // Masked-out nodes are pre-marked so they never relax and never enter;
@@ -82,7 +81,6 @@ MmpTree build_mmp_tree(const CostMatrix& matrix, std::size_t start,
   std::size_t new_node = start;
   while (true) {
     in_tree[new_node] = 1;
-    tree.order.push_back(static_cast<std::uint32_t>(new_node));
     // The newly added node becomes an intermediate hop for anything routed
     // through it; with the host-throughput extension, traversing it costs
     // its node weight as well (the start node forwards nothing).
@@ -120,198 +118,6 @@ MmpTree build_mmp_tree(const CostMatrix& matrix, std::size_t start,
     new_node = best_node;
   }
   return tree;
-}
-
-RepairOutcome repair_mmp_tree(MmpTree& tree, const CostMatrix& matrix,
-                              std::span<const CostChange> changes,
-                              const MmpOptions& options) {
-  const std::size_t n = matrix.size();
-  const std::size_t start = tree.start;
-  LSL_ASSERT(start < n);
-  LSL_ASSERT(tree.parent.size() == n && tree.cost.size() == n);
-  LSL_ASSERT(options.excluded.empty() || options.excluded.size() == n);
-  const auto rebuild = [&] {
-    tree = build_mmp_tree(matrix, start, options);
-    return RepairOutcome{false, n};
-  };
-  if (tree.order.empty() || tree.order[0] != start) {
-    return rebuild();  // no replayable insertion order
-  }
-
-  // Epsilon makes relaxation history-dependent: with the damped comparison
-  // a node's final parent depends on the sequence of incumbents it held,
-  // not just on the final costs. Weakening an offer that was applied and
-  // later overwritten -- an edge increase, a blacklisted node, a mask
-  // exclusion -- rewrites the target's incumbent history, so an offer the
-  // original build epsilon-collapsed can win a full rebuild at a node no
-  // final-state seeding can identify (and a re-settled node's own cost
-  // rise weakens its overwritten offers into the stable region
-  // transitively). Only pure edge decreases are replay-exact at eps > 0:
-  // their one unsound direction -- a strengthened offer actually winning
-  // -- strictly drops a cost and trips the monotonicity fallback in
-  // step 4. Everything else rebuilds.
-  if (options.epsilon > 0.0) {
-    bool decreases_only = options.excluded.empty();
-    if (decreases_only) {
-      for (const CostChange& change : changes) {
-        if (change.node_excluded || !change.decreased) {
-          decreases_only = false;
-          break;
-        }
-      }
-    }
-    if (!decreases_only) {
-      return rebuild();
-    }
-  }
-
-  // 1. Seed the affected set. An increased edge (i, j) only matters if j's
-  //    chosen path used it (any other offer through it got weaker and keeps
-  //    losing); a decreased edge (., j) can newly win at j; a blacklisted
-  //    or masked node loses its own path. Edges into the root never relax
-  //    it (the root is in the tree from round zero).
-  std::vector<std::uint8_t> affected(n, 0);
-  for (const CostChange& change : changes) {
-    if (change.node_excluded) {
-      if (change.from == start) {
-        return rebuild();
-      }
-      affected[change.from] = 1;
-    } else if (change.to != start) {
-      if (change.decreased) {
-        affected[change.to] = 1;
-      } else if (tree.parent[change.to] ==
-                 static_cast<std::int64_t>(change.from)) {
-        affected[change.to] = 1;
-      }
-    }
-  }
-  if (!options.excluded.empty()) {
-    for (std::size_t v = 0; v < n; ++v) {
-      if (options.excluded[v] != 0) {
-        if (v == start) {
-          return rebuild();
-        }
-        affected[v] = 1;
-      }
-    }
-  }
-
-  // 2. Close over descendants in one pass of the insertion order (parents
-  //    precede children): re-settling a node invalidates its whole subtree.
-  std::size_t n_affected = 0;
-  for (const std::uint32_t v : tree.order) {
-    if (v != start && affected[static_cast<std::size_t>(tree.parent[v])]) {
-      affected[v] = 1;
-    }
-    n_affected += affected[v];
-  }
-  if (n_affected == 0) {
-    return RepairOutcome{true, 0};
-  }
-  if (2 * n_affected >= tree.order.size()) {
-    return rebuild();  // repair would touch most of the tree anyway
-  }
-
-  // 3. Split the old order into the stable queue S (costs, parents, and
-  //    relative positions survive: their paths avoid every affected node
-  //    and no offer that beat them got stronger) and the affected region A,
-  //    reset to fringe state. Old costs are kept for the monotonicity check
-  //    in step 4.
-  std::vector<std::uint32_t> s_queue;
-  s_queue.reserve(tree.order.size() - n_affected);
-  std::vector<std::uint32_t> a_nodes;
-  a_nodes.reserve(n_affected);
-  for (const std::uint32_t v : tree.order) {
-    if (!affected[v]) {
-      s_queue.push_back(v);
-    }
-  }
-  const std::vector<double> old_cost = tree.cost;
-  for (std::size_t v = 0; v < n; ++v) {
-    if (affected[v]) {
-      tree.cost[v] = kInfiniteCost;
-      tree.parent[v] = -1;
-      // Masked nodes stay unreachable: they are never relax targets.
-      if (options.excluded.empty() || options.excluded[v] == 0) {
-        a_nodes.push_back(static_cast<std::uint32_t>(v));
-      }
-    }
-  }
-
-  // 4. Merged replay. The full rebuild would settle S nodes at their old
-  //    (cost, relative order) and interleave A nodes by current cost; the
-  //    queue head always has current == final cost (its parent settled
-  //    earlier in the queue), so comparing it against the cheapest A fringe
-  //    node by (cost, index) reproduces the rebuild's lowest-index-min
-  //    selection exactly. Offers into S are never applied -- they lost
-  //    before and only got weaker -- which is also why an A node settling
-  //    BELOW its old cost aborts to a full rebuild: a strengthened offer
-  //    could win somewhere we are not looking.
-  const std::span<const double> node_costs = options.node_costs;
-  LSL_ASSERT(node_costs.empty() || node_costs.size() == n);
-  const double eps_factor = 1.0 + options.epsilon;
-  std::vector<std::uint8_t> settled(n, 0);
-  std::vector<std::uint32_t> new_order;
-  new_order.reserve(tree.order.size());
-
-  const auto relax_from = [&](std::uint32_t u) {
-    double through_cost = tree.cost[u];
-    if (!node_costs.empty() && u != start) {
-      through_cost = std::max(through_cost, node_costs[u]);
-    }
-    const double* row = matrix.row(u);
-    for (const std::uint32_t v : a_nodes) {
-      if (settled[v]) {
-        continue;
-      }
-      const double edge = row[v];
-      if (edge == kInfiniteCost) {
-        continue;
-      }
-      const double relax_cost = std::max(edge, through_cost);
-      if (relax_cost * eps_factor < tree.cost[v]) {
-        tree.parent[v] = static_cast<std::int64_t>(u);
-        tree.cost[v] = relax_cost;
-      } else if (relax_cost < tree.cost[v]) {
-        ++tree.epsilon_collapses;
-      }
-    }
-  };
-
-  std::size_t si = 0;
-  while (true) {
-    double best = kInfiniteCost;
-    std::size_t best_node = n;
-    for (const std::uint32_t v : a_nodes) {
-      if (!settled[v] && tree.cost[v] < best) {
-        best = tree.cost[v];
-        best_node = v;
-      }
-    }
-    bool take_stable = false;
-    if (si < s_queue.size()) {
-      const std::uint32_t s = s_queue[si];
-      take_stable = best_node == n || tree.cost[s] < best ||
-                    (tree.cost[s] == best && s < best_node);
-    }
-    if (take_stable) {
-      const std::uint32_t s = s_queue[si++];
-      new_order.push_back(s);
-      relax_from(s);
-    } else if (best_node != n) {
-      if (best < old_cost[best_node]) {
-        return rebuild();  // a cost dropped: the stable region is suspect
-      }
-      settled[best_node] = 1;
-      new_order.push_back(static_cast<std::uint32_t>(best_node));
-      relax_from(static_cast<std::uint32_t>(best_node));
-    } else {
-      break;  // the rest of A is unreachable
-    }
-  }
-  tree.order = std::move(new_order);
-  return RepairOutcome{true, n_affected};
 }
 
 double minimax_path_cost(const CostMatrix& matrix,

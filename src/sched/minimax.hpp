@@ -7,10 +7,9 @@
 // spurious relays caused by measurement noise: an edge only replaces the
 // incumbent when relax_cost * (1 + epsilon) < cost[other]).
 //
-// Trees remember their insertion order, which makes them repairable: after
-// the matrix drifts or a node is blacklisted, repair_mmp_tree re-settles
-// only the affected subtrees and replays the untouched region from the
-// recorded order, producing the exact tree a full rebuild would.
+// A tree is always built from scratch over the matrix it is given. When the
+// forecasts move, the periodic rescheduler builds a fresh Scheduler, as the
+// paper re-runs its scheduler (section 4.2); no tree is ever patched.
 #pragma once
 
 #include <cstdint>
@@ -28,16 +27,9 @@ struct MmpTree {
   std::vector<std::int64_t> parent;
   /// Minimax cost of the chosen path from start to v.
   std::vector<double> cost;
-  /// Tree-insertion sequence, start first; parents always precede their
-  /// children. Unreachable nodes are absent. Incremental repair replays
-  /// this order; trees assembled by hand (tests) may leave it empty, which
-  /// simply forces repair to fall back to a full rebuild.
-  std::vector<std::uint32_t> order;
   /// Relaxations suppressed by the epsilon damping: the edge was strictly
   /// better than the incumbent, but not by the required relative margin.
   /// Non-zero counts mean epsilon is actively filtering measurement noise.
-  /// After an incremental repair the count covers only the relaxations the
-  /// repair replayed, so it is not comparable to a full rebuild's count.
   std::uint64_t epsilon_collapses = 0;
 
   /// Node sequence start..dst along the tree; empty when unreachable.
@@ -64,37 +56,6 @@ struct MmpOptions {
 [[nodiscard]] MmpTree build_mmp_tree(const CostMatrix& matrix,
                                      std::size_t start,
                                      const MmpOptions& options = {});
-
-/// Outcome of repair_mmp_tree.
-struct RepairOutcome {
-  /// False when the repair fell back to a full rebuild (the tree is still
-  /// correct either way).
-  bool repaired = false;
-  /// Nodes re-settled: the affected region's size when repaired, n on a
-  /// full rebuild.
-  std::size_t resettled = 0;
-};
-
-/// Bring `tree` (a build_mmp_tree result for an earlier matrix state) up to
-/// date with `matrix` after the logged `changes`, in O(n * affected) time.
-/// The repaired tree has exactly the parents, costs, and insertion order a
-/// full rebuild would produce (epsilon_collapses is approximate; see
-/// MmpTree). `options` must match the ones the tree was built with, plus
-/// optionally an exclusion mask; masked nodes are treated as blacklisted
-/// without the matrix being touched (copy-free route_avoiding). Falls back
-/// to a full rebuild -- transparently, same result -- when the replay
-/// cannot be proven exact: the start node is affected, a re-settled cost
-/// dropped below its old value, the affected region spans most of the
-/// tree, or the tree has no recorded order. At epsilon > 0 the damped
-/// relaxation makes final parents depend on each node's full incumbent
-/// history, which no final-state seeding can reconstruct, so there the
-/// incremental path is additionally restricted to pure edge decreases:
-/// any increase, blacklist, or mask exclusion rebuilds (only at
-/// epsilon == 0, where final costs are order-independent, do those repair
-/// incrementally).
-RepairOutcome repair_mmp_tree(MmpTree& tree, const CostMatrix& matrix,
-                              std::span<const CostChange> changes,
-                              const MmpOptions& options = {});
 
 /// Minimax cost of an explicit path (max over its edges and, when
 /// node_costs is given, its intermediate nodes); infinite for paths with

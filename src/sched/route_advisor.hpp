@@ -5,12 +5,12 @@
 // route that was optimal when the session started can be dominated
 // mid-transfer by a degraded hop. The RouteAdvisor watches live sessions
 // and, on every rescheduler tick, re-evaluates each one against the current
-// MMP tree (the incremental-repair fast path keeps this cheap): when the
-// predicted remaining-transfer time on the best available path beats the
-// current path by a hysteresis margin -- and the session has dwelt on its
-// route long enough -- it emits a reroute which the session layer applies as
-// a planned handover (drain to the committed offset, resume on the new
-// path; see lsl::session::ReliableTransfer::reroute_to).
+// scheduler's cached MMP trees (one route() per session keeps this cheap):
+// when the predicted remaining-transfer time on the best available path
+// beats the current path by a hysteresis margin -- and the session has dwelt
+// on its route long enough -- it emits a reroute which the session layer
+// applies as a planned handover (drain to the committed offset, resume on
+// the new path; see lsl::session::ReliableTransfer::reroute_to).
 //
 // Determinism contract: advice is a pure function of the scheduler state,
 // the session view, and sim time. No wall clock, no private randomness --

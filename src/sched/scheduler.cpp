@@ -1,6 +1,6 @@
 #include "sched/scheduler.hpp"
 
-#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <numeric>
 #include <utility>
@@ -22,8 +22,6 @@ SchedMetrics* SchedMetrics::get() {
   if (bound_uid != reg.uid()) {
     bound_uid = reg.uid();
     metrics.trees_built = &reg.counter("sched.mmp.trees_built");
-    metrics.tree_repairs = &reg.counter("sched.mmp.tree_repairs");
-    metrics.repair_fallbacks = &reg.counter("sched.mmp.repair_fallbacks");
     metrics.epsilon_collapses = &reg.counter("sched.mmp.epsilon_collapses");
     metrics.route_decisions = &reg.counter("sched.mmp.route_decisions");
     metrics.relays_chosen = &reg.counter("sched.mmp.relays_chosen");
@@ -38,17 +36,9 @@ Scheduler::Scheduler(CostMatrix matrix, SchedulerOptions options)
     : matrix_(std::move(matrix)),
       options_(std::move(options)),
       trees_(matrix_.size()),
-      tree_once_(std::make_unique<std::once_flag[]>(matrix_.size())),
-      tree_gen_(std::make_unique<std::atomic<std::uint64_t>[]>(
-          matrix_.size())) {
+      tree_once_(std::make_unique<std::once_flag[]>(matrix_.size())) {
   LSL_ASSERT(options_.host_costs.empty() ||
              options_.host_costs.size() == matrix_.size());
-  // The construction-time set_cost churn predates every cached tree;
-  // nobody will repair across it.
-  matrix_.compact_changes(matrix_.generation());
-  for (std::size_t i = 0; i < matrix_.size(); ++i) {
-    tree_gen_[i].store(matrix_.generation(), std::memory_order_relaxed);
-  }
 }
 
 MmpOptions Scheduler::mmp_options() const {
@@ -58,78 +48,22 @@ MmpOptions Scheduler::mmp_options() const {
   return mmp;
 }
 
-Scheduler::SlotOutcome Scheduler::refresh_slot(std::size_t src) const {
-  const std::uint64_t gen = matrix_.generation();
-  SlotOutcome out;
-  if (!trees_[src].has_value()) {
-    trees_[src] = build_mmp_tree(matrix_, src, mmp_options());
-    out.kind = SlotOutcome::kBuilt;
-  } else {
-    const std::uint64_t have =
-        tree_gen_[src].load(std::memory_order_relaxed);
-    if (have == gen) {
-      return out;  // kUntouched
-    }
-    if (matrix_.changes_tracked_since(have)) {
-      const auto result = repair_mmp_tree(
-          *trees_[src], matrix_, matrix_.changes_since(have), mmp_options());
-      out.kind = result.repaired ? SlotOutcome::kRepaired
-                                 : SlotOutcome::kRebuilt;
-    } else {
-      // The change log overflowed since this tree last caught up.
-      trees_[src] = build_mmp_tree(matrix_, src, mmp_options());
-      out.kind = SlotOutcome::kRebuilt;
-    }
-  }
-  out.collapses = trees_[src]->epsilon_collapses;
-  tree_gen_[src].store(gen, std::memory_order_release);
-  return out;
-}
-
-void Scheduler::refresh_slot_with_metrics(std::size_t src) const {
-  SchedMetrics* m = SchedMetrics::get();
-  if (m == nullptr) {
-    (void)refresh_slot(src);
-    return;
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  const SlotOutcome out = refresh_slot(src);
-  const auto elapsed = std::chrono::steady_clock::now() - t0;
-  switch (out.kind) {
-    case SlotOutcome::kUntouched:
-      break;
-    case SlotOutcome::kRebuilt:
-      m->repair_fallbacks->inc();
-      [[fallthrough]];
-    case SlotOutcome::kBuilt:
-      m->trees_built->inc();
-      m->epsilon_collapses->inc(out.collapses);
-      m->tree_build_us->observe(
-          std::chrono::duration<double, std::micro>(elapsed).count());
-      break;
-    case SlotOutcome::kRepaired:
-      m->tree_repairs->inc();
-      break;
-  }
-}
-
 const MmpTree& Scheduler::tree_from(std::size_t src) const {
   LSL_ASSERT(src < trees_.size());
-  // First build: thread-safe lazy init, so a shared const Scheduler can be
-  // routed from trial workers (the old optional-through-const cache raced).
-  std::call_once(tree_once_[src], [&] { refresh_slot_with_metrics(src); });
-  // Stale after a topology update: repair under the refresh lock. The
-  // acquire load pairs with refresh_slot's release store, so a reader that
-  // observes the current generation also observes the repaired tree.
-  if (tree_gen_[src].load(std::memory_order_acquire) !=
-      matrix_.generation()) {
-    std::lock_guard<std::mutex> lock(refresh_mutex_);
-    if (tree_gen_[src].load(std::memory_order_relaxed) !=
-        matrix_.generation()) {
-      refresh_slot_with_metrics(src);
+  // Thread-safe lazy build, so a shared const Scheduler can be routed from
+  // trial workers.
+  std::call_once(tree_once_[src], [&] {
+    const auto t0 = std::chrono::steady_clock::now();
+    trees_[src] = build_mmp_tree(matrix_, src, mmp_options());
+    const auto elapsed = std::chrono::steady_clock::now() - t0;
+    if (SchedMetrics* m = SchedMetrics::get(); m != nullptr) {
+      m->trees_built->inc();
+      m->epsilon_collapses->inc(trees_[src].epsilon_collapses);
+      m->tree_build_us->observe(
+          std::chrono::duration<double, std::micro>(elapsed).count());
     }
-  }
-  return *trees_[src];
+  });
+  return trees_[src];
 }
 
 std::vector<net::NodeId> Scheduler::Decision::via() const {
@@ -167,41 +101,22 @@ Scheduler::Decision Scheduler::route_avoiding(
   if (excluded.empty()) {
     return route(src, dst);
   }
+  // Exclusion overlay: a byte per node instead of an n x n matrix copy.
   const std::size_t n = matrix_.size();
-  // Exclusion overlay, reused across calls: no n x n matrix copy and no
-  // steady-state allocation per reroute.
-  thread_local std::vector<std::uint8_t> mask;
-  thread_local std::vector<CostChange> changes;
-  mask.assign(n, 0);
-  changes.clear();
+  std::vector<std::uint8_t> mask(n, 0);
   for (const std::size_t node : excluded) {
-    if (node < n && node != src && node != dst && mask[node] == 0) {
+    if (node < n && node != src && node != dst) {
       mask[node] = 1;
-      CostChange change;
-      change.from = static_cast<std::uint32_t>(node);
-      change.to = static_cast<std::uint32_t>(node);
-      change.node_excluded = true;
-      changes.push_back(change);
     }
   }
-  const MmpTree* tree = &tree_from(src);
-  MmpTree patched;
-  if (!changes.empty()) {
-    // Copy the cached tree (O(n)) and re-settle just the subtrees hanging
-    // off the excluded nodes. At epsilon > 0 the repair falls back to a
-    // masked from-scratch build (exclusions are not replay-exact there) --
-    // still no second matrix, just an O(n^2) relaxation pass.
-    patched = *tree;
-    MmpOptions mmp = mmp_options();
-    mmp.excluded = mask;
-    (void)repair_mmp_tree(patched, matrix_, changes, mmp);
-    tree = &patched;
-  }
+  MmpOptions mmp = mmp_options();
+  mmp.excluded = mask;
+  const MmpTree tree = build_mmp_tree(matrix_, src, mmp);
   Decision decision;
   decision.direct_cost = matrix_.cost(src, dst);
-  decision.path = tree->path_to(dst);
+  decision.path = tree.path_to(dst);
   if (!decision.path.empty()) {
-    decision.scheduled_cost = tree->cost[dst];
+    decision.scheduled_cost = tree.cost[dst];
   }
   if (SchedMetrics* m = SchedMetrics::get(); m != nullptr) {
     m->route_decisions->inc();
@@ -250,71 +165,28 @@ double Scheduler::fraction_scheduled() const {
   return static_cast<double>(scheduled) / static_cast<double>(total);
 }
 
-void Scheduler::compact_change_log() {
-  std::uint64_t min_gen = matrix_.generation();
-  for (std::size_t i = 0; i < trees_.size(); ++i) {
-    if (trees_[i].has_value()) {
-      min_gen = std::min(min_gen,
-                         tree_gen_[i].load(std::memory_order_relaxed));
-    }
-  }
-  matrix_.compact_changes(min_gen);
-}
-
-void Scheduler::set_cost(std::size_t i, std::size_t j, double cost) {
-  matrix_.set_cost(i, j, cost);
-  compact_change_log();
-}
-
-void Scheduler::exclude_node(std::size_t node) {
-  matrix_.exclude_node(node);
-  compact_change_log();
-}
-
-std::size_t Scheduler::apply_matrix(const CostMatrix& fresh) {
-  LSL_ASSERT_MSG(fresh.size() == matrix_.size(),
-                 "apply_matrix needs a same-size matrix");
-  const std::size_t n = matrix_.size();
-  std::size_t changed = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* want = fresh.row(i);
-    for (std::size_t j = 0; j < n; ++j) {
-      // inf == inf compares equal, so untouched absent edges are skipped.
-      if (matrix_.row(i)[j] != want[j]) {
-        matrix_.set_cost(i, j, want[j]);
-        ++changed;
-      }
-    }
-  }
-  compact_change_log();
-  return changed;
-}
-
-void Scheduler::prebuild_trees(ThreadPool& pool,
-                               std::span<const std::size_t> sources) {
+void Scheduler::prebuild_trees(std::size_t jobs,
+                               std::span<const std::size_t> sources) const {
   const std::size_t n = trees_.size();
-  // Deduplicated worklist: the first build is once-guarded, but a stale
-  // slot's repair needs exactly one owner.
   std::vector<std::size_t> work;
   if (sources.empty()) {
     work.resize(n);
     std::iota(work.begin(), work.end(), std::size_t{0});
   } else {
-    std::vector<std::uint8_t> seen(n, 0);
-    work.reserve(sources.size());
     for (const std::size_t src : sources) {
-      if (src < n && seen[src] == 0) {
-        seen[src] = 1;
+      if (src < n) {
         work.push_back(src);
       }
     }
   }
-  // Workers touch disjoint slots and no shared instruments; metrics are
-  // accounted afterwards in slot order so the totals are identical for any
-  // job count (the per-build wall-clock histogram is deliberately skipped:
-  // it could never be deterministic across workers).
-  std::vector<SlotOutcome> outcomes(work.size());
+  // Workers build disjoint slots and touch no shared instruments; metrics
+  // are accounted afterwards in worklist order so the totals are identical
+  // for any job count (the per-build wall-clock histogram is deliberately
+  // skipped: it could never be deterministic across workers). A repeated
+  // source is built by whichever item reaches its once_flag first.
+  std::vector<std::uint8_t> built(work.size(), 0);
   std::atomic<std::size_t> cursor{0};
+  ThreadPool pool((jobs == 0 ? ThreadPool::default_jobs() : jobs) - 1);
   pool.run_on_all([&](std::size_t) {
     while (true) {
       const std::size_t w = cursor.fetch_add(1, std::memory_order_relaxed);
@@ -322,43 +194,20 @@ void Scheduler::prebuild_trees(ThreadPool& pool,
         return;
       }
       const std::size_t src = work[w];
-      bool first_build = false;
       std::call_once(tree_once_[src], [&] {
-        outcomes[w] = refresh_slot(src);
-        first_build = true;
+        trees_[src] = build_mmp_tree(matrix_, src, mmp_options());
+        built[w] = 1;
       });
-      if (!first_build &&
-          tree_gen_[src].load(std::memory_order_relaxed) !=
-              matrix_.generation()) {
-        outcomes[w] = refresh_slot(src);
-      }
     }
   });
   if (SchedMetrics* m = SchedMetrics::get(); m != nullptr) {
-    for (const SlotOutcome& out : outcomes) {
-      switch (out.kind) {
-        case SlotOutcome::kUntouched:
-          break;
-        case SlotOutcome::kRebuilt:
-          m->repair_fallbacks->inc();
-          [[fallthrough]];
-        case SlotOutcome::kBuilt:
-          m->trees_built->inc();
-          m->epsilon_collapses->inc(out.collapses);
-          break;
-        case SlotOutcome::kRepaired:
-          m->tree_repairs->inc();
-          break;
+    for (std::size_t w = 0; w < work.size(); ++w) {
+      if (built[w] != 0) {
+        m->trees_built->inc();
+        m->epsilon_collapses->inc(trees_[work[w]].epsilon_collapses);
       }
     }
   }
-}
-
-void Scheduler::prebuild_trees(std::size_t jobs,
-                               std::span<const std::size_t> sources) {
-  const std::size_t want = jobs == 0 ? ThreadPool::default_jobs() : jobs;
-  ThreadPool pool(want - 1);
-  prebuild_trees(pool, sources);
 }
 
 }  // namespace lsl::sched

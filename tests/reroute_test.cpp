@@ -158,13 +158,11 @@ TEST(RouteAdvisorTest, OnScheduleAppliesAndRestartsDwell) {
   // The session now sits on the best path; later ticks keep it there.
   EXPECT_EQ(advisor.on_schedule(scheduler, 30_s), 0u);
   EXPECT_EQ(advisor.reroutes_emitted(), 1u);
-  // A fresh better path within the restarted dwell window must wait.
-  scheduler.set_cost(0, 2, 0.01);
-  scheduler.set_cost(2, 0, 0.01);
-  scheduler.set_cost(2, 3, 0.01);
-  scheduler.set_cost(3, 2, 0.01);
-  EXPECT_EQ(advisor.on_schedule(scheduler, 15_s), 0u);
-  EXPECT_EQ(advisor.on_schedule(scheduler, 20_s), 1u);
+  // A fresh better path within the restarted dwell window must wait: the
+  // next tick's scheduler has all four via-2 edges at 0.01.
+  const sched::Scheduler rescheduled(quad(0.05, 0.01), {.epsilon = 0.0});
+  EXPECT_EQ(advisor.on_schedule(rescheduled, 15_s), 0u);
+  EXPECT_EQ(advisor.on_schedule(rescheduled, 20_s), 1u);
   EXPECT_EQ(via, std::vector<net::NodeId>{2});
 }
 

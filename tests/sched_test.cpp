@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "sched/minimax.hpp"
 #include "sched/scheduler.hpp"
@@ -31,6 +33,18 @@ CostMatrix random_directed(std::size_t n, Rng& rng) {
     }
   }
   return m;
+}
+
+CostMatrix random_matrix(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  return random_directed(n, rng);
+}
+
+void expect_trees_equal(const MmpTree& got, const MmpTree& want,
+                        const char* what) {
+  ASSERT_EQ(got.start, want.start) << what;
+  ASSERT_EQ(got.cost, want.cost) << what;
+  ASSERT_EQ(got.parent, want.parent) << what;
 }
 
 TEST(CostMatrixTest, Basics) {
@@ -268,6 +282,131 @@ TEST(SchedulerTest, FractionScheduledBounds) {
   const double f = sched.fraction_scheduled();
   EXPECT_GE(f, 0.0);
   EXPECT_LE(f, 1.0);
+}
+
+// The exclusion bitmask must behave exactly like building over a copied
+// matrix with the nodes exclude_node()ed -- including the collapse count.
+TEST(MaskedBuildTest, MaskEquivalentToPrunedCopy) {
+  for (const std::size_t n : {16u, 142u}) {
+    for (const double epsilon : {0.0, 0.1, 0.25}) {
+      const CostMatrix matrix = random_matrix(n, 0xCAFE + n);
+      Rng rng(99 * n);
+      std::vector<std::uint8_t> mask(n, 0);
+      std::vector<std::size_t> excluded;
+      for (int k = 0; k < 3; ++k) {
+        const auto v = static_cast<std::size_t>(
+            rng.uniform_int(1, static_cast<std::int64_t>(n) - 1));
+        if (mask[v] == 0) {
+          mask[v] = 1;
+          excluded.push_back(v);
+        }
+      }
+      MmpOptions options;
+      options.epsilon = epsilon;
+      options.excluded = mask;
+      const MmpTree masked = build_mmp_tree(matrix, 0, options);
+
+      CostMatrix pruned(matrix);
+      for (const std::size_t v : excluded) {
+        pruned.exclude_node(v);
+      }
+      const MmpTree copied =
+          build_mmp_tree(pruned, 0, {.epsilon = epsilon});
+      expect_trees_equal(masked, copied, "mask vs pruned copy");
+      EXPECT_EQ(masked.epsilon_collapses, copied.epsilon_collapses);
+    }
+  }
+}
+
+// route_avoiding must give the same decision as the old implementation:
+// copy the matrix, blacklist the failed depots, reroute from scratch.
+// Both epsilon regimes run through the same masked from-scratch build.
+class RouteAvoidingTest : public ::testing::TestWithParam<double> {};
+
+TEST_P(RouteAvoidingTest, MatchesMatrixCopyBaseline) {
+  const double epsilon = GetParam();
+  const std::size_t n = 64;
+  const CostMatrix matrix = random_matrix(n, 0xF00D);
+  const Scheduler scheduler(CostMatrix(matrix), {.epsilon = epsilon});
+  Rng rng(31337);
+  for (int round = 0; round < 50; ++round) {
+    const auto src = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+    auto dst = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 2));
+    if (dst >= src) {
+      ++dst;
+    }
+    std::vector<std::size_t> excluded;
+    for (int k = 0; k < round % 4; ++k) {
+      excluded.push_back(static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(n) - 1)));
+    }
+    const auto got = scheduler.route_avoiding(src, dst, excluded);
+
+    CostMatrix pruned(matrix);
+    for (const std::size_t v : excluded) {
+      if (v != src && v != dst && v < n) {
+        pruned.exclude_node(v);
+      }
+    }
+    const Scheduler baseline(std::move(pruned), {.epsilon = epsilon});
+    const auto want = baseline.route(src, dst);
+    EXPECT_EQ(got.path, want.path) << "round " << round;
+    EXPECT_EQ(got.scheduled_cost, want.scheduled_cost) << "round " << round;
+    EXPECT_EQ(got.direct_cost, want.direct_cost) << "round " << round;
+  }
+}
+
+// Excluding the source, the destination or an out-of-range id excludes
+// nothing: the decision is the plain route's.
+TEST_P(RouteAvoidingTest, IgnoresEndpointsAndOutOfRangeIds) {
+  const double epsilon = GetParam();
+  const std::size_t n = 64;
+  const Scheduler scheduler(random_matrix(n, 0xF00D), {.epsilon = epsilon});
+  for (std::size_t src = 0; src < n; src += 7) {
+    const std::size_t dst = (src + 29) % n;
+    const auto got = scheduler.route_avoiding(src, dst, {dst, src, n + 3});
+    const auto want = scheduler.route(src, dst);
+    EXPECT_EQ(got.path, want.path) << src << "->" << dst;
+    EXPECT_EQ(got.scheduled_cost, want.scheduled_cost) << src << "->" << dst;
+    EXPECT_EQ(got.direct_cost, want.direct_cost) << src << "->" << dst;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Epsilons, RouteAvoidingTest,
+                         ::testing::Values(0.0, 0.1));
+
+// Lazy serial use and an up-front parallel prebuild must serve identical
+// trees and decisions for any job count.
+TEST(PrebuildTest, PrebuildMatchesLazySerialTrees) {
+  const std::size_t n = 96;
+  const CostMatrix matrix = random_matrix(n, 0xABBA);
+  const Scheduler lazy(CostMatrix(matrix), {.epsilon = 0.1});
+  for (const std::size_t jobs : {1u, 4u}) {
+    Scheduler pre(CostMatrix(matrix), {.epsilon = 0.1});
+    pre.prebuild_trees(jobs);
+    for (std::size_t s = 0; s < n; ++s) {
+      expect_trees_equal(pre.tree_from(s), lazy.tree_from(s), "prebuild");
+    }
+    EXPECT_EQ(pre.fraction_scheduled(), lazy.fraction_scheduled());
+  }
+}
+
+// A subset with repeated sources, then everything on a different job
+// count: each slot is built once and matches a fresh scheduler's.
+TEST(PrebuildTest, PrebuildSubsetWithDuplicatesThenAll) {
+  const std::size_t n = 48;
+  const CostMatrix matrix = random_matrix(n, 0x5EED);
+  const Scheduler scheduler(CostMatrix(matrix), {.epsilon = 0.1});
+  const std::vector<std::size_t> sources = {0, 7, 7, 13, 0};
+  scheduler.prebuild_trees(2, sources);
+  scheduler.prebuild_trees(3);
+  const Scheduler fresh(CostMatrix(matrix), {.epsilon = 0.1});
+  for (std::size_t s = 0; s < n; ++s) {
+    expect_trees_equal(scheduler.tree_from(s), fresh.tree_from(s),
+                       "subset then all");
+  }
 }
 
 }  // namespace
