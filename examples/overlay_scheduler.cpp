@@ -24,7 +24,7 @@ int main() {
   std::printf("Generated pool: %zu hosts at %zu sites.\n\n", grid.size(),
               config.sites);
 
-  // 1. Measure: 20 NWS epochs feed per-site-pair adaptive forecasters.
+  // 1. Measure: 20 NWS epochs feed one forecaster bank per site pair.
   nws::PerformanceMonitor monitor(grid.sites(), nws::NoiseModel{}, 99);
   for (int epoch = 0; epoch < 20; ++epoch) {
     monitor.observe_epoch(grid.truth());

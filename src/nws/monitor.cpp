@@ -1,6 +1,8 @@
 #include "nws/monitor.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "util/assert.hpp"
 
@@ -57,6 +59,7 @@ PerformanceMonitor::PerformanceMonitor(std::vector<std::string> sites,
     }
     site_index_of_host_[host] = index;
   }
+  banks_.resize(site_names_.size() * site_names_.size());
 }
 
 void PerformanceMonitor::observe_epoch(const TruthFn& truth) {
@@ -65,7 +68,7 @@ void PerformanceMonitor::observe_epoch(const TruthFn& truth) {
     metrics_->epochs->inc();
   }
   if (blackout_) {
-    // Measurement infrastructure fault: no probes run; the forecasters keep
+    // Measurement infrastructure fault: no probes run; the banks keep
     // serving their last predictions, which drift from the ground truth.
     if (metrics_ != nullptr) {
       metrics_->blackout_epochs->inc();
@@ -82,50 +85,58 @@ void PerformanceMonitor::observe_epoch(const TruthFn& truth) {
       const std::size_t host_b = site_representative_[b];
       const double measured = noise_.sample(
           truth(host_a, host_b).megabits_per_second(), rng_);
-      auto& forecaster = pair_forecasts_[{a, b}];
-      if (forecaster == nullptr) {
-        forecaster = std::make_unique<AdaptiveForecaster>();
-      }
+      const std::optional<double> predicted =
+          banks_[a * s + b].observe(measured);
       if (metrics_ != nullptr) {
         metrics_->observations->inc();
-        // Forecast error against the reading the forecaster is about to see:
-        // how far off would the scheduler's input have been this epoch?
-        if (forecaster->ready() && measured > 0.0) {
-          const double predicted = forecaster->predict();
+        // Error of the forecast the bank held for this reading: how far off
+        // would the scheduler's input have been this epoch?
+        if (predicted && measured > 0.0) {
           metrics_->forecast_abs_rel_error->observe(
-              std::abs(measured - predicted) / measured);
+              std::abs(measured - *predicted) / measured);
         }
       }
-      forecaster->observe(measured);
     }
   }
 }
 
-Bandwidth PerformanceMonitor::forecast(std::size_t i, std::size_t j) const {
-  LSL_ASSERT(i < sites_.size() && j < sites_.size());
-  const std::size_t a = site_index_of_host_[i];
-  const std::size_t b = site_index_of_host_[j];
+Bandwidth PerformanceMonitor::site_forecast(std::size_t a,
+                                            std::size_t b) const {
   if (a == b) {
     // Intra-site traffic rides the LAN; model it as fast and flat.
     return Bandwidth::mbps(1000.0);
   }
-  const auto it = pair_forecasts_.find({a, b});
-  if (it == pair_forecasts_.end() || !it->second->ready()) {
+  const ForecastBank& bank = banks_[a * site_names_.size() + b];
+  if (!bank.ready()) {
     return Bandwidth{0.0};
   }
-  return Bandwidth::mbps(std::max(it->second->predict(), 1e-3));
+  return Bandwidth::mbps(std::max(bank.forecast(), 1e-3));
+}
+
+Bandwidth PerformanceMonitor::forecast(std::size_t i, std::size_t j) const {
+  LSL_ASSERT(i < sites_.size() && j < sites_.size());
+  return site_forecast(site_index_of_host_[i], site_index_of_host_[j]);
 }
 
 sched::CostMatrix PerformanceMonitor::build_matrix() const {
+  // One forecast per site pair; every host pair reads its sites' entry.
+  const std::size_t s = site_names_.size();
+  std::vector<Bandwidth> by_site(s * s);
+  for (std::size_t a = 0; a < s; ++a) {
+    for (std::size_t b = 0; b < s; ++b) {
+      by_site[a * s + b] = site_forecast(a, b);
+    }
+  }
   const std::size_t n = sites_.size();
   sched::CostMatrix matrix(n);
   for (std::size_t i = 0; i < n; ++i) {
     matrix.set_label(i, "host" + std::to_string(i), sites_[i]);
+    const Bandwidth* row = by_site.data() + site_index_of_host_[i] * s;
     for (std::size_t j = 0; j < n; ++j) {
       if (i == j) {
         continue;
       }
-      const Bandwidth bw = forecast(i, j);
+      const Bandwidth bw = row[site_index_of_host_[j]];
       if (bw.bits_per_second() > 0.0) {
         matrix.set_bandwidth(i, j, bw);
       }

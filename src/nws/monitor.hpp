@@ -1,19 +1,17 @@
 // The measurement side of the scheduler's input: a monitor samples pairwise
-// bandwidth (with measurement noise and occasional outliers), feeds per-pair
-// forecasters, and aggregates to a fully connected host-level cost matrix
-// using site cliques -- all hosts at site A share the A->B wide-area
-// measurement, mirroring the performance-topology aggregation the paper
-// takes from Swany & Wolski [34].
+// bandwidth (with measurement noise and occasional outliers), feeds one
+// forecaster bank per ordered site pair, and aggregates to a fully connected
+// host-level cost matrix using site cliques -- all hosts at site A share the
+// A->B wide-area measurement, mirroring the performance-topology aggregation
+// the paper takes from Swany & Wolski [34].
 #pragma once
 
 #include <cstddef>
 #include <functional>
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "nws/forecasters.hpp"
+#include "nws/forecast_bank.hpp"
 #include "obs/metrics.hpp"
 #include "sched/cost_matrix.hpp"
 #include "util/rng.hpp"
@@ -27,7 +25,7 @@ struct NwsMetrics {
   obs::Counter* observations;    ///< nws.monitor.observations
   obs::Counter* blackout_epochs; ///< nws.monitor.blackout_epochs
   /// nws.monitor.forecast_abs_rel_error: |measured - predicted| / measured
-  /// for every measurement taken after the pair's forecaster warmed up.
+  /// for every measurement taken after the pair's first one.
   obs::Histogram* forecast_abs_rel_error;
 
   /// nullptr while obs::metrics_enabled() is false.
@@ -74,14 +72,16 @@ class PerformanceMonitor {
   [[nodiscard]] std::size_t host_count() const { return sites_.size(); }
 
  private:
+  /// Forecast between two sites: 1000 Mbit/s within a site, 0 before the
+  /// pair's first measurement, else at least 1e-3 Mbit/s.
+  [[nodiscard]] Bandwidth site_forecast(std::size_t a, std::size_t b) const;
+
   std::vector<std::string> sites_;
   std::vector<std::string> site_names_;  ///< unique, in first-seen order
   NoiseModel noise_;
   Rng rng_;
-  /// (site index a, site index b) -> forecaster over measured Mbit/s.
-  std::map<std::pair<std::size_t, std::size_t>,
-           std::unique_ptr<AdaptiveForecaster>>
-      pair_forecasts_;
+  /// Bank over measured Mbit/s from site a to site b at [a * sites + b].
+  std::vector<ForecastBank> banks_;
   std::vector<std::size_t> site_index_of_host_;
   std::vector<std::size_t> site_representative_;
   std::size_t epochs_ = 0;

@@ -71,13 +71,12 @@ SweepResult run_speedup_sweep(const SyntheticGrid& grid,
     }
   }
   scheduler.prebuild_trees(config.jobs, endpoints);
-  struct Case {
+  struct Pair {
     std::size_t src;
     std::size_t dst;
-    std::vector<std::size_t> path;
   };
   struct Discovery {
-    std::vector<Case> cases;
+    std::vector<Pair> scheduled;
     std::size_t eligible = 0;
   };
   exp::TrialOptions discovery_options;
@@ -91,27 +90,42 @@ SweepResult run_speedup_sweep(const SyntheticGrid& grid,
             continue;
           }
           ++out.eligible;
-          const auto decision = scheduler.route(src, dst);
-          if (decision.uses_depots()) {
-            out.cases.push_back(Case{src, dst, decision.path});
+          if (scheduler.route(src, dst).uses_depots()) {
+            out.scheduled.push_back(Pair{src, dst});
           }
         }
         return out;
       });
-  std::vector<Case> cases;
+  std::vector<Pair> scheduled;
   std::size_t eligible_pairs = 0;
   for (const Discovery& d : discovered) {
     eligible_pairs += d.eligible;
-    cases.insert(cases.end(), d.cases.begin(), d.cases.end());
+    scheduled.insert(scheduled.end(), d.scheduled.begin(), d.scheduled.end());
   }
   result.fraction_scheduled =
       eligible_pairs > 0
-          ? static_cast<double>(cases.size()) /
+          ? static_cast<double>(scheduled.size()) /
                 static_cast<double>(eligible_pairs)
           : 0.0;
-  rng.shuffle(cases);
-  if (config.max_cases > 0 && cases.size() > config.max_cases) {
-    cases.resize(config.max_cases);
+  // Only the cases kept after the max_cases cut need a path (~650k pairs
+  // are scheduled at 1,024 hosts, 400 kept). Shuffle's draws depend only on
+  // the element count, so shuffling pairs keeps the same cases in the same
+  // order as shuffling full cases.
+  rng.shuffle(scheduled);
+  if (config.max_cases > 0 && scheduled.size() > config.max_cases) {
+    scheduled.resize(config.max_cases);
+  }
+  struct Case {
+    std::size_t src;
+    std::size_t dst;
+    std::vector<std::size_t> path;
+  };
+  std::vector<Case> cases;
+  cases.reserve(scheduled.size());
+  for (const Pair& p : scheduled) {
+    // The path route() returned: the same walk of the same cached tree.
+    cases.push_back(
+        Case{p.src, p.dst, scheduler.tree_from(p.src).path_to(p.dst)});
   }
   result.scheduled_cases = cases.size();
 

@@ -205,7 +205,8 @@ TEST(NwsBlackoutTest, BlackoutEpochsTakeNoMeasurements) {
   for (int i = 0; i < 5; ++i) {
     monitor.observe_epoch(truth);
   }
-  // No probes ran: the pair never got a forecaster, so no forecast exists.
+  // No probes ran: the pair's bank never saw a measurement, so no forecast
+  // exists.
   EXPECT_EQ(monitor.forecast(0, 1).bits_per_second(), 0.0);
 
   monitor.set_blackout(false);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <numeric>
 #include <set>
 
 #include "testbed/abilene_paths.hpp"
@@ -158,6 +160,31 @@ TEST(SweepTest, DeterministicForSeed) {
   const auto b = run_speedup_sweep(grid, config, 77);
   ASSERT_EQ(a.all_speedups().size(), b.all_speedups().size());
   EXPECT_EQ(a.all_speedups(), b.all_speedups());
+}
+
+TEST(SweepTest, AnalyticSweepMatchesParentBitForBit) {
+  // Pinned from the discovery loop that copied every scheduled pair's path
+  // before the shuffle and the max_cases cut; the cut keeps 60 of them.
+  const auto grid = SyntheticGrid::planetlab(PlanetLabConfig{}, 2004);
+  SweepConfig config;
+  config.max_size_exp = 3;
+  config.iterations = 2;
+  config.max_cases = 60;
+  const auto result = run_speedup_sweep(grid, config, 42);
+  EXPECT_EQ(result.fraction_scheduled, 0x1.847a47a47a47ap-1);
+  EXPECT_EQ(result.scheduled_cases, 60u);
+  EXPECT_EQ(result.mean_path_hops, 0x1.cp+0);
+  const std::map<std::uint64_t, double> expected_sums = {
+      {mib(1), 0x1.c6d905bd8422cp+5},
+      {mib(2), 0x1.f07885fce9196p+5},
+      {mib(4), 0x1.ecf25eada103cp+5},
+  };
+  ASSERT_EQ(result.speedups_by_size.size(), expected_sums.size());
+  for (const auto& [size, sum] : expected_sums) {
+    const std::vector<double>& xs = result.speedups_by_size.at(size);
+    EXPECT_EQ(xs.size(), 60u);
+    EXPECT_EQ(std::accumulate(xs.begin(), xs.end(), 0.0), sum) << size;
+  }
 }
 
 TEST(SweepTest, ExplicitSizesRespected) {
