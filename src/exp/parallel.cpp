@@ -9,14 +9,13 @@
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "util/thread_pool.hpp"
+#include "util/threads.hpp"
 
 namespace lsl::exp {
 namespace {
 
-/// The caller's observability sinks, captured before any trial runs:
-/// registry is null when metrics are not scoped, spans when no span
-/// recorder is installed.
+/// The caller's observability sinks, captured before any trial runs: spans
+/// is null when no span recorder is installed.
 struct CallerSinks {
   obs::Registry* registry;
   obs::SpanRecorder* spans;
@@ -34,12 +33,9 @@ struct TrialSinks {
 TrialSinks run_scoped(std::size_t trial, const CallerSinks& caller,
                       const std::function<void(std::size_t)>& body) {
   TrialSinks own;
-  std::optional<obs::ScopedRegistry> registry_scope;
+  own.registry = std::make_unique<obs::Registry>();
+  const obs::ScopedRegistry registry_scope(*own.registry);
   std::optional<obs::ScopedSpanRecorder> span_scope;
-  if (caller.registry != nullptr) {
-    own.registry = std::make_unique<obs::Registry>();
-    registry_scope.emplace(*own.registry);
-  }
   if (caller.spans != nullptr) {
     own.spans = std::make_unique<obs::SpanRecorder>(
         caller.spans->per_session_capacity());
@@ -50,9 +46,7 @@ TrialSinks run_scoped(std::size_t trial, const CallerSinks& caller,
 }
 
 void merge(const TrialSinks& trial, const CallerSinks& caller) {
-  if (trial.registry != nullptr) {
-    caller.registry->merge_from(*trial.registry);
-  }
+  caller.registry->merge_from(*trial.registry);
   if (trial.spans != nullptr) {
     caller.spans->append_from(*trial.spans);
   }
@@ -65,12 +59,9 @@ void for_each_trial(std::size_t n, const TrialOptions& options,
   if (n == 0) {
     return;
   }
-  std::size_t jobs =
-      options.jobs == 0 ? ThreadPool::default_jobs() : options.jobs;
-  jobs = std::min(jobs, n);
-  const CallerSinks caller{
-      options.scope_metrics ? &obs::Registry::global() : nullptr,
-      obs::spans()};
+  const std::size_t jobs =
+      std::min(options.jobs == 0 ? default_jobs() : options.jobs, n);
+  const CallerSinks caller{&obs::Registry::global(), obs::spans()};
   if (jobs <= 1) {
     // The reference serial loop: no threads, but the same per-trial sink
     // scoping as the workers use. Without it, gauges would accumulate their
@@ -84,12 +75,9 @@ void for_each_trial(std::size_t n, const TrialOptions& options,
     return;
   }
 
-  std::size_t chunk = options.chunk;
-  if (chunk == 0) {
-    // Small enough to balance uneven trial costs, large enough that the
-    // cursor bump is noise. ~8 claims per worker.
-    chunk = std::max<std::size_t>(1, n / (jobs * 8));
-  }
+  // Small enough to balance uneven trial costs, large enough that the
+  // cursor bump is noise. ~8 claims per worker.
+  const std::size_t chunk = std::max<std::size_t>(1, n / (jobs * 8));
 
   std::vector<TrialSinks> trial_sinks(n);
   std::atomic<std::size_t> cursor{0};
@@ -98,8 +86,7 @@ void for_each_trial(std::size_t n, const TrialOptions& options,
   std::exception_ptr first_error;
   std::size_t first_error_trial = n;
 
-  ThreadPool pool(jobs - 1);
-  pool.run_on_all([&](std::size_t) {
+  run_on_threads(jobs, [&](std::size_t) {
     for (;;) {
       const std::size_t begin =
           cursor.fetch_add(chunk, std::memory_order_relaxed);

@@ -18,9 +18,10 @@
 //     folds them into the caller's in trial order.
 //
 // Scheduling is chunked, not work-stealing: workers claim fixed-size runs
-// of consecutive trial indices off one atomic cursor. Chunking amortizes
-// the cursor bump and keeps per-trial registries cache-warm; no stealing
-// means no cross-worker ordering effects to reason about.
+// of consecutive trial indices (about eight claims per worker) off one
+// atomic cursor. Chunking amortizes the cursor bump and keeps per-trial
+// registries cache-warm; no stealing means no cross-worker ordering effects
+// to reason about.
 #pragma once
 
 #include <cstddef>
@@ -34,15 +35,8 @@ struct TrialOptions {
   /// no threads and no locking, but still under per-trial observability
   /// scoping (registry and span sinks are reset each trial and merged in
   /// trial order), so serial and parallel runs emit identical streams --
-  /// including gauge high-water marks. 0 means ThreadPool::default_jobs().
+  /// including gauge high-water marks. 0 means lsl::default_jobs().
   std::size_t jobs = 1;
-  /// Trials claimed per cursor bump (0 = pick from n and jobs).
-  std::size_t chunk = 0;
-  /// Run each trial under a private obs::Registry and fold them into the
-  /// caller's registry in trial order afterwards. Turn off when the trial
-  /// body does not touch built-in instrumentation and the copies would be
-  /// pure overhead.
-  bool scope_metrics = true;
 };
 
 /// Runs body(trial) for every trial in [0, n). Blocks until all trials

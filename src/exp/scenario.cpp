@@ -1,9 +1,11 @@
 #include "exp/scenario.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <map>
+#include <span>
 #include <sstream>
 
 #include "fault/injector.hpp"
@@ -39,10 +41,117 @@ bool split_kv(const std::string& token, std::string& key,
   return true;
 }
 
+/// Parses the whole of `s` as a finite number ("nan" and "inf" fail).
 bool parse_double(const std::string& s, double& out) {
   char* end = nullptr;
   out = std::strtod(s.c_str(), &end);
-  return end != nullptr && *end == '\0';
+  return end != nullptr && *end == '\0' && std::isfinite(out);
+}
+
+/// The largest number an attribute takes: it keeps every value, scaled to
+/// its unit (bytes, nanoseconds), inside the integer type it is stored in.
+constexpr double kMaxNumber = 1e9;
+
+/// The values a numeric attribute accepts (see the format comment in
+/// scenario.hpp).
+enum class Range {
+  kPositive,     ///< > 0: rates, sizes, buffers, queues, counts, timeouts
+  kNonNegative,  ///< >= 0: delays, times, noise, damping
+  kProbability,  ///< in [0, 1]
+  kFraction,     ///< in (0, 1]: a residual-rate factor
+};
+
+bool in_range(double v, Range range) {
+  switch (range) {
+    case Range::kPositive:
+      return v > 0.0;
+    case Range::kNonNegative:
+      return v >= 0.0;
+    case Range::kProbability:
+      return v >= 0.0 && v <= 1.0;
+    case Range::kFraction:
+      return v > 0.0 && v <= 1.0;
+  }
+  return false;
+}
+
+const char* describe(Range range) {
+  switch (range) {
+    case Range::kPositive:
+      return "positive";
+    case Range::kNonNegative:
+      return "non-negative";
+    case Range::kProbability:
+      return "in [0, 1]";
+    case Range::kFraction:
+      return "in (0, 1]";
+  }
+  return "";
+}
+
+/// One key=value attribute a directive accepts. A numeric attribute's
+/// value is parsed, checked against its range and handed to `number`; a
+/// text attribute's raw value goes to `text`, which returns an error
+/// message, or "" when it took the value.
+struct Attribute {
+  std::string key;
+  Range range = Range::kPositive;
+  std::function<void(double)> number;
+  std::function<std::string(const std::string&)> text;
+  /// Replaces the generic "<directive> <key> must be <range>" message.
+  std::string range_error;
+};
+
+Attribute numeric(std::string key, Range range,
+                  std::function<void(double)> set,
+                  std::string range_error = {}) {
+  return {std::move(key), range, std::move(set), nullptr,
+          std::move(range_error)};
+}
+
+Attribute textual(std::string key,
+                  std::function<std::string(const std::string&)> set) {
+  return {std::move(key), Range::kPositive, nullptr, std::move(set), {}};
+}
+
+/// Applies every token as a key=value attribute of `directive`. Returns
+/// the first error, or "" when every token was taken.
+std::string apply_attributes(std::span<const std::string> tokens,
+                             const std::string& directive,
+                             const std::vector<Attribute>& attributes) {
+  for (const std::string& token : tokens) {
+    std::string key;
+    std::string value;
+    if (!split_kv(token, key, value)) {
+      return "bad attribute '" + token + "'";
+    }
+    const auto it = std::find_if(
+        attributes.begin(), attributes.end(),
+        [&](const Attribute& a) { return a.key == key; });
+    if (it != attributes.end() && it->text) {
+      if (std::string error = it->text(value); !error.empty()) {
+        return error;
+      }
+      continue;
+    }
+    double v = 0.0;
+    if (!parse_double(value, v)) {
+      return "bad attribute '" + token + "'";
+    }
+    if (it == attributes.end()) {
+      return "unknown " + directive + " attribute '" + key + "'";
+    }
+    if (v > kMaxNumber) {
+      return directive + " " + key + " must be at most 1e9";
+    }
+    if (!in_range(v, it->range)) {
+      return it->range_error.empty()
+                 ? directive + " " + key + " must be " + describe(it->range)
+                 : it->range_error;
+    }
+    it->number(v);
+  }
+  return {};
 }
 
 std::string err_at(std::size_t line_no, const std::string& message) {
@@ -133,66 +242,55 @@ ParseResult parse_scenario(const std::string& text) {
                   err_at(line_no, "unknown host '" + host + "'")};
         }
       }
-      for (std::size_t t = 3; t < tokens.size(); ++t) {
-        std::string key;
-        std::string value;
-        double number = 0.0;
-        if (!split_kv(tokens[t], key, value)) {
-          return {std::nullopt,
-                  err_at(line_no, "bad attribute '" + tokens[t] + "'")};
-        }
-        if (key == "preset") {
-          if (!apply_link_preset(value, link.config)) {
-            return {std::nullopt,
-                    err_at(line_no, "unknown link preset '" + value + "'")};
-          }
-          continue;
-        }
-        if (!parse_double(value, number)) {
-          return {std::nullopt,
-                  err_at(line_no, "bad attribute '" + tokens[t] + "'")};
-        }
-        if (key == "rate") {
-          link.config.rate = Bandwidth::mbps(number);
-        } else if (key == "delay") {
-          link.config.propagation_delay =
-              SimTime::from_seconds(number * 1e-3);
-        } else if (key == "queue") {
-          link.config.queue_capacity_bytes =
-              static_cast<std::uint64_t>(number * 1024);
-        } else if (key == "loss") {
-          link.config.loss_rate = number;
-        } else {
-          return {std::nullopt,
-                  err_at(line_no, "unknown link attribute '" + key + "'")};
-        }
+      net::LinkConfig& config = link.config;
+      const std::string error = apply_attributes(
+          std::span(tokens).subspan(3), "link",
+          {textual("preset",
+                   [&](const std::string& v) -> std::string {
+                     if (apply_link_preset(v, config)) {
+                       return {};
+                     }
+                     return "unknown link preset '" + v + "'";
+                   }),
+           numeric("rate", Range::kPositive,
+                   [&](double v) { config.rate = Bandwidth::mbps(v); }),
+           numeric("delay", Range::kNonNegative,
+                   [&](double v) {
+                     config.propagation_delay = SimTime::from_seconds(v * 1e-3);
+                   }),
+           numeric("queue", Range::kPositive,
+                   [&](double v) {
+                     config.queue_capacity_bytes =
+                         static_cast<std::uint64_t>(v * 1024);
+                   }),
+           numeric("loss", Range::kProbability,
+                   [&](double v) { config.loss_rate = v; })});
+      if (!error.empty()) {
+        return {std::nullopt, err_at(line_no, error)};
       }
       scenario.links.push_back(std::move(link));
       continue;
     }
 
     if (directive == "depot") {
-      for (std::size_t t = 1; t < tokens.size(); ++t) {
-        std::string key;
-        std::string value;
-        double number = 0.0;
-        if (!split_kv(tokens[t], key, value) ||
-            !parse_double(value, number)) {
-          return {std::nullopt,
-                  err_at(line_no, "bad attribute '" + tokens[t] + "'")};
-        }
-        if (key == "buffers") {
-          scenario.depot.tcp = scenario.depot.tcp.with_buffers(
-              static_cast<std::uint64_t>(number * 1024));
-        } else if (key == "user") {
-          scenario.depot.user_buffer_bytes =
-              static_cast<std::uint64_t>(number * 1024);
-        } else if (key == "max_sessions") {
-          scenario.depot.max_sessions = static_cast<std::size_t>(number);
-        } else {
-          return {std::nullopt,
-                  err_at(line_no, "unknown depot attribute '" + key + "'")};
-        }
+      session::DepotConfig& depot = scenario.depot;
+      const std::string error = apply_attributes(
+          std::span(tokens).subspan(1), "depot",
+          {numeric("buffers", Range::kPositive,
+                   [&](double v) {
+                     depot.tcp = depot.tcp.with_buffers(
+                         static_cast<std::uint64_t>(v * 1024));
+                   }),
+           numeric("user", Range::kPositive,
+                   [&](double v) {
+                     depot.user_buffer_bytes =
+                         static_cast<std::uint64_t>(v * 1024);
+                   }),
+           numeric("max_sessions", Range::kPositive, [&](double v) {
+             depot.max_sessions = static_cast<std::size_t>(v);
+           })});
+      if (!error.empty()) {
+        return {std::nullopt, err_at(line_no, error)};
       }
       continue;
     }
@@ -255,34 +353,24 @@ ParseResult parse_scenario(const std::string& text) {
                 err_at(line_no, "unknown fault kind '" + kind + "'")};
       }
       bool have_at = false;
-      for (std::size_t t = attr_start; t < tokens.size(); ++t) {
-        std::string key;
-        std::string value;
-        double number = 0.0;
-        if (!split_kv(tokens[t], key, value) ||
-            !parse_double(value, number)) {
-          return {std::nullopt,
-                  err_at(line_no, "bad attribute '" + tokens[t] + "'")};
-        }
-        if (key == "at") {
-          f.at_s = number;
-          have_at = true;
-        } else if (key == "for") {
-          f.for_s = number;
-        } else if (key == "loss" &&
-                   f.kind == fault::FaultKind::kLinkBrownout) {
-          f.loss = number;
-        } else if (key == "factor" &&
-                   f.kind == fault::FaultKind::kLinkBrownout) {
-          if (number <= 0.0 || number > 1.0) {
-            return {std::nullopt,
-                    err_at(line_no, "brownout factor must be in (0, 1]")};
-          }
-          f.rate_factor = number;
-        } else {
-          return {std::nullopt,
-                  err_at(line_no, "unknown fault attribute '" + key + "'")};
-        }
+      std::vector<Attribute> attributes{
+          numeric("at", Range::kNonNegative,
+                  [&](double v) {
+                    f.at_s = v;
+                    have_at = true;
+                  }),
+          numeric("for", Range::kNonNegative, [&](double v) { f.for_s = v; })};
+      if (f.kind == fault::FaultKind::kLinkBrownout) {
+        attributes.push_back(numeric("loss", Range::kProbability,
+                                     [&](double v) { f.loss = v; }));
+        attributes.push_back(numeric("factor", Range::kFraction,
+                                     [&](double v) { f.rate_factor = v; },
+                                     "brownout factor must be in (0, 1]"));
+      }
+      const std::string error = apply_attributes(
+          std::span(tokens).subspan(attr_start), "fault", attributes);
+      if (!error.empty()) {
+        return {std::nullopt, err_at(line_no, error)};
       }
       if (!have_at) {
         return {std::nullopt, err_at(line_no, "fault needs at=<s>")};
@@ -302,31 +390,19 @@ ParseResult parse_scenario(const std::string& text) {
         return {std::nullopt,
                 err_at(line_no, "unknown host '" + churn.node + "'")};
       }
-      for (std::size_t t = 2; t < tokens.size(); ++t) {
-        std::string key;
-        std::string value;
-        double number = 0.0;
-        if (!split_kv(tokens[t], key, value) ||
-            !parse_double(value, number)) {
-          return {std::nullopt,
-                  err_at(line_no, "bad attribute '" + tokens[t] + "'")};
-        }
-        if (key == "mtbf") {
-          churn.mtbf_s = number;
-        } else if (key == "mttr") {
-          churn.mttr_s = number;
-        } else if (key == "start") {
-          churn.start_s = number;
-        } else if (key == "horizon") {
-          churn.horizon_s = number;
-        } else {
-          return {std::nullopt,
-                  err_at(line_no, "unknown churn attribute '" + key + "'")};
-        }
-      }
-      if (churn.mtbf_s <= 0.0 || churn.mttr_s <= 0.0) {
-        return {std::nullopt,
-                err_at(line_no, "churn needs positive mtbf and mttr")};
+      const std::string positive = "churn needs positive mtbf and mttr";
+      const std::string error = apply_attributes(
+          std::span(tokens).subspan(2), "churn",
+          {numeric("mtbf", Range::kPositive,
+                   [&](double v) { churn.mtbf_s = v; }, positive),
+           numeric("mttr", Range::kPositive,
+                   [&](double v) { churn.mttr_s = v; }, positive),
+           numeric("start", Range::kNonNegative,
+                   [&](double v) { churn.start_s = v; }),
+           numeric("horizon", Range::kNonNegative,
+                   [&](double v) { churn.horizon_s = v; })});
+      if (!error.empty()) {
+        return {std::nullopt, err_at(line_no, error)};
       }
       scenario.churns.push_back(std::move(churn));
       continue;
@@ -334,34 +410,28 @@ ParseResult parse_scenario(const std::string& text) {
 
     if (directive == "recovery") {
       session::RecoveryConfig config;
-      for (std::size_t t = 1; t < tokens.size(); ++t) {
-        if (tokens[t] == "off") {
-          config.enabled = false;
-          continue;
-        }
-        std::string key;
-        std::string value;
-        double number = 0.0;
-        if (!split_kv(tokens[t], key, value) ||
-            !parse_double(value, number)) {
-          return {std::nullopt,
-                  err_at(line_no, "bad attribute '" + tokens[t] + "'")};
-        }
-        if (key == "retries") {
-          config.max_retries = static_cast<int>(number);
-        } else if (key == "stall") {
-          config.stall_timeout = SimTime::from_seconds(number);
-        } else if (key == "backoff") {
-          config.initial_backoff = SimTime::from_seconds(number * 1e-3);
-        } else if (key == "max_backoff") {
-          config.max_backoff = SimTime::from_seconds(number * 1e-3);
-        } else if (key == "jitter") {
-          config.backoff_jitter = number;
-        } else {
-          return {std::nullopt,
-                  err_at(line_no,
-                         "unknown recovery attribute '" + key + "'")};
-        }
+      std::vector<std::string> attrs(tokens.begin() + 1, tokens.end());
+      config.enabled = std::erase(attrs, "off") == 0;
+      const std::string error = apply_attributes(
+          attrs, "recovery",
+          {numeric("retries", Range::kPositive,
+                   [&](double v) { config.max_retries = static_cast<int>(v); }),
+           numeric("stall", Range::kPositive,
+                   [&](double v) {
+                     config.stall_timeout = SimTime::from_seconds(v);
+                   }),
+           numeric("backoff", Range::kNonNegative,
+                   [&](double v) {
+                     config.initial_backoff = SimTime::from_seconds(v * 1e-3);
+                   }),
+           numeric("max_backoff", Range::kNonNegative,
+                   [&](double v) {
+                     config.max_backoff = SimTime::from_seconds(v * 1e-3);
+                   }),
+           numeric("jitter", Range::kProbability,
+                   [&](double v) { config.backoff_jitter = v; })});
+      if (!error.empty()) {
+        return {std::nullopt, err_at(line_no, error)};
       }
       scenario.recovery = config;
       continue;
@@ -369,36 +439,23 @@ ParseResult parse_scenario(const std::string& text) {
 
     if (directive == "reroute") {
       ScenarioReroute reroute;
-      for (std::size_t t = 1; t < tokens.size(); ++t) {
-        std::string key;
-        std::string value;
-        double number = 0.0;
-        if (!split_kv(tokens[t], key, value) ||
-            !parse_double(value, number)) {
-          return {std::nullopt,
-                  err_at(line_no, "bad attribute '" + tokens[t] + "'")};
-        }
-        if (key == "interval") {
-          reroute.interval_s = number;
-        } else if (key == "hysteresis") {
-          reroute.hysteresis = number;
-        } else if (key == "dwell") {
-          reroute.dwell_s = number;
-        } else if (key == "penalty") {
-          reroute.penalty_s = number;
-        } else if (key == "sigma") {
-          reroute.sigma = number;
-        } else if (key == "epsilon") {
-          reroute.epsilon = number;
-        } else {
-          return {std::nullopt,
-                  err_at(line_no,
-                         "unknown reroute attribute '" + key + "'")};
-        }
-      }
-      if (reroute.interval_s <= 0.0) {
-        return {std::nullopt,
-                err_at(line_no, "reroute needs positive interval")};
+      const std::string error = apply_attributes(
+          std::span(tokens).subspan(1), "reroute",
+          {numeric("interval", Range::kPositive,
+                   [&](double v) { reroute.interval_s = v; },
+                   "reroute needs positive interval"),
+           numeric("hysteresis", Range::kProbability,
+                   [&](double v) { reroute.hysteresis = v; }),
+           numeric("dwell", Range::kNonNegative,
+                   [&](double v) { reroute.dwell_s = v; }),
+           numeric("penalty", Range::kNonNegative,
+                   [&](double v) { reroute.penalty_s = v; }),
+           numeric("sigma", Range::kNonNegative,
+                   [&](double v) { reroute.sigma = v; }),
+           numeric("epsilon", Range::kNonNegative,
+                   [&](double v) { reroute.epsilon = v; })});
+      if (!error.empty()) {
+        return {std::nullopt, err_at(line_no, error)};
       }
       scenario.reroute = reroute;
       continue;
@@ -418,40 +475,30 @@ ParseResult parse_scenario(const std::string& text) {
                   err_at(line_no, "unknown host '" + host + "'")};
         }
       }
-      for (std::size_t t = 3; t < tokens.size(); ++t) {
-        std::string key;
-        std::string value;
-        if (!split_kv(tokens[t], key, value)) {
-          return {std::nullopt,
-                  err_at(line_no, "bad attribute '" + tokens[t] + "'")};
-        }
-        if (key == "via") {
-          std::istringstream hops(value);
-          std::string hop;
-          while (std::getline(hops, hop, ',')) {
-            if (!host_names.contains(hop)) {
-              return {std::nullopt,
-                      err_at(line_no, "unknown via host '" + hop + "'")};
-            }
-            transfer.via.push_back(hop);
-          }
-        } else {
-          double number = 0.0;
-          if (!parse_double(value, number)) {
-            return {std::nullopt,
-                    err_at(line_no, "bad attribute '" + tokens[t] + "'")};
-          }
-          if (key == "size") {
-            transfer.bytes = static_cast<std::uint64_t>(number * kMiB);
-          } else if (key == "buffers") {
-            transfer.buffer_bytes =
-                static_cast<std::uint64_t>(number * 1024);
-          } else {
-            return {std::nullopt,
-                    err_at(line_no,
-                           "unknown transfer attribute '" + key + "'")};
-          }
-        }
+      const std::string error = apply_attributes(
+          std::span(tokens).subspan(3), "transfer",
+          {textual("via",
+                   [&](const std::string& v) -> std::string {
+                     std::istringstream hops(v);
+                     std::string hop;
+                     while (std::getline(hops, hop, ',')) {
+                       if (!host_names.contains(hop)) {
+                         return "unknown via host '" + hop + "'";
+                       }
+                       transfer.via.push_back(hop);
+                     }
+                     return {};
+                   }),
+           numeric("size", Range::kPositive,
+                   [&](double v) {
+                     transfer.bytes = static_cast<std::uint64_t>(v * kMiB);
+                   },
+                   "transfer needs size=<MiB>"),
+           numeric("buffers", Range::kPositive, [&](double v) {
+             transfer.buffer_bytes = static_cast<std::uint64_t>(v * 1024);
+           })});
+      if (!error.empty()) {
+        return {std::nullopt, err_at(line_no, error)};
       }
       if (transfer.bytes == 0) {
         return {std::nullopt, err_at(line_no, "transfer needs size=<MiB>")};
@@ -462,31 +509,27 @@ ParseResult parse_scenario(const std::string& text) {
 
     if (directive == "pool") {
       ScenarioPool pool;
-      for (std::size_t t = 1; t < tokens.size(); ++t) {
-        std::string key;
-        std::string value;
-        double number = 0.0;
-        if (!split_kv(tokens[t], key, value) ||
-            !parse_double(value, number)) {
-          return {std::nullopt,
-                  err_at(line_no, "bad attribute '" + tokens[t] + "'")};
-        }
-        if (key == "size") {
-          pool.size = static_cast<std::size_t>(number);
-        } else if (key == "epsilon") {
-          pool.epsilon = number;
-        } else if (key == "iterations") {
-          pool.iterations = static_cast<std::size_t>(number);
-        } else if (key == "cases") {
-          pool.max_cases = static_cast<std::size_t>(number);
-        } else if (key == "sizes") {
-          pool.max_size_exp = static_cast<int>(number);
-        } else if (key == "drift") {
-          pool.drift_sigma = number;
-        } else {
-          return {std::nullopt,
-                  err_at(line_no, "unknown pool attribute '" + key + "'")};
-        }
+      const std::string error = apply_attributes(
+          std::span(tokens).subspan(1), "pool",
+          {numeric("size", Range::kPositive,
+                   [&](double v) { pool.size = static_cast<std::size_t>(v); },
+                   "pool needs size >= 2"),
+           numeric("epsilon", Range::kNonNegative,
+                   [&](double v) { pool.epsilon = v; }),
+           numeric("iterations", Range::kPositive,
+                   [&](double v) {
+                     pool.iterations = static_cast<std::size_t>(v);
+                   }),
+           numeric("cases", Range::kPositive,
+                   [&](double v) {
+                     pool.max_cases = static_cast<std::size_t>(v);
+                   }),
+           numeric("sizes", Range::kPositive,
+                   [&](double v) { pool.max_size_exp = static_cast<int>(v); }),
+           numeric("drift", Range::kNonNegative,
+                   [&](double v) { pool.drift_sigma = v; })});
+      if (!error.empty()) {
+        return {std::nullopt, err_at(line_no, error)};
       }
       if (pool.size < 2) {
         return {std::nullopt, err_at(line_no, "pool needs size >= 2")};

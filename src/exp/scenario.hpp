@@ -68,6 +68,19 @@
 //
 // Units: rate in Mbit/s, delay in ms (one way), queue/buffers/user in KiB,
 // size in MiB, loss as a probability, fault/churn times in seconds.
+//
+// Ranges: every number must be finite and at most 1e9, and a value outside
+// its attribute's range is an error naming the attribute.
+//   positive      link rate/queue; depot buffers/user/max_sessions;
+//                 transfer size/buffers; churn mtbf/mttr; recovery
+//                 retries/stall; reroute interval; pool size/iterations/
+//                 cases/sizes (size at least 2)
+//   non-negative  link delay; fault at/for; churn start/horizon; recovery
+//                 backoff/max_backoff; reroute dwell/penalty/sigma/epsilon;
+//                 pool epsilon/drift
+//   in [0, 1]     link and brownout loss; recovery jitter; reroute
+//                 hysteresis
+//   in (0, 1]     brownout factor
 #pragma once
 
 #include <cstdint>

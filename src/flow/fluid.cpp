@@ -66,11 +66,6 @@ double FluidNetwork::link_capacity_bps(FluidLinkId id) const {
   return links_[id].capacity;
 }
 
-double FluidNetwork::link_loss(FluidLinkId id) const {
-  LSL_ASSERT(id < links_.size());
-  return links_[id].loss;
-}
-
 FluidFlowId FluidNetwork::start_flow(FluidFlowSpec spec) {
   LSL_ASSERT(spec.rtt > SimTime::zero());
   std::uint32_t index = 0;

@@ -84,7 +84,6 @@ class FluidNetwork {
   void set_link(FluidLinkId id, double capacity_bps, double loss_rate);
 
   [[nodiscard]] double link_capacity_bps(FluidLinkId id) const;
-  [[nodiscard]] double link_loss(FluidLinkId id) const;
 
   /// Create a flow. Flows start idle (no backlog, no share) until bytes are
   /// offered; the slow-start ramp runs only while the flow has backlog.

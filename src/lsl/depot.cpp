@@ -170,9 +170,7 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
         const auto kids = hdr_.multicast->children_of(*index);
         if (!kids.empty()) {
           phase_ = Phase::kMulticast;
-          if (!reserve_buffer()) {
-            return;
-          }
+          user_buffer_granted_ = depot_.reserve_user_memory();
           for (const net::NodeId kid : kids) {
             open_child(kid);
           }
@@ -229,27 +227,10 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
       next = *hop;
     }
     phase_ = Phase::kRelaying;
-    if (!reserve_buffer()) {
-      return;
-    }
+    user_buffer_granted_ = depot_.reserve_user_memory();
     forward_header_ = std::move(fwd);
     open_downstream(next);
     pump();
-  }
-
-  /// Claim relay buffer memory from the depot pool; fails the session when
-  /// the pool is exhausted.
-  bool reserve_buffer() {
-    user_buffer_granted_ = depot_.reserve_user_memory();
-    if (user_buffer_granted_ == 0) {
-      ++depot_.stats_.sessions_refused;
-      if (depot_.metrics_ != nullptr) {
-        depot_.metrics_->sessions_refused->inc();
-      }
-      fail();
-      return false;
-    }
-    return true;
   }
 
   void open_downstream(net::NodeId next) {
@@ -321,8 +302,7 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
            up_->readable_bytes() > 0) {
       const std::uint64_t room = user_buffer_granted_ - user_used();
       const std::uint64_t want =
-          std::min({room, depot_.config_.relay_chunk_bytes,
-                    up_->readable_bytes()});
+          std::min({room, kRelayChunkBytes, up_->readable_bytes()});
       const auto r = up_->read(want);
       if (r.n == 0) {
         break;
@@ -882,27 +862,11 @@ void Depot::schedule_store(const SessionHeader& header, std::uint64_t bytes) {
 }
 
 std::uint64_t Depot::reserve_user_memory() {
-  if (config_.total_user_memory_bytes == 0) {
-    if (mc::ProtocolObserver* po = mc::observer()) {
-      po->on_buffer(node_id(),
-                    static_cast<std::int64_t>(config_.user_buffer_bytes));
-    }
-    return config_.user_buffer_bytes;  // unlimited pool
-  }
-  const std::uint64_t available =
-      config_.total_user_memory_bytes > user_memory_in_use_
-          ? config_.total_user_memory_bytes - user_memory_in_use_
-          : 0;
-  const std::uint64_t grant =
-      std::min(config_.user_buffer_bytes, available);
-  if (grant < config_.min_user_grant_bytes) {
-    return 0;
-  }
-  user_memory_in_use_ += grant;
   if (mc::ProtocolObserver* po = mc::observer()) {
-    po->on_buffer(node_id(), static_cast<std::int64_t>(grant));
+    po->on_buffer(node_id(),
+                  static_cast<std::int64_t>(config_.user_buffer_bytes));
   }
-  return grant;
+  return config_.user_buffer_bytes;
 }
 
 void Depot::release_user_memory(std::uint64_t bytes) {
@@ -912,11 +876,6 @@ void Depot::release_user_memory(std::uint64_t bytes) {
   if (mc::ProtocolObserver* po = mc::observer()) {
     po->on_buffer(node_id(), -static_cast<std::int64_t>(bytes));
   }
-  if (config_.total_user_memory_bytes == 0) {
-    return;  // unlimited pool: no shared accounting to update
-  }
-  LSL_ASSERT(user_memory_in_use_ >= bytes);
-  user_memory_in_use_ -= bytes;
 }
 
 std::uint64_t Depot::commit_progress(const SessionId& id,

@@ -53,6 +53,9 @@ struct DepotMetrics {
   static DepotMetrics* get();
 };
 
+/// Largest single read when a relay pulls from its upstream socket.
+inline constexpr std::uint64_t kRelayChunkBytes = 256 * kKiB;
+
 struct DepotConfig {
   /// User-space relay buffer per session. The paper's depots allocate
   /// send_buffer + receive_buffer bytes of user storage (16 MB with the
@@ -63,18 +66,9 @@ struct DepotConfig {
   tcp::TcpOptions tcp;
   /// Admission control: refuse sessions beyond this many concurrent.
   std::size_t max_sessions = 1024;
-  /// Largest single read when pulling from the upstream socket.
-  std::uint64_t relay_chunk_bytes = 256 * kKiB;
   /// Total bytes of parked asynchronous sessions this depot will hold;
   /// storing past the cap evicts the oldest sessions first.
   std::uint64_t max_store_bytes = 256 * kMiB;
-  /// Depot-wide cap on relay user-space memory across concurrent sessions
-  /// (0 = unlimited). Sessions get up to user_buffer_bytes each; when the
-  /// pool runs low a session is granted less, and below min_user_grant it
-  /// is refused outright (admission control by memory, complementing
-  /// max_sessions).
-  std::uint64_t total_user_memory_bytes = 0;
-  std::uint64_t min_user_grant_bytes = 64 * kKiB;
 };
 
 struct DepotStats {
@@ -164,8 +158,8 @@ class Depot {
   /// ledger with FIFO eviction). Returns the previous committed value (0
   /// for a new entry) so delivery accounting can deduplicate against it.
   std::uint64_t commit_progress(const SessionId& id, std::uint64_t bytes);
-  /// Reserve relay buffer memory from the depot-wide pool; returns the
-  /// granted byte count (0 when the pool cannot meet the minimum grant).
+  /// Report a relay's user buffer (user_buffer_bytes) claimed or freed to
+  /// the model checker's protocol observer; returns the bytes claimed.
   [[nodiscard]] std::uint64_t reserve_user_memory();
   void release_user_memory(std::uint64_t bytes);
 
@@ -197,7 +191,6 @@ class Depot {
   /// already consumed, which a depot process crash does not undo.
   std::unordered_map<SessionId, std::uint64_t, SessionIdHash> progress_;
   std::deque<SessionId> progress_order_;
-  std::uint64_t user_memory_in_use_ = 0;
   bool running_ = true;
   DepotMetrics* metrics_ = nullptr;  ///< shared instruments (may be null)
 };

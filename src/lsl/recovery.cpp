@@ -218,7 +218,7 @@ void ReliableTransfer::on_failure(const char* reason) {
 SimTime ReliableTransfer::next_backoff() {
   double seconds = config_.initial_backoff.to_seconds();
   for (int i = 1; i < retries_; ++i) {
-    seconds *= config_.backoff_multiplier;
+    seconds *= kBackoffMultiplier;
   }
   seconds = std::min(seconds, config_.max_backoff.to_seconds());
   const double jitter =

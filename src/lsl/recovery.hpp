@@ -36,13 +36,16 @@
 
 namespace lsl::session {
 
+/// Each retry waits this many times longer than the one before, up to
+/// RecoveryConfig::max_backoff.
+inline constexpr double kBackoffMultiplier = 2.0;
+
 struct RecoveryConfig {
   /// When false the first detected failure is terminal (no retries); the
   /// detection machinery still runs so failures are reported, not hung.
   bool enabled = true;
   int max_retries = 8;
   SimTime initial_backoff = SimTime::milliseconds(250);
-  double backoff_multiplier = 2.0;
   SimTime max_backoff = SimTime::seconds(10);
   /// Uniform jitter fraction: each delay is scaled by 1 +- jitter.
   double backoff_jitter = 0.25;

@@ -21,7 +21,6 @@ Link* Node::route_for(NodeId dst) const {
 
 void Node::handle_packet(Packet packet) {
   if (packet.dst == id_) {
-    ++packets_delivered_;
     LSL_ASSERT_MSG(static_cast<bool>(local_),
                    "packet addressed to node without a protocol stack");
     local_(std::move(packet));

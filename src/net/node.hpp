@@ -46,9 +46,6 @@ class Node {
   [[nodiscard]] std::uint64_t packets_forwarded() const {
     return packets_forwarded_;
   }
-  [[nodiscard]] std::uint64_t packets_delivered() const {
-    return packets_delivered_;
-  }
 
  private:
   NodeId id_;
@@ -57,7 +54,6 @@ class Node {
   std::vector<Link*> routes_;  ///< by destination id; nullptr = no route
   LocalDeliverFn local_;
   std::uint64_t packets_forwarded_ = 0;
-  std::uint64_t packets_delivered_ = 0;
 };
 
 }  // namespace lsl::net

@@ -291,69 +291,6 @@ std::string Registry::to_json() const {
   return out;
 }
 
-namespace {
-
-/// Prometheus metric names allow [a-zA-Z0-9_:]; our dotted names map with
-/// '.' -> '_' and anything else unexpected to '_' as well.
-std::string prom_name(const std::string& name) {
-  std::string out;
-  out.reserve(name.size());
-  for (const char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == ':';
-    out += ok ? c : '_';
-  }
-  return out;
-}
-
-std::string prom_number(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  return buf;
-}
-
-}  // namespace
-
-std::string Registry::to_prom() const {
-  std::string out;
-  for (const auto& entry : entries_) {
-    switch (entry.kind) {
-      case Kind::kCounter: {
-        const std::string name = prom_name(entry.counter->name());
-        out += "# TYPE " + name + " counter\n";
-        out += name + " " + std::to_string(entry.counter->value()) + "\n";
-        break;
-      }
-      case Kind::kGauge: {
-        const std::string name = prom_name(entry.gauge->name());
-        out += "# TYPE " + name + " gauge\n";
-        out += name + " " + prom_number(entry.gauge->value()) + "\n";
-        out += "# TYPE " + name + "_high_water gauge\n";
-        out += name + "_high_water " +
-               prom_number(entry.gauge->high_water()) + "\n";
-        break;
-      }
-      case Kind::kHistogram: {
-        const auto& h = *entry.histogram;
-        const std::string name = prom_name(h.name());
-        out += "# TYPE " + name + " histogram\n";
-        std::uint64_t cumulative = 0;
-        for (std::size_t i = 0; i < h.bucket_counts().size(); ++i) {
-          cumulative += h.bucket_counts()[i];
-          const std::string le =
-              i < h.bounds().size() ? prom_number(h.bounds()[i]) : "+Inf";
-          out += name + "_bucket{le=\"" + le + "\"} " +
-                 std::to_string(cumulative) + "\n";
-        }
-        out += name + "_sum " + prom_number(h.sum()) + "\n";
-        out += name + "_count " + std::to_string(h.count()) + "\n";
-        break;
-      }
-    }
-  }
-  return out;
-}
-
 bool Registry::write_json(const std::string& path) const {
   std::ofstream out(path);
   if (!out) {

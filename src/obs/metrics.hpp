@@ -144,11 +144,6 @@ class Registry {
 
   /// {"counters": {...}, "gauges": {...}, "histograms": {...}}
   [[nodiscard]] std::string to_json() const;
-  /// Prometheus text exposition format (metric names have dots replaced by
-  /// underscores; gauges add a `<name>_high_water` series, histograms emit
-  /// cumulative `_bucket{le=...}` plus `_sum`/`_count`). Scrapeable and
-  /// diffable with standard tooling.
-  [[nodiscard]] std::string to_prom() const;
   bool write_json(const std::string& path) const;
 
   /// Registry used by all built-in instrumentation: the thread's scoped

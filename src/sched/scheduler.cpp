@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "util/assert.hpp"
-#include "util/thread_pool.hpp"
+#include "util/threads.hpp"
 
 namespace lsl::sched {
 
@@ -186,8 +186,7 @@ void Scheduler::prebuild_trees(std::size_t jobs,
   // source is built by whichever item reaches its once_flag first.
   std::vector<std::uint8_t> built(work.size(), 0);
   std::atomic<std::size_t> cursor{0};
-  ThreadPool pool((jobs == 0 ? ThreadPool::default_jobs() : jobs) - 1);
-  pool.run_on_all([&](std::size_t) {
+  run_on_threads(jobs == 0 ? default_jobs() : jobs, [&](std::size_t) {
     while (true) {
       const std::size_t w = cursor.fetch_add(1, std::memory_order_relaxed);
       if (w >= work.size()) {

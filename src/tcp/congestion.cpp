@@ -35,28 +35,25 @@ CcaMetrics* CcaMetrics::get() {
   return &metrics;
 }
 
-CongestionControl::CongestionControl(const TcpOptions& opts)
-    : ssthresh_(kHugeSsthresh), mss_(opts.mss) {
-  cwnd_ = static_cast<std::uint64_t>(opts.initial_cwnd_segments) * mss_;
-  metrics_ = CcaMetrics::get();
-}
+CongestionControl::CongestionControl()
+    : ssthresh_(kHugeSsthresh), metrics_(CcaMetrics::get()) {}
 
 CongestionControl::~CongestionControl() = default;
 
 void CongestionControl::on_rtt_sample(SimTime /*sample*/, SimTime /*now*/) {}
 
-void CongestionControl::on_recovery_dup_ack() { cwnd_ += mss_; }
+void CongestionControl::on_recovery_dup_ack() { cwnd_ += mss(); }
 
 void CongestionControl::on_partial_ack(std::uint64_t newly) {
   // NewReno deflation: remove the acked bytes, add one MSS back for the
   // segment the partial ACK implies has left the network.
-  cwnd_ = (cwnd_ > newly ? cwnd_ - newly : mss_) + mss_;
+  cwnd_ = (cwnd_ > newly ? cwnd_ - newly : mss()) + mss();
 }
 
 bool CongestionControl::partial_ack_keeps_recovery() const { return true; }
 
 void CongestionControl::on_recovery_exit(SimTime /*now*/) {
-  cwnd_ = std::max(ssthresh_, static_cast<std::uint64_t>(2) * mss_);
+  cwnd_ = std::max(ssthresh_, static_cast<std::uint64_t>(2) * mss());
   if (metrics_ != nullptr) {
     metrics_->recovery_exits->inc();
   }
@@ -96,10 +93,6 @@ void RenoFamilyCc::on_rto(std::uint64_t flight, SimTime /*now*/) {
 
 // ---------------------------------------------------------------------------
 // CUBIC (RFC 8312)
-
-CubicCc::CubicCc(const TcpOptions& opts)
-    : CongestionControl(opts),
-      cwnd_seg_(static_cast<double>(opts.initial_cwnd_segments)) {}
 
 double CubicCc::w_cubic(double t) const {
   const double d = t - k_;
@@ -221,8 +214,6 @@ namespace {
 constexpr double kProbeBwGains[8] = {1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0,
                                      1.0};
 }  // namespace
-
-BbrCc::BbrCc(const TcpOptions& opts) : CongestionControl(opts) {}
 
 SimTime BbrCc::round_rtt(SimTime srtt) const {
   if (has_rtt_) {
@@ -369,15 +360,15 @@ std::unique_ptr<CongestionControl> make_congestion_control(
     const TcpOptions& opts) {
   switch (opts.cca) {
     case Cca::kReno:
-      return std::make_unique<RenoCc>(opts);
+      return std::make_unique<RenoCc>();
     case Cca::kNewReno:
-      return std::make_unique<NewRenoCc>(opts);
+      return std::make_unique<NewRenoCc>();
     case Cca::kCubic:
-      return std::make_unique<CubicCc>(opts);
+      return std::make_unique<CubicCc>();
     case Cca::kBbr:
-      return std::make_unique<BbrCc>(opts);
+      return std::make_unique<BbrCc>();
   }
-  return std::make_unique<NewRenoCc>(opts);
+  return std::make_unique<NewRenoCc>();
 }
 
 }  // namespace lsl::tcp

@@ -45,7 +45,7 @@ struct CcaMetrics {
 
 class CongestionControl {
  public:
-  explicit CongestionControl(const TcpOptions& opts);
+  CongestionControl();
   virtual ~CongestionControl();
 
   CongestionControl(const CongestionControl&) = delete;
@@ -88,22 +88,17 @@ class CongestionControl {
   virtual void on_rto(std::uint64_t flight, SimTime now) = 0;
 
  protected:
-  [[nodiscard]] std::uint64_t mss() const { return mss_; }
+  [[nodiscard]] static constexpr std::uint64_t mss() { return kMss; }
 
-  std::uint64_t cwnd_ = 0;
+  std::uint64_t cwnd_ = std::uint64_t{kInitialCwndSegments} * kMss;
   std::uint64_t ssthresh_ = 0;
   CcaMetrics* metrics_ = nullptr;  ///< shared instruments (may be null)
-
- private:
-  std::uint64_t mss_;
 };
 
 /// Reno/NewReno share every window formula; they differ only in whether a
 /// partial ACK sustains the recovery episode.
 class RenoFamilyCc : public CongestionControl {
  public:
-  explicit RenoFamilyCc(const TcpOptions& opts) : CongestionControl(opts) {}
-
   void on_ack(std::uint64_t newly, std::uint64_t flight, SimTime now,
               SimTime srtt) override;
   void on_enter_recovery(std::uint64_t flight, SimTime now) override;
@@ -112,7 +107,6 @@ class RenoFamilyCc : public CongestionControl {
 
 class RenoCc final : public RenoFamilyCc {
  public:
-  using RenoFamilyCc::RenoFamilyCc;
   [[nodiscard]] Cca kind() const override { return Cca::kReno; }
   [[nodiscard]] bool partial_ack_keeps_recovery() const override {
     return false;
@@ -121,7 +115,6 @@ class RenoCc final : public RenoFamilyCc {
 
 class NewRenoCc final : public RenoFamilyCc {
  public:
-  using RenoFamilyCc::RenoFamilyCc;
   [[nodiscard]] Cca kind() const override { return Cca::kNewReno; }
 };
 
@@ -130,8 +123,6 @@ class NewRenoCc final : public RenoFamilyCc {
 /// truncating to zero.
 class CubicCc final : public CongestionControl {
  public:
-  explicit CubicCc(const TcpOptions& opts);
-
   [[nodiscard]] Cca kind() const override { return Cca::kCubic; }
   void on_ack(std::uint64_t newly, std::uint64_t flight, SimTime now,
               SimTime srtt) override;
@@ -151,7 +142,7 @@ class CubicCc final : public CongestionControl {
   [[nodiscard]] double w_cubic(double t) const;  ///< W(t) in segments
   void sync_cwnd();  ///< mirror cwnd_seg_ into the byte-valued cwnd_
 
-  double cwnd_seg_;          ///< fractional congestion window, segments
+  double cwnd_seg_ = kInitialCwndSegments;  ///< fractional cwnd, segments
   double w_max_seg_ = 0.0;   ///< window at the last reduction
   double k_ = 0.0;           ///< time to regain w_max (seconds)
   SimTime epoch_start_ = SimTime::zero();
@@ -168,8 +159,6 @@ class CubicCc final : public CongestionControl {
 class BbrCc final : public CongestionControl {
  public:
   enum class Phase : std::uint8_t { kStartup, kDrain, kProbeBw };
-
-  explicit BbrCc(const TcpOptions& opts);
 
   [[nodiscard]] Cca kind() const override { return Cca::kBbr; }
   void on_ack(std::uint64_t newly, std::uint64_t flight, SimTime now,

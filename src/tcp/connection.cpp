@@ -93,7 +93,6 @@ Connection::Connection(TcpStack& stack, net::NodeId local, net::NodeId remote,
       opts_(opts),
       send_buf_(opts.send_buffer_bytes),
       recv_buf_(opts.recv_buffer_bytes),
-      rtt_(opts),
       cc_(make_congestion_control(opts)),
       rto_timer_(sim_, [this] { on_rto(); }, "tcp.rto"),
       persist_timer_(sim_, [this] { on_persist(); }, "tcp.persist"),
@@ -105,7 +104,7 @@ Connection::Connection(TcpStack& stack, net::NodeId local, net::NodeId remote,
             send_pure_ack();
           },
           "tcp.delack") {
-  LSL_ASSERT_MSG(opts_.recv_buffer_bytes >= opts_.mss,
+  LSL_ASSERT_MSG(opts_.recv_buffer_bytes >= kMss,
                  "receive buffer smaller than one segment");
   metrics_ = TcpMetrics::get();
   if (metrics_ != nullptr) {
@@ -255,7 +254,7 @@ RecvBuffer::ReadResult Connection::read(std::uint64_t max) {
 std::uint64_t Connection::advertised_window() const {
   std::uint64_t w = recv_buf_.window();
   // Receiver-side silly-window avoidance: never advertise a runt window.
-  if (w < opts_.mss) {
+  if (w < kMss) {
     w = 0;
   }
   return w;
@@ -348,7 +347,7 @@ void Connection::maybe_send_window_update() {
     return;
   }
   const std::uint64_t w = advertised_window();
-  if (last_advertised_wnd_ == 0 && w >= opts_.mss) {
+  if (last_advertised_wnd_ == 0 && w >= kMss) {
     send_pure_ack();
   }
 }
@@ -402,16 +401,14 @@ void Connection::try_send() {
       }
       const std::uint64_t room = window - fl;
       const auto seg = static_cast<std::uint32_t>(
-          std::min<std::uint64_t>({opts_.mss, avail, room}));
+          std::min<std::uint64_t>({kMss, avail, room}));
       if (seg == 0) {
         break;
       }
       // Sender-side SWS avoidance: while data remains and the pipe is
-      // non-empty, wait for more window rather than emit a runt. With
-      // Nagle enabled, hold *any* runt while data is unacknowledged, even
-      // the final one -- small writes coalesce until an ACK drains the
-      // pipe (RFC 896).
-      if (seg < opts_.mss && fl > 0 && (opts_.nagle || seg < avail)) {
+      // non-empty, wait for more window rather than emit a runt. The final
+      // runt of a write ships at once.
+      if (seg < kMss && fl > 0 && seg < avail) {
         break;
       }
       send_data_segment(snd_nxt_, seg, /*retransmission=*/false);
@@ -504,7 +501,7 @@ void Connection::on_rto() {
   rtt_.backoff();
 
   if (state_ == TcpState::kSynSent || state_ == TcpState::kSynRcvd) {
-    if (++syn_retries_ > opts_.max_syn_retries) {
+    if (++syn_retries_ > kMaxSynRetries) {
       // The peer is unreachable or refusing: give up and tell the app.
       error_ = ConnectionError::kConnectTimeout;
       become_dead();
@@ -518,8 +515,8 @@ void Connection::on_rto() {
     return;
   }
 
-  if (++data_retries_ > opts_.max_data_retries) {
-    // No ACK progress across max_data_retries consecutive timeouts: the
+  if (++data_retries_ > kMaxDataRetries) {
+    // No ACK progress across kMaxDataRetries consecutive timeouts: the
     // peer vanished without a RST reaching us. Give up so the connection
     // (and whatever session holds it) can fail over instead of leaking.
     error_ = ConnectionError::kRetransmitTimeout;
@@ -560,7 +557,7 @@ void Connection::on_rto() {
   } else if (snd_nxt_ < stream_data_end_wire()) {
     const std::uint64_t offset = snd_nxt_ - 1;
     const auto len = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-        opts_.mss, send_buf_.end() - offset));
+        kMss, send_buf_.end() - offset));
     if (len > 0) {
       send_data_segment(snd_nxt_, len, /*retransmission=*/true);
       snd_nxt_ += len;
@@ -672,7 +669,7 @@ void Connection::acknowledge_data(bool out_of_order) {
     send_pure_ack();
     return;
   }
-  delack_timer_.arm_if_idle(opts_.delayed_ack_timeout);
+  delack_timer_.arm_if_idle(kDelayedAckTimeout);
 }
 
 void Connection::process_ack(const net::Packet& packet) {
@@ -770,7 +767,7 @@ void Connection::process_ack(const net::Packet& packet) {
         // cwnd sample at the same rate (~once per RTT under Karn's rule).
         metrics_->rtt_ms->observe(sample.to_milliseconds());
         metrics_->cwnd_segments->observe(static_cast<double>(cc_->cwnd()) /
-                                         static_cast<double>(opts_.mss));
+                                         static_cast<double>(kMss));
       }
     }
 
@@ -893,7 +890,7 @@ std::uint32_t Connection::retransmit_at(std::uint64_t wire_seq) {
   }
   const std::uint64_t offset = wire_seq - 1;
   auto len = static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(opts_.mss, send_buf_.end() - offset));
+      std::min<std::uint64_t>(kMss, send_buf_.end() - offset));
   if (len == 0) {
     return 0;
   }
@@ -946,7 +943,7 @@ std::uint32_t Connection::send_next_recovery_hole() {
       continue;
     }
     const auto len = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(opts_.mss, fresh.end - fresh.begin));
+        std::min<std::uint64_t>(kMss, fresh.end - fresh.begin));
     send_data_segment(fresh.begin, len, /*retransmission=*/true);
     rtx_out_.add(fresh.begin, fresh.begin + len);
     return len;
@@ -957,7 +954,7 @@ std::uint32_t Connection::send_next_recovery_hole() {
 void Connection::recovery_fill() {
   while (in_recovery_) {
     const std::uint64_t pipe = recovery_pipe();
-    if (pipe + opts_.mss > cc_->cwnd()) {
+    if (pipe + kMss > cc_->cwnd()) {
       return;
     }
     if (send_next_recovery_hole() == 0) {
@@ -1110,7 +1107,7 @@ void Connection::enter_time_wait() {
   state_ = TcpState::kTimeWait;
   rto_timer_.cancel();
   persist_timer_.cancel();
-  time_wait_timer_.arm(opts_.time_wait);
+  time_wait_timer_.arm(kTimeWaitLinger);
 }
 
 void Connection::become_dead() {
@@ -1187,8 +1184,8 @@ bool Connection::ensure_fluid_channel() {
   spec.rtt = std::max(fwd.latency + fwd.serialization + rev.latency,
                       SimTime::microseconds(1));
   spec.window_bytes = fluid_window_;
-  spec.mss = opts_.mss;
-  spec.initial_cwnd_segments = opts_.initial_cwnd_segments;
+  spec.mss = kMss;
+  spec.initial_cwnd_segments = kInitialCwndSegments;
   spec.cca = opts_.cca;
   fluid_flow_ = fnet->start_flow(std::move(spec));
   return fluid_data_plane();

@@ -59,9 +59,9 @@ enum class TcpState {
 /// before on_closed. Local abort() is not an error (the application asked).
 enum class ConnectionError {
   kNone = 0,
-  kConnectTimeout,     ///< handshake exhausted max_syn_retries
+  kConnectTimeout,     ///< handshake exhausted kMaxSynRetries
   kReset,              ///< peer sent RST
-  kRetransmitTimeout,  ///< data/FIN retransmits exhausted max_data_retries
+  kRetransmitTimeout,  ///< data/FIN retransmits exhausted kMaxDataRetries
 };
 
 [[nodiscard]] const char* to_string(ConnectionError e);
@@ -137,9 +137,6 @@ class Connection : public std::enable_shared_from_this<Connection> {
 
   [[nodiscard]] std::uint64_t readable_bytes() const {
     return recv_buf_.readable();
-  }
-  [[nodiscard]] std::uint64_t writable_bytes() const {
-    return send_buf_.free_space();
   }
   /// True once the peer's FIN is received and every byte has been read.
   [[nodiscard]] bool at_eof() const {

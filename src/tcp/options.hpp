@@ -1,8 +1,9 @@
-// Per-connection TCP tuning knobs.
+// Per-connection TCP settings, and the protocol constants every connection
+// shares.
 //
-// The paper's experiments hinge on exactly these parameters: the Abilene
-// tests used 8 MB socket buffers set with setsockopt, PlanetLab hosts were
-// pinned at 64 KB, and depot relays combine both. Defaults mirror a
+// The paper's experiments hinge on the socket buffers: the Abilene tests
+// used 8 MB buffers set with setsockopt, PlanetLab hosts were pinned at
+// 64 KB, and depot relays combine both. The constants mirror a
 // conservative early-2000s Linux host.
 #pragma once
 
@@ -18,10 +19,36 @@ namespace lsl::tcp {
 /// steady-state model; see flow::Cca).
 using Cca = flow::Cca;
 
-struct TcpOptions {
-  /// Maximum segment size (payload bytes per packet).
-  std::uint32_t mss = 1460;
+/// Maximum segment size (payload bytes per packet).
+inline constexpr std::uint32_t kMss = 1460;
 
+/// Initial congestion window, in segments (RFC 2581 allowed 2).
+inline constexpr std::uint32_t kInitialCwndSegments = 2;
+
+/// With TcpOptions::delayed_ack, the longest an ACK is held back.
+inline constexpr SimTime kDelayedAckTimeout = SimTime::milliseconds(40);
+
+/// Give up on a handshake after this many SYN (or SYN-ACK)
+/// retransmissions; the connection dies and on_closed fires.
+inline constexpr int kMaxSynRetries = 6;
+
+/// Give up after this many consecutive retransmission timeouts with no ACK
+/// progress (RFC 1122's R2 in spirit); the connection dies with
+/// kRetransmitTimeout. Bounds teardown when the peer vanishes without a
+/// RST reaching us -- crashed host, partitioned link.
+inline constexpr int kMaxDataRetries = 10;
+
+/// Retransmission timer: the RTO before the first RTT sample, and the
+/// clamps on the Jacobson/Karels estimator's output.
+inline constexpr SimTime kInitialRto = SimTime::seconds(1);
+inline constexpr SimTime kMinRto = SimTime::milliseconds(200);
+inline constexpr SimTime kMaxRto = SimTime::seconds(60);
+
+/// Linger in TIME_WAIT before the connection object is reaped. Kept far
+/// below 2*MSL; sequence reuse cannot occur in the 64-bit sim space.
+inline constexpr SimTime kTimeWaitLinger = SimTime::milliseconds(500);
+
+struct TcpOptions {
   /// Congestion-control algorithm (tcp::CongestionControl implementation).
   /// NewReno + SACK is the historical default every calibration golden and
   /// determinism baseline was recorded against.
@@ -33,43 +60,15 @@ struct TcpOptions {
   /// Socket receive buffer; its free space is the advertised window.
   std::uint64_t recv_buffer_bytes = 64 * kKiB;
 
-  /// Initial congestion window, in segments (RFC 2581 allowed 2).
-  std::uint32_t initial_cwnd_segments = 2;
-
   /// Selective acknowledgment (on by default, as in Linux 2.4). When off,
   /// loss recovery degrades to plain NewReno partial-ACK hole filling.
   bool sack_enabled = true;
 
   /// Delayed acknowledgments (RFC 1122): ACK every second full segment or
-  /// after delayed_ack_timeout, whichever first; out-of-order data is ACKed
+  /// after kDelayedAckTimeout, whichever first; out-of-order data is ACKed
   /// immediately. Off by default so that direct-vs-relayed comparisons are
   /// clocked identically; the ablation benches exercise it.
   bool delayed_ack = false;
-  SimTime delayed_ack_timeout = SimTime::milliseconds(40);
-
-  /// Give up on a handshake after this many SYN (or SYN-ACK)
-  /// retransmissions; the connection dies and on_closed fires.
-  int max_syn_retries = 6;
-
-  /// Give up after this many consecutive retransmission timeouts with no
-  /// ACK progress (RFC 1122's R2 in spirit); the connection dies with
-  /// kRetransmitTimeout. Bounds teardown when the peer vanishes without a
-  /// RST reaching us -- crashed host, partitioned link.
-  int max_data_retries = 10;
-
-  /// Nagle's algorithm (RFC 896): hold sub-MSS segments while unacked data
-  /// is in flight, coalescing small writes. Off by default: bulk transfers
-  /// never produce runts mid-stream and benches want minimum latency.
-  bool nagle = false;
-
-  /// Retransmission timer bounds (Jacobson/Karels estimator output clamps).
-  SimTime initial_rto = SimTime::seconds(1);
-  SimTime min_rto = SimTime::milliseconds(200);
-  SimTime max_rto = SimTime::seconds(60);
-
-  /// Linger in TIME_WAIT before the connection object is reaped. Kept far
-  /// below 2*MSL; sequence reuse cannot occur in the 64-bit sim space.
-  SimTime time_wait = SimTime::milliseconds(500);
 
   [[nodiscard]] TcpOptions with_buffers(std::uint64_t bytes) const {
     TcpOptions o = *this;

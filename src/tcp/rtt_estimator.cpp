@@ -33,7 +33,7 @@ void RttEstimator::backoff() {
 }
 
 void RttEstimator::clamp_rto() {
-  rto_ = std::clamp(rto_, min_rto_, max_rto_);
+  rto_ = std::clamp(rto_, kMinRto, kMaxRto);
 }
 
 }  // namespace lsl::tcp

@@ -9,11 +9,6 @@ namespace lsl::tcp {
 
 class RttEstimator {
  public:
-  explicit RttEstimator(const TcpOptions& options)
-      : min_rto_(options.min_rto),
-        max_rto_(options.max_rto),
-        rto_(options.initial_rto) {}
-
   /// Feed one RTT sample; updates srtt/rttvar/rto per RFC 6298 and resets
   /// any timer backoff.
   void add_sample(SimTime rtt);
@@ -29,11 +24,9 @@ class RttEstimator {
  private:
   void clamp_rto();
 
-  SimTime min_rto_;
-  SimTime max_rto_;
   SimTime srtt_ = SimTime::zero();
   SimTime rttvar_ = SimTime::zero();
-  SimTime rto_;
+  SimTime rto_ = kInitialRto;
   SimTime base_rto_ = SimTime::zero();  ///< rto before backoff
   int backoff_count_ = 0;
   bool has_sample_ = false;

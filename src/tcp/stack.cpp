@@ -73,7 +73,7 @@ void TcpStack::on_packet(net::Packet packet) {
     // final ACK was lost would otherwise retransmit its FIN until the
     // give-up limit -- the peer left TIME_WAIT long ago and only this
     // reset can release it promptly). Bare SYNs still time out through
-    // max_syn_retries: connection-refused semantics are exercised by the
+    // kMaxSynRetries: connection-refused semantics are exercised by the
     // recovery tests and stay unchanged.
     net::Packet rst;
     rst.src = node_;

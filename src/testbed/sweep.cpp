@@ -79,10 +79,10 @@ SweepResult run_speedup_sweep(const SyntheticGrid& grid,
     std::vector<Pair> scheduled;
     std::size_t eligible = 0;
   };
-  exp::TrialOptions discovery_options;
-  discovery_options.jobs = config.jobs;
+  exp::TrialOptions trial_options;
+  trial_options.jobs = config.jobs;
   const std::vector<Discovery> discovered = exp::map_trials<Discovery>(
-      endpoints.size(), discovery_options, [&](std::size_t trial) {
+      endpoints.size(), trial_options, [&](std::size_t trial) {
         const std::size_t src = endpoints[trial];
         Discovery out;
         for (const std::size_t dst : endpoints) {
@@ -153,11 +153,6 @@ SweepResult run_speedup_sweep(const SyntheticGrid& grid,
   struct CaseResult {
     std::vector<double> speedup_by_size;  ///< parallel to `sizes`
   };
-  exp::TrialOptions trial_options;
-  trial_options.jobs = config.jobs;
-  // The measurement phase touches no built-in instrumentation (simulated
-  // fidelities build private harnesses); skip per-trial registry copies.
-  trial_options.scope_metrics = false;
   const bool simulated = config.fidelity != SweepFidelity::kAnalytic;
   const exp::Fidelity sim_fidelity = config.fidelity == SweepFidelity::kFlow
                                          ? exp::Fidelity::kFlow

@@ -49,14 +49,14 @@ TEST(CcaSelectorTest, FactoryBuildsRequestedStack) {
 // Reno / NewReno
 
 TEST(RenoFamilyTest, PartialAckPolicyIsTheOnlyDifference) {
-  RenoCc reno(options_for(Cca::kReno));
-  NewRenoCc newreno(options_for(Cca::kNewReno));
+  RenoCc reno;
+  NewRenoCc newreno;
   EXPECT_FALSE(reno.partial_ack_keeps_recovery());
   EXPECT_TRUE(newreno.partial_ack_keeps_recovery());
 }
 
 TEST(RenoFamilyTest, WindowArithmeticMatchesSeedBehaviour) {
-  NewRenoCc cc(options_for(Cca::kNewReno));
+  NewRenoCc cc;
   EXPECT_EQ(cc.cwnd(), 2 * kMss);  // initial_cwnd_segments = 2
 
   // Slow start: byte-counted, capped at one MSS per ACK.
@@ -96,7 +96,7 @@ void grow_to(CubicCc& cc, double segments) {
 }
 
 TEST(CubicTest, LossResponseSetsWmaxAndBeta) {
-  CubicCc cc(options_for(Cca::kCubic));
+  CubicCc cc;
   grow_to(cc, 100.0);
   ASSERT_DOUBLE_EQ(cc.cwnd_segments(), 100.0);
 
@@ -111,7 +111,7 @@ TEST(CubicTest, LossResponseSetsWmaxAndBeta) {
 }
 
 TEST(CubicTest, EpochAnchorsTheRfc8312Curve) {
-  CubicCc cc(options_for(Cca::kCubic));
+  CubicCc cc;
   grow_to(cc, 100.0);
   cc.on_enter_recovery(100 * kMss, SimTime::seconds(1));
   cc.on_recovery_exit(SimTime::seconds(1));
@@ -134,7 +134,7 @@ TEST(CubicTest, EpochAnchorsTheRfc8312Curve) {
 }
 
 TEST(CubicTest, FastConvergenceShrinksWmaxOnBackToBackLoss) {
-  CubicCc cc(options_for(Cca::kCubic));
+  CubicCc cc;
   grow_to(cc, 100.0);
   cc.on_enter_recovery(100 * kMss, SimTime::seconds(1));
   cc.on_recovery_exit(SimTime::seconds(1));
@@ -149,7 +149,7 @@ TEST(CubicTest, FastConvergenceShrinksWmaxOnBackToBackLoss) {
 }
 
 TEST(CubicTest, TcpFriendlyRegionFloorsAtAimdEstimate) {
-  CubicCc cc(options_for(Cca::kCubic));
+  CubicCc cc;
   grow_to(cc, 10.0);
   cc.on_enter_recovery(10 * kMss, SimTime::seconds(1));
   cc.on_recovery_exit(SimTime::seconds(1));
@@ -167,7 +167,7 @@ TEST(CubicTest, TcpFriendlyRegionFloorsAtAimdEstimate) {
 }
 
 TEST(CubicTest, RtoCollapsesToOneSegment) {
-  CubicCc cc(options_for(Cca::kCubic));
+  CubicCc cc;
   grow_to(cc, 50.0);
   cc.on_rto(50 * kMss, SimTime::seconds(1));
   EXPECT_EQ(cc.cwnd(), kMss);
@@ -179,7 +179,7 @@ TEST(CubicTest, RtoCollapsesToOneSegment) {
 // BBR
 
 TEST(BbrTest, PhaseMachineStartupDrainProbeBw) {
-  BbrCc cc(options_for(Cca::kBbr));
+  BbrCc cc;
   const SimTime rtt = SimTime::milliseconds(50);
   cc.on_rtt_sample(rtt, SimTime::zero());
   EXPECT_EQ(cc.min_rtt(), rtt);
@@ -213,7 +213,7 @@ TEST(BbrTest, PhaseMachineStartupDrainProbeBw) {
 }
 
 TEST(BbrTest, LossLeavesTheWindowAlone) {
-  BbrCc cc(options_for(Cca::kBbr));
+  BbrCc cc;
   const SimTime rtt = SimTime::milliseconds(50);
   cc.on_rtt_sample(rtt, SimTime::zero());
   cc.on_ack(10 * kMss, 20 * kMss, SimTime::zero(), rtt);
@@ -235,7 +235,7 @@ TEST(BbrTest, LossLeavesTheWindowAlone) {
 }
 
 TEST(BbrTest, MinRttWindowExpiresStaleSamples) {
-  BbrCc cc(options_for(Cca::kBbr));
+  BbrCc cc;
   cc.on_rtt_sample(SimTime::milliseconds(50), SimTime::zero());
   cc.on_rtt_sample(SimTime::milliseconds(80), SimTime::seconds(1));
   EXPECT_EQ(cc.min_rtt(), SimTime::milliseconds(50));  // min filter

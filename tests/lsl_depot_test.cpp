@@ -373,6 +373,36 @@ TEST(DepotTest, ConcurrentRelaySessionsAllComplete) {
   EXPECT_EQ(h.depot(b).stats().bytes_delivered, 8 * mib(1));
 }
 
+TEST(DepotMemoryTest, UnlimitedPoolAcceptsEverything) {
+  // A depot has no depot-wide relay memory budget: each session gets its own
+  // user_buffer_bytes, so relays that pile up behind a slow downstream link
+  // are all admitted.
+  SimHarness h(71);
+  const auto a = h.add_host("a");
+  const auto d = h.add_host("d");
+  const auto b = h.add_host("b");
+  net::LinkConfig fast;
+  fast.rate = Bandwidth::mbps(400);
+  fast.propagation_delay = 2_ms;
+  net::LinkConfig slow = fast;
+  slow.rate = Bandwidth::mbps(20);  // downstream bottleneck keeps
+                                    // sessions alive long enough to pile up
+  h.add_link(a, d, fast);
+  h.add_link(d, b, slow);
+  h.deploy(depot_cfg(kib(256), mib(1)));
+  TransferSpec spec;
+  spec.dst = b;
+  spec.via = {d};
+  spec.payload_bytes = mib(2);
+  spec.tcp = tcp::TcpOptions{}.with_buffers(kib(256));
+  for (int i = 0; i < 6; ++i) {
+    h.launch(a, spec);
+  }
+  EXPECT_EQ(h.wait_all(600_s), 0u);
+  EXPECT_EQ(h.depot(d).stats().sessions_refused, 0u);
+  EXPECT_EQ(h.depot(d).stats().sessions_relayed, 6u);
+}
+
 class RelayLossIntegrityTest : public ::testing::TestWithParam<std::uint64_t> {
 };
 

@@ -284,39 +284,6 @@ TEST(ObsMetricsTest, JsonExportsTailQuantiles) {
   EXPECT_NE(json.find("\"p999\""), std::string::npos);
 }
 
-TEST(ObsMetricsTest, PromExportFormat) {
-  obs::Registry reg;
-  reg.counter("tcp.conn.retransmits").inc(3);
-  reg.gauge("lsl.depot.buffer_occupancy").set(4096.0);
-  reg.gauge("lsl.depot.buffer_occupancy").set(512.0);
-  obs::Histogram& h =
-      reg.histogram("tcp.conn.rtt_ms", obs::exponential_buckets(1.0, 2.0, 3));
-  h.observe(1.5);  // <= 2
-  h.observe(3.0);  // <= 4
-  h.observe(50.0);  // overflow
-  const std::string prom = reg.to_prom();
-
-  // Dotted names map to underscores, with TYPE lines per series.
-  EXPECT_NE(prom.find("# TYPE tcp_conn_retransmits counter\n"
-                      "tcp_conn_retransmits 3\n"),
-            std::string::npos)
-      << prom;
-  EXPECT_NE(prom.find("lsl_depot_buffer_occupancy 512\n"), std::string::npos);
-  // Gauges publish their high-water mark as a companion series.
-  EXPECT_NE(prom.find("lsl_depot_buffer_occupancy_high_water 4096\n"),
-            std::string::npos);
-  // Histogram buckets are cumulative with an +Inf terminal bucket.
-  EXPECT_NE(prom.find("# TYPE tcp_conn_rtt_ms histogram"), std::string::npos);
-  EXPECT_NE(prom.find("tcp_conn_rtt_ms_bucket{le=\"2\"} 1\n"),
-            std::string::npos);
-  EXPECT_NE(prom.find("tcp_conn_rtt_ms_bucket{le=\"4\"} 2\n"),
-            std::string::npos);
-  EXPECT_NE(prom.find("tcp_conn_rtt_ms_bucket{le=\"+Inf\"} 3\n"),
-            std::string::npos);
-  EXPECT_NE(prom.find("tcp_conn_rtt_ms_count 3\n"), std::string::npos);
-  EXPECT_NE(prom.find("tcp_conn_rtt_ms_sum 54.5\n"), std::string::npos);
-}
-
 TEST(ObsMetricsTest, RegistryResetKeepsRegistrations) {
   obs::Registry reg;
   reg.counter("a").inc(7);

@@ -6,24 +6,51 @@
 #include <atomic>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exp/parallel.hpp"
 #include "obs/metrics.hpp"
 #include "testbed/grid.hpp"
 #include "testbed/sweep.hpp"
-#include "util/thread_pool.hpp"
+#include "util/threads.hpp"
 
 namespace lsl {
 namespace {
 
-TEST(ThreadPoolTest, RunsJobOnEveryWorkerAndCaller) {
-  ThreadPool pool(3);
+TEST(RunOnThreadsTest, RunsJobOnEveryWorkerAndCaller) {
   std::vector<std::atomic<int>> hits(4);
-  pool.run_on_all([&](std::size_t worker) { hits[worker].fetch_add(1); });
+  std::thread::id caller_worker;
+  run_on_threads(4, [&](std::size_t worker) {
+    hits[worker].fetch_add(1);
+    if (worker == 3) {
+      caller_worker = std::this_thread::get_id();
+    }
+  });
+  // Returns only after every worker finished: all hits are visible here.
   for (std::size_t i = 0; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "worker " << i;
   }
+  EXPECT_EQ(caller_worker, std::this_thread::get_id());
+
+  for (const std::size_t jobs : {std::size_t{0}, std::size_t{1}}) {
+    std::vector<std::size_t> seen;
+    run_on_threads(jobs, [&](std::size_t worker) { seen.push_back(worker); });
+    EXPECT_EQ(seen, std::vector<std::size_t>{0}) << "jobs=" << jobs;
+  }
+}
+
+TEST(RunOnThreadsTest, RethrowsAWorkerException) {
+  std::atomic<int> calls{0};
+  EXPECT_THROW(run_on_threads(3,
+                              [&](std::size_t worker) {
+                                calls.fetch_add(1);
+                                if (worker == 1) {
+                                  throw std::runtime_error("worker 1");
+                                }
+                              }),
+               std::runtime_error);
+  EXPECT_EQ(calls.load(), 3);  // the other workers still ran and joined
 }
 
 TEST(ParallelTest, RunsEveryTrialExactlyOnce) {
@@ -32,7 +59,6 @@ TEST(ParallelTest, RunsEveryTrialExactlyOnce) {
     std::vector<std::atomic<int>> hits(100);
     exp::TrialOptions options;
     options.jobs = jobs;
-    options.scope_metrics = false;
     exp::for_each_trial(hits.size(), options, [&](std::size_t trial) {
       hits[trial].fetch_add(1);
     });
@@ -47,7 +73,6 @@ TEST(ParallelTest, MapTrialsReturnsResultsInTrialOrder) {
                                  std::size_t{8}}) {
     exp::TrialOptions options;
     options.jobs = jobs;
-    options.chunk = 3;  // force several claims per worker
     const auto results = exp::map_trials<std::size_t>(
         64, options, [](std::size_t trial) { return trial * trial; });
     ASSERT_EQ(results.size(), 64u);
@@ -63,7 +88,6 @@ TEST(ParallelTest, RethrowsLowestTrialIndexFailure) {
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
     exp::TrialOptions options;
     options.jobs = jobs;
-    options.chunk = 1;
     try {
       exp::for_each_trial(32, options, [](std::size_t trial) {
         throw std::runtime_error("trial " + std::to_string(trial));
@@ -173,6 +197,37 @@ TEST(ParallelSweepTest, SweepIsBitwiseIdenticalForAnyJobsValue) {
     const auto parallel = testbed::run_speedup_sweep(grid, config, 42);
     expect_identical(serial, parallel, jobs);
   }
+}
+
+TEST(ParallelSweepTest, FlowSweepMetricsAreIdenticalForAnyJobsValue) {
+  // Simulated sweeps build harnesses whose TCP and depot instruments write
+  // Registry::global(). Every trial must run under its own registry, merged
+  // into the caller's in trial order: writing the shared registry from
+  // several workers raced and lost counts.
+  testbed::PlanetLabConfig pool;
+  pool.sites = 14;
+  const auto grid = testbed::SyntheticGrid::planetlab(pool, 2004);
+  testbed::SweepConfig config;
+  config.max_size_exp = 1;
+  config.iterations = 2;
+  config.max_cases = 30;
+  config.monitor_epochs = 5;
+  config.fidelity = testbed::SweepFidelity::kFlow;
+
+  const auto sweep = [&](std::size_t jobs, obs::Registry& registry) {
+    const obs::ScopedRegistry scope(registry);
+    config.jobs = jobs;
+    return testbed::run_speedup_sweep(grid, config, 42);
+  };
+  obs::Registry serial_registry;
+  const auto serial = sweep(1, serial_registry);
+  ASSERT_GT(serial.scheduled_cases, 0u);
+  ASSERT_GT(serial_registry.counter("tcp.conn.opened").value(), 0u);
+
+  obs::Registry parallel_registry;
+  const auto parallel = sweep(2, parallel_registry);
+  expect_identical(serial, parallel, 2);
+  EXPECT_EQ(serial_registry.to_json(), parallel_registry.to_json());
 }
 
 }  // namespace

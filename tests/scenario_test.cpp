@@ -209,6 +209,65 @@ TEST(ScenarioParserTest, RejectsEmptyTopology) {
   EXPECT_FALSE(parse_scenario("host a\nhost b\n").ok());
 }
 
+// Scenario numbers come from outside the program. A value outside its
+// attribute's range is a parse error naming the attribute -- not a hang, an
+// abort mid-run or an undefined float-to-unsigned cast.
+constexpr const char* kPair = "host a\nhost b\nlink a b rate=10\n";
+
+/// Expects `line`, appended to kPair, to fail and name `attribute`.
+void expect_rejected(const std::string& line, const std::string& attribute) {
+  const auto result = parse_scenario(std::string(kPair) + line);
+  ASSERT_FALSE(result.ok()) << line;
+  EXPECT_NE(result.error.find("line 4"), std::string::npos) << result.error;
+  EXPECT_NE(result.error.find(attribute), std::string::npos) << result.error;
+}
+
+TEST(ScenarioRangeTest, RejectsNegativeDelaysAndTimes) {
+  expect_rejected("link a b delay=-5\n", "delay");
+  expect_rejected("fault link-down a b at=-1\n", "at");
+  expect_rejected("fault nws-blackout at=1 for=-2\n", "for");
+  expect_rejected("churn a start=-1\n", "start");
+  expect_rejected("recovery backoff=-250\n", "backoff");
+  expect_rejected("reroute dwell=-3\n", "dwell");
+  // Zero is a delay and a time like any other.
+  EXPECT_TRUE(parse_scenario(std::string(kPair) +
+                             "link a b delay=0\nfault link-down a b at=0\n")
+                  .ok());
+}
+
+TEST(ScenarioRangeTest, RejectsNonFiniteAndHugeNumbers) {
+  for (const std::string value : {"nan", "inf", "-inf", "NaN"}) {
+    expect_rejected("link a b rate=" + value + "\n", "rate=" + value);
+    expect_rejected("transfer a b size=" + value + "\n", "size=" + value);
+  }
+  // 1e300 MiB or ms would overflow the integer bytes or nanoseconds.
+  expect_rejected("transfer a b size=1e300\n", "size must be at most 1e9");
+  expect_rejected("link a b delay=1e300\n", "delay must be at most 1e9");
+}
+
+TEST(ScenarioRangeTest, RejectsNonPositiveSizesRatesAndCounts) {
+  expect_rejected("transfer a b size=-1\n", "size");
+  expect_rejected("pool size=-3\n", "size");
+  expect_rejected("link a b rate=0\n", "rate");
+  expect_rejected("link a b queue=-8\n", "queue");
+  expect_rejected("transfer a b size=1 buffers=0\n", "buffers");
+  expect_rejected("depot user=-1\n", "user");
+  expect_rejected("depot max_sessions=0\n", "max_sessions");
+  expect_rejected("pool cases=0\n", "cases");
+  expect_rejected("recovery retries=-1\n", "retries");
+}
+
+TEST(ScenarioRangeTest, RejectsProbabilitiesOutsideTheUnitInterval) {
+  expect_rejected("link a b loss=7\n", "loss");
+  expect_rejected("link a b loss=-0.1\n", "loss");
+  expect_rejected("fault brownout a b at=1 loss=1.5\n", "loss");
+  expect_rejected("recovery jitter=2\n", "jitter");
+  expect_rejected("reroute hysteresis=1.2\n", "hysteresis");
+  EXPECT_TRUE(
+      parse_scenario(std::string(kPair) + "link a b loss=0\nlink a b loss=1\n")
+          .ok());
+}
+
 TEST(ScenarioRunnerTest, RunsTransfersInOrder) {
   const auto parsed = parse_scenario(kValid);
   ASSERT_TRUE(parsed.ok());

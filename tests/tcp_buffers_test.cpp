@@ -186,7 +186,7 @@ TEST(RecvBufferTest, ReadPastContentReturnsOnlyRealPart) {
 }
 
 TEST(RttEstimatorTest, FirstSampleInitializes) {
-  RttEstimator est{TcpOptions{}};
+  RttEstimator est;
   EXPECT_FALSE(est.has_sample());
   est.add_sample(100_ms);
   EXPECT_TRUE(est.has_sample());
@@ -197,17 +197,17 @@ TEST(RttEstimatorTest, FirstSampleInitializes) {
 }
 
 TEST(RttEstimatorTest, SmoothingConverges) {
-  RttEstimator est{TcpOptions{}};
+  RttEstimator est;
   for (int i = 0; i < 100; ++i) {
     est.add_sample(80_ms);
   }
   EXPECT_NEAR(est.srtt().to_milliseconds(), 80.0, 1.0);
-  // With zero variance the RTO clamps to min_rto... srtt + small var.
-  EXPECT_GE(est.rto(), TcpOptions{}.min_rto);
+  // With zero variance the RTO clamps to kMinRto... srtt + small var.
+  EXPECT_GE(est.rto(), kMinRto);
 }
 
 TEST(RttEstimatorTest, BackoffDoubles) {
-  RttEstimator est{TcpOptions{}};
+  RttEstimator est;
   est.add_sample(100_ms);
   const SimTime before = est.rto();
   est.backoff();
@@ -217,16 +217,16 @@ TEST(RttEstimatorTest, BackoffDoubles) {
 }
 
 TEST(RttEstimatorTest, BackoffClampsAtMax) {
-  RttEstimator est{TcpOptions{}};
+  RttEstimator est;
   est.add_sample(1_s);
   for (int i = 0; i < 20; ++i) {
     est.backoff();
   }
-  EXPECT_EQ(est.rto(), TcpOptions{}.max_rto);
+  EXPECT_EQ(est.rto(), kMaxRto);
 }
 
 TEST(RttEstimatorTest, NewSampleResetsBackoff) {
-  RttEstimator est{TcpOptions{}};
+  RttEstimator est;
   est.add_sample(100_ms);
   est.backoff();
   est.backoff();

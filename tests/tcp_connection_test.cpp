@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "exp/packet_log.hpp"
 #include "fixtures.hpp"
 #include "net/link.hpp"
 #include "tcp/connection.hpp"
@@ -233,6 +234,38 @@ TEST(TcpConnectionTest, DeterministicAcrossRuns) {
   EXPECT_EQ(r1.elapsed, r2.elapsed);
   EXPECT_EQ(r1.sender_stats.retransmits, r2.sender_stats.retransmits);
   EXPECT_EQ(r1.sender_stats.segments_sent, r2.sender_stats.segments_sent);
+}
+
+TEST(TcpConnectionTest, SmallWritesShipAtOnce) {
+  // 20 writes of 100 bytes, 1 ms apart, over a 40 ms RTT: each write's
+  // runt is its last segment, so it leaves at once instead of waiting for
+  // the ACKs of the runts ahead of it.
+  TwoNodeNet net(wan(100, 20_ms));
+  exp::PacketLog log;
+  log.attach(net.topo->link(0), net.sim);
+  constexpr net::Port kPort = 5001;
+  std::uint64_t received = 0;
+  net.stack_b->listen(kPort, [&](Connection::Ptr conn) {
+    conn->on_readable = [&, c = conn.get()] {
+      received += c->read(c->readable_bytes()).n;
+    };
+  });
+  auto client = net.stack_a->connect(net.b, kPort);
+  client->on_connected = [&, c = client.get()] {
+    for (int i = 0; i < 20; ++i) {
+      net.sim.schedule_after(SimTime::milliseconds(i),
+                             [c] { c->write_synthetic(100); });
+    }
+  };
+  net.sim.run(10_s);
+  std::size_t data_segments = 0;
+  for (const auto& entry : log.entries()) {
+    if (entry.payload > 0) {
+      ++data_segments;
+    }
+  }
+  EXPECT_GE(data_segments, 18u);
+  EXPECT_EQ(received, 20u * 100u);
 }
 
 TEST(TcpConnectionTest, TwoSimultaneousFlowsShareLink) {

@@ -83,12 +83,12 @@ TEST(DelayedAckTest, IdleTimeoutFlushesTheAck) {
 
 TEST(SynRetryTest, ConnectToDeadPortEventuallyGivesUp) {
   TwoNodeNet net(lan());
-  auto opts = TcpOptions{};
-  opts.max_syn_retries = 3;
   bool closed = false;
-  auto c = net.stack_a->connect(net.b, 9999, opts);  // nobody listens
+  auto c = net.stack_a->connect(net.b, 9999);  // nobody listens
   c->on_closed = [&] { closed = true; };
-  net.sim.run(120_s);
+  // kMaxSynRetries (6) backed-off RTOs of 1, 2, ..., 32 s, then a last one
+  // clamped to kMaxRto: the attempt dies at 123 s.
+  net.sim.run(200_s);
   EXPECT_TRUE(closed);
   EXPECT_EQ(c->state(), TcpState::kDead);
   EXPECT_EQ(net.stack_a->open_connections(), 0u);
@@ -96,12 +96,11 @@ TEST(SynRetryTest, ConnectToDeadPortEventuallyGivesUp) {
 
 TEST(SynRetryTest, RetryCountIsRespected) {
   TwoNodeNet net(lan());
-  auto opts = TcpOptions{};
-  opts.max_syn_retries = 2;
-  auto c = net.stack_a->connect(net.b, 9999, opts);
+  auto c = net.stack_a->connect(net.b, 9999);
   net.sim.run(600_s);
-  // SYN + 2 retries, then death: timeouts == retries + the final one.
-  EXPECT_LE(c->stats().retransmits, 2u);
+  // SYN + kMaxSynRetries retries, then death.
+  EXPECT_LE(c->stats().retransmits,
+            static_cast<std::uint64_t>(kMaxSynRetries));
   EXPECT_EQ(c->state(), TcpState::kDead);
 }
 
@@ -111,7 +110,7 @@ TEST(SynRetryTest, SlowHandshakeStillSucceedsWithinBudget) {
   TwoNodeNet net(link, /*seed=*/99);
   bool connected = false;
   net.stack_b->listen(80, [](Connection::Ptr) {});
-  auto c = net.stack_a->connect(net.b, 80);  // default 6 retries
+  auto c = net.stack_a->connect(net.b, 80);  // kMaxSynRetries (6) retries
   c->on_connected = [&] { connected = true; };
   net.sim.run(120_s);
   EXPECT_TRUE(connected);

@@ -60,13 +60,13 @@ TEST(TcpStackTest, SynRetriesAreCappedAndSurfaceConnectTimeout) {
   c->on_error = [&](ConnectionError e) { seen = e; };
   c->on_closed = [&] { closed = true; };
   net.sim.run(600_s);
-  // After max_syn_retries doublings the attempt gives up for good and the
+  // After kMaxSynRetries doublings the attempt gives up for good and the
   // failure surfaces to the application instead of retrying forever.
   EXPECT_EQ(c->state(), TcpState::kDead);
   EXPECT_TRUE(closed);
   EXPECT_EQ(seen, ConnectionError::kConnectTimeout);
   EXPECT_EQ(c->last_error(), ConnectionError::kConnectTimeout);
-  EXPECT_LE(c->stats().timeouts, 1u + c->options().max_syn_retries);
+  EXPECT_LE(c->stats().timeouts, 1u + kMaxSynRetries);
   EXPECT_EQ(net.stack_a->open_connections(), 0u);
 }
 

@@ -51,7 +51,7 @@ void usage() {
                "usage: lslsim <scenario-file> [--seed N] [--sweep] [--jobs N]\n"
                "              [--fidelity=packet|flow]\n"
                "              [--cca=reno|newreno|cubic|bbr]\n"
-               "              [--metrics=<path>] [--metrics-format=json|prom]\n"
+               "              [--metrics=<path>]\n"
                "              [--trace=<path>] [--profile]\n"
                "              [--explain[=SESSION]]\n"
                "       lslsim --pool-size N [--seed N] [--jobs N]\n"
@@ -75,9 +75,7 @@ void usage() {
                "  --cca selects the congestion-control algorithm for every\n"
                "  transfer and depot relay, overriding the scenario's own\n"
                "  `cca` directive. Default: newreno.\n"
-               "  --metrics=<path> writes a snapshot of every metric;\n"
-               "  --metrics-format=prom selects the Prometheus text format\n"
-               "  instead of JSON.\n"
+               "  --metrics=<path> writes a JSON snapshot of every metric.\n"
                "  --trace=<path> writes every causal span event as Chrome\n"
                "  trace-event JSON (load it in Perfetto or\n"
                "  chrome://tracing).\n"
@@ -198,7 +196,6 @@ int main(int argc, char** argv) {
   const char* fidelity_arg = nullptr;
   const char* cca_arg = nullptr;
   const char* metrics_path = nullptr;
-  bool metrics_prom = false;
   const char* trace_path = nullptr;
   bool explain = false;
   std::uint64_t explain_session = 0;
@@ -240,14 +237,6 @@ int main(int argc, char** argv) {
       profile = true;
     } else if (std::strncmp(argv[i], "--metrics=", 10) == 0) {
       metrics_path = argv[i] + 10;
-    } else if (std::strncmp(argv[i], "--metrics-format=", 17) == 0) {
-      const char* format = argv[i] + 17;
-      if (std::strcmp(format, "prom") == 0) {
-        metrics_prom = true;
-      } else if (std::strcmp(format, "json") != 0) {
-        std::fprintf(stderr, "lslsim: unknown metrics format '%s'\n", format);
-        return 2;
-      }
     } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
       trace_path = argv[i] + 8;
     } else if (std::strcmp(argv[i], "--explain") == 0) {
@@ -447,17 +436,7 @@ int main(int argc, char** argv) {
     }
     if (metrics_path != nullptr) {
       total_profile.export_metrics(lsl::obs::Registry::global());
-      bool wrote = false;
-      if (metrics_prom) {
-        std::ofstream out(metrics_path);
-        if (out) {
-          out << lsl::obs::Registry::global().to_prom();
-          wrote = out.good();
-        }
-      } else {
-        wrote = lsl::obs::Registry::global().write_json(metrics_path);
-      }
-      if (!wrote) {
+      if (!lsl::obs::Registry::global().write_json(metrics_path)) {
         std::fprintf(stderr, "lslsim: cannot write %s\n", metrics_path);
         ok = false;
       }
