@@ -45,8 +45,7 @@ int main() {
                        static_cast<double>(kMiB));
       }
     }
-    const std::uint64_t pipeline =
-        2 * scenario.depot_kernel_buffer + user_buf;
+    const std::uint64_t pipeline = 2 * testbed::kDepotKernelBuffer + user_buf;
     table.add_row({format_bytes(user_buf), format_bytes(pipeline),
                    Table::num(sub1_at_3s.mean(), 1),
                    Table::num(bw.mean(), 1)});

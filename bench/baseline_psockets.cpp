@@ -37,7 +37,7 @@ int main() {
       const auto r = exp::run_parallel_transfer(
           bed.harness().simulator(), bed.harness().stack(bed.src()),
           bed.harness().stack(bed.dst()), bytes, streams,
-          tcp::TcpOptions{}.with_buffers(scenario.endpoint_buffer));
+          tcp::TcpOptions{}.with_buffers(testbed::kEndpointBuffer));
       if (r.completed) {
         bw.add(r.goodput.megabits_per_second());
       }

@@ -9,34 +9,43 @@
 // global metrics registry named <artifact>.metrics.json (in the working
 // directory, or under LSL_BENCH_METRICS_DIR; LSL_BENCH_METRICS=off skips
 // it). See docs/observability.md.
-// Perf-trajectory output: --json <file> (or LSL_BENCH_JSON=<file>) makes a
-// bench write machine-readable {bench, metric, value} records through
-// JsonRecords, so successive PRs can diff results/BENCH_*.json. Wall-clock
-// metrics are named *_wall_seconds / *_per_second so determinism checks can
-// filter them out. --jobs N (or LSL_BENCH_JOBS=N) sets the trial-engine
-// parallelism for benches that sweep.
+// Perf-trajectory output: --json <file> makes a bench write
+// machine-readable {bench, metric, value} records through JsonRecords, so
+// successive PRs can diff results/BENCH_*.json. Wall-clock metrics are
+// named *_wall_seconds / *_per_second so determinism checks can filter them
+// out. --jobs N sets the trial-engine parallelism for benches that sweep.
 #pragma once
 
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "util/log.hpp"
+#include "util/parse.hpp"
 
 namespace lsl::bench {
 
+/// Exits 2 naming the setting `name` and its rejected `value`, rather than
+/// run the bench at some other setting.
+[[noreturn]] inline void reject_value(const char* name, const char* value) {
+  std::fprintf(stderr, "bench: bad value for %s: '%s'\n", name, value);
+  std::exit(2);
+}
+
+/// LSL_BENCH_SCALE, a positive factor on iteration counts (default 1).
 inline double scale_factor() {
-  if (const char* v = std::getenv("LSL_BENCH_SCALE")) {
-    const double s = std::atof(v);
-    if (s > 0.0) {
-      return s;
-    }
+  const char* v = std::getenv("LSL_BENCH_SCALE");
+  const std::optional<double> s =
+      v == nullptr ? std::optional<double>(1.0) : parse_number<double>(v);
+  if (!s.has_value() || *s <= 0.0) {
+    reject_value("LSL_BENCH_SCALE", v);
   }
-  return 1.0;
+  return *s;
 }
 
 inline std::size_t scaled(std::size_t n, std::size_t min_value = 1) {
@@ -47,55 +56,53 @@ inline std::size_t scaled(std::size_t n, std::size_t min_value = 1) {
 
 /// Command-line options shared by the figure/ablation binaries.
 struct BenchOptions {
-  /// Trial-engine workers (--jobs N / LSL_BENCH_JOBS). Default 1: a bench
-  /// must opt into parallelism explicitly so published figures stay
-  /// attributable to a known configuration. 0 = hardware concurrency.
+  /// Trial-engine workers (--jobs N). Default 1: a bench must opt into
+  /// parallelism explicitly so published figures stay attributable to a
+  /// known configuration. 0 = hardware concurrency.
   std::size_t jobs = 1;
   /// When non-empty, write {bench, metric, value} records here at the
-  /// bench's discretion (--json <file> / LSL_BENCH_JSON).
+  /// bench's discretion (--json <file>).
   std::string json_path;
-  /// Measurement fidelity for benches that sweep (--fidelity=... /
-  /// LSL_BENCH_FIDELITY): "analytic" (default), "flow", or "packet". The
-  /// sweep benches map this onto testbed::SweepFidelity; other benches
-  /// ignore it. See docs/flow_fidelity.md.
+  /// Measurement fidelity for benches that sweep (--fidelity=...):
+  /// "analytic" (default), "flow", or "packet". The sweep benches map this
+  /// onto testbed::SweepFidelity; other benches ignore it. See
+  /// docs/flow_fidelity.md.
   std::string fidelity = "analytic";
 };
 
+/// Reads --jobs, --json and --fidelity, each as "--name value" or
+/// "--name=value". Other arguments pass through: micro benches forward them
+/// to google-benchmark, and some benches parse their own.
 inline BenchOptions parse_options(int argc, char** argv) {
   BenchOptions opts;
-  if (const char* v = std::getenv("LSL_BENCH_JOBS")) {
-    opts.jobs = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-  }
-  if (const char* v = std::getenv("LSL_BENCH_JSON")) {
-    opts.json_path = v;
-  }
-  if (const char* v = std::getenv("LSL_BENCH_FIDELITY")) {
-    opts.fidelity = v;
-  }
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      opts.jobs = static_cast<std::size_t>(
-          std::strtoull(argv[++i], nullptr, 10));
-    } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      opts.jobs = static_cast<std::size_t>(
-          std::strtoull(argv[i] + 7, nullptr, 10));
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      opts.json_path = argv[++i];
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      opts.json_path = argv[i] + 7;
-    } else if (std::strcmp(argv[i], "--fidelity") == 0 && i + 1 < argc) {
-      opts.fidelity = argv[++i];
-    } else if (std::strncmp(argv[i], "--fidelity=", 11) == 0) {
-      opts.fidelity = argv[i] + 11;
+  // The value of option `name` at argv[i] (advancing i past a separate
+  // value), or nullptr when argv[i] is not that option.
+  const auto value_of = [&](int& i, const char* name) -> const char* {
+    const std::size_t n = std::strlen(name);
+    if (std::strncmp(argv[i], name, n) != 0) {
+      return nullptr;
     }
-  }
-  if (opts.fidelity != "analytic" && opts.fidelity != "flow" &&
-      opts.fidelity != "packet") {
-    std::fprintf(stderr,
-                 "bench: unknown fidelity '%s' (analytic|flow|packet), "
-                 "using analytic\n",
-                 opts.fidelity.c_str());
-    opts.fidelity = "analytic";
+    if (argv[i][n] == '=') {
+      return argv[i] + n + 1;
+    }
+    return argv[i][n] == '\0' && i + 1 < argc ? argv[++i] : nullptr;
+  };
+  for (int i = 1; i < argc; ++i) {
+    if (const char* v = value_of(i, "--jobs")) {
+      const std::optional<std::size_t> jobs = parse_number<std::size_t>(v);
+      if (!jobs.has_value()) {
+        reject_value("--jobs", v);
+      }
+      opts.jobs = *jobs;
+    } else if (const char* v = value_of(i, "--json")) {
+      opts.json_path = v;
+    } else if (const char* v = value_of(i, "--fidelity")) {
+      opts.fidelity = v;
+      if (opts.fidelity != "analytic" && opts.fidelity != "flow" &&
+          opts.fidelity != "packet") {
+        reject_value("--fidelity", v);
+      }
+    }
   }
   return opts;
 }

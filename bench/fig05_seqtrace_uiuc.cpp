@@ -18,9 +18,9 @@ int main() {
       "mark, then its slope collapses to match sublink 2 (the bottleneck).");
   const auto scenario = lsl::testbed::ucsb_uiuc_via_denver();
   std::printf("Depot pipeline: 2 x %s kernel + %s user = %s total\n\n",
-              lsl::format_bytes(scenario.depot_kernel_buffer).c_str(),
+              lsl::format_bytes(lsl::testbed::kDepotKernelBuffer).c_str(),
               lsl::format_bytes(scenario.depot_user_buffer).c_str(),
-              lsl::format_bytes(2 * scenario.depot_kernel_buffer +
+              lsl::format_bytes(2 * lsl::testbed::kDepotKernelBuffer +
                                 scenario.depot_user_buffer).c_str());
   lsl::bench::run_seqtrace_figure(scenario, lsl::mib(64),
                                   lsl::bench::scaled(10, 3), 40_s, 250_ms);

@@ -21,8 +21,7 @@ int main(int argc, char** argv) {
       "Paper claim: large gains when depots sit in the network core with "
       "big buffers; maximum speedups were 10.15 (16MB) and 6.38 (128MB).");
 
-  const auto grid =
-      testbed::SyntheticGrid::abilene_core(testbed::AbileneCoreConfig{}, 77);
+  const auto grid = testbed::SyntheticGrid::abilene_core(77);
 
   // Endpoints: universities only; the scheduler is free to choose any host
   // as a relay and should discover the core depots on its own.

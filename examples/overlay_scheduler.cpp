@@ -8,6 +8,7 @@
 //
 //   $ ./overlay_scheduler
 #include <cstdio>
+#include <vector>
 
 #include "flow/path_model.hpp"
 #include "nws/monitor.hpp"
@@ -67,10 +68,14 @@ int main() {
     const auto decision = scheduler.route(0, example_dst);
     Rng trial(1234);
     const std::uint64_t size = mib(16);
-    const auto direct_params =
-        grid.direct_params(0, example_dst, size, trial);
-    const auto direct_time = flow::transfer_time(direct_params, size);
-    const auto hops = grid.relay_params(decision.path, size, trial);
+    const auto direct = grid.realize_direct(0, example_dst, size, trial);
+    const auto direct_time =
+        flow::transfer_time(direct.connection_params(), size);
+    std::vector<flow::ConnectionParams> hops;
+    for (const auto& hop :
+         grid.realize_relay_hops(decision.path, size, trial)) {
+      hops.push_back(hop.connection_params());
+    }
     const auto relay_time =
         flow::relay_transfer_time({hops, 32 * kMiB}, size);
     std::printf("\n16MB to %s: direct %s, scheduled %s (%.2fx)\n",

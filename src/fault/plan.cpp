@@ -107,13 +107,10 @@ FaultPlan random_plan(const RandomPlanSpec& spec, Rng& rng) {
     }
     fault.at = SimTime::from_seconds(
         rng.uniform(0.0, spec.horizon.to_seconds()));
-    const SimTime span = spec.max_duration - spec.min_duration;
+    constexpr SimTime kSpan = kMaxFaultDuration - kMinFaultDuration;
     fault.duration =
-        spec.min_duration +
-        SimTime::from_seconds(rng.uniform(0.0, span.to_seconds()));
-    if (fault.duration <= SimTime::zero()) {
-      fault.duration = SimTime::milliseconds(1);  // never permanent
-    }
+        kMinFaultDuration +
+        SimTime::from_seconds(rng.uniform(0.0, kSpan.to_seconds()));
     plan.add(fault);
   }
   return plan;

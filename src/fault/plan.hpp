@@ -86,6 +86,12 @@ struct PerturbSpec {
 [[nodiscard]] std::vector<FaultPlan> perturbations(const FaultPlan& plan,
                                                    const PerturbSpec& spec);
 
+/// Every random fault lasts between these two. Never permanent: a stranded
+/// fault would leave depot relays holding buffer grants forever.
+inline constexpr SimTime kMinFaultDuration = SimTime::milliseconds(50);
+inline constexpr SimTime kMaxFaultDuration = SimTime::seconds(4);
+static_assert(kMinFaultDuration > SimTime::zero());
+
 /// Candidate space for seeded random fault plans (the fault fuzzer).
 struct RandomPlanSpec {
   std::vector<net::NodeId> depots;  ///< depot-crash candidates
@@ -93,8 +99,6 @@ struct RandomPlanSpec {
   int min_faults = 1;
   int max_faults = 4;
   SimTime horizon = SimTime::seconds(20);  ///< fault times drawn in [0, horizon)
-  SimTime min_duration = SimTime::milliseconds(50);
-  SimTime max_duration = SimTime::seconds(4);
 };
 
 /// Draw a random fault plan from `spec` using `rng`; identical (spec, rng

@@ -112,38 +112,18 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
   }
 
   void ingest_header() {
-    // Read conservatively until the full header is buffered; any payload
-    // that rides along in the same segment stays queued in the socket for
-    // the relay pump.
-    while (phase_ == Phase::kReadingHeader) {
-      std::size_t want = kHeaderPreambleBytes;
-      if (hdr_buf_.size() >= kHeaderPreambleBytes) {
-        const auto total = peek_header_length(hdr_buf_);
-        if (!total.has_value()) {
-          fail();
-          return;
-        }
-        want = *total;
-      }
-      if (hdr_buf_.size() < want) {
-        auto r = up_->read(want - hdr_buf_.size());
-        if (r.n == 0) {
-          return;  // wait for more bytes
-        }
-        LSL_ASSERT_MSG(r.real_bytes.size() == r.n,
-                       "session header bytes must be real content");
-        hdr_buf_.insert(hdr_buf_.end(), r.real_bytes.begin(),
-                        r.real_bytes.end());
-        continue;
-      }
-      const auto parsed = decode(hdr_buf_);
-      if (!parsed.has_value()) {
+    // Any payload that rides along in the same segment stays queued in the
+    // socket for the relay pump.
+    const auto read = [this](std::uint64_t max) { return up_->read(max); };
+    switch (read_header(read, hdr_buf_, hdr_)) {
+      case HeaderRead::kNeedMore:
+        return;
+      case HeaderRead::kHeader:
+        begin_role();
+        return;
+      case HeaderRead::kMalformed:
         fail();
         return;
-      }
-      hdr_ = *parsed;
-      begin_role();
-      return;
     }
   }
 

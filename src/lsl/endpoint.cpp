@@ -22,7 +22,6 @@ LslSource::Ptr LslSource::start(tcp::TcpStack& stack, const TransferSpec& spec,
 
   auto source = Ptr(new LslSource());
   source->id_ = spec.session_id.value_or(SessionId::random(rng));
-  source->started_at_ = stack.simulator().now();
 
   SessionHeader base_header;
   base_header.session_id = source->id_;
@@ -147,33 +146,21 @@ AsyncFetcher::Ptr AsyncFetcher::start(tcp::TcpStack& stack, net::NodeId depot,
 }
 
 void AsyncFetcher::on_readable() {
-  while (true) {
-    if (!header_.has_value()) {
-      std::size_t want = kHeaderPreambleBytes;
-      if (hdr_buf_.size() >= kHeaderPreambleBytes) {
-        const auto total = peek_header_length(hdr_buf_);
-        if (!total.has_value()) {
-          conn_->abort();
-          return;
-        }
-        want = *total;
-      }
-      if (hdr_buf_.size() < want) {
-        auto r = conn_->read(want - hdr_buf_.size());
-        if (r.n == 0) {
-          return;
-        }
-        hdr_buf_.insert(hdr_buf_.end(), r.real_bytes.begin(),
-                        r.real_bytes.end());
-        continue;
-      }
-      header_ = decode(hdr_buf_);
-      if (!header_.has_value()) {
+  if (!header_.has_value()) {
+    SessionHeader header;
+    const auto read = [this](std::uint64_t max) { return conn_->read(max); };
+    switch (read_header(read, hdr_buf_, header)) {
+      case HeaderRead::kNeedMore:
+        return;
+      case HeaderRead::kHeader:
+        header_ = std::move(header);
+        break;
+      case HeaderRead::kMalformed:
         conn_->abort();
         return;
-      }
-      continue;
     }
+  }
+  while (true) {
     if (conn_->readable_bytes() == 0) {
       return;
     }

@@ -54,12 +54,10 @@ class LslSource : public std::enable_shared_from_this<LslSource> {
   static Ptr start(tcp::TcpStack& stack, const TransferSpec& spec, Rng& rng);
 
   [[nodiscard]] const SessionId& session_id() const { return id_; }
-  [[nodiscard]] SimTime started_at() const { return started_at_; }
   /// The underlying first-hop TCP connection of stripe 0 (tracing hooks).
   [[nodiscard]] tcp::Connection* connection() {
     return stripes_.empty() ? nullptr : stripes_.front().conn.get();
   }
-  [[nodiscard]] std::size_t stripe_count() const { return stripes_.size(); }
 
  private:
   LslSource() = default;
@@ -73,7 +71,6 @@ class LslSource : public std::enable_shared_from_this<LslSource> {
   void pump(std::size_t stripe_index);
 
   SessionId id_;
-  SimTime started_at_;
   std::vector<Stripe> stripes_;
   std::size_t stripes_finished_ = 0;
 };

@@ -25,10 +25,12 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "lsl/session_id.hpp"
 #include "net/packet.hpp"
+#include "util/assert.hpp"
 
 namespace lsl::session {
 
@@ -121,5 +123,47 @@ struct SessionHeader {
 /// Parse a complete header; nullopt on malformed input.
 [[nodiscard]] std::optional<SessionHeader> decode(
     std::span<const std::byte> bytes);
+
+enum class HeaderRead {
+  kNeedMore,   ///< the stream holds no more bytes yet; call again later
+  kHeader,     ///< a whole header was read and decoded
+  kMalformed,  ///< bad magic, length or body
+};
+
+/// Reads one session header off the front of a byte stream. `read(max)`
+/// consumes up to `max` bytes and returns {n, real_bytes}, as
+/// tcp::Connection::read does. The preamble is read first, then exactly the
+/// rest of the header, so payload behind it stays unread. Bytes accumulate
+/// in `buf` across calls; on kHeader, `out` holds the decoded header.
+template <typename ReadFn>
+[[nodiscard]] HeaderRead read_header(ReadFn&& read, std::vector<std::byte>& buf,
+                                     SessionHeader& out) {
+  while (true) {
+    std::size_t want = kHeaderPreambleBytes;
+    if (buf.size() >= kHeaderPreambleBytes) {
+      const auto total = peek_header_length(buf);
+      if (!total.has_value()) {
+        return HeaderRead::kMalformed;
+      }
+      want = *total;
+    }
+    if (buf.size() >= want) {
+      break;
+    }
+    auto r = read(want - buf.size());
+    if (r.n == 0) {
+      return HeaderRead::kNeedMore;
+    }
+    LSL_ASSERT_MSG(r.real_bytes.size() == r.n,
+                   "session header bytes must be real content");
+    buf.insert(buf.end(), r.real_bytes.begin(), r.real_bytes.end());
+  }
+  auto parsed = decode(buf);
+  if (!parsed.has_value()) {
+    return HeaderRead::kMalformed;
+  }
+  out = std::move(*parsed);
+  return HeaderRead::kHeader;
+}
 
 }  // namespace lsl::session

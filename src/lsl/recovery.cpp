@@ -327,26 +327,14 @@ void ReliableTransfer::probe_read() {
   if (probe_conn_ == nullptr || probe_header_.has_value()) {
     return;
   }
-  while (!probe_header_.has_value()) {
-    std::size_t want = kHeaderPreambleBytes;
-    if (probe_buf_.size() >= kHeaderPreambleBytes) {
-      const auto total = peek_header_length(probe_buf_);
-      if (!total.has_value()) {
-        return;  // malformed; the eof/closed path reports no offset
-      }
-      want = *total;
-    }
-    if (probe_buf_.size() < want) {
-      auto r = probe_conn_->read(want - probe_buf_.size());
-      if (r.n == 0) {
-        return;
-      }
-      probe_buf_.insert(probe_buf_.end(), r.real_bytes.begin(),
-                        r.real_bytes.end());
-      continue;
-    }
-    probe_header_ = decode(probe_buf_);
-    return;
+  SessionHeader header;
+  const auto read = [this](std::uint64_t max) {
+    return probe_conn_->read(max);
+  };
+  // A malformed reply leaves probe_header_ empty, so the eof/closed path
+  // reports no offset.
+  if (read_header(read, probe_buf_, header) == HeaderRead::kHeader) {
+    probe_header_ = std::move(header);
   }
 }
 

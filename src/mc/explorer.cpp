@@ -13,6 +13,9 @@ namespace {
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
+/// Alternatives tried per choice point.
+constexpr std::size_t kMaxBranches = 4;
+
 /// Two events commute iff both carry a nonzero actor and the actors differ;
 /// actor 0 ("unknown") is conservatively dependent on everything.
 bool independent(const sim::ReadyEvent& a, const sim::ReadyEvent& b) {
@@ -263,7 +266,7 @@ const ExploreStats& Explorer::explore() {
   std::vector<std::vector<std::size_t>> frontier;
   frontier.push_back({});
   while (!frontier.empty() && stats_.runs < options_.max_runs &&
-         counterexamples_.size() < options_.max_violations) {
+         counterexamples_.empty()) {
     const std::vector<std::size_t> prefix = std::move(frontier.back());
     frontier.pop_back();
     RunRecord record = execute(prefix);
@@ -284,7 +287,7 @@ const ExploreStats& Explorer::explore() {
         continue;
       }
       const std::size_t tried =
-          std::min(point.candidates.size(), options_.max_branches);
+          std::min(point.candidates.size(), kMaxBranches);
       stats_.branches_pruned_budget += point.candidates.size() - tried;
       for (std::size_t j = tried; j-- > 1;) {
         std::vector<std::size_t> child;

@@ -12,8 +12,9 @@
 // set; a run that later fires a sleeping event without first firing one
 // *dependent* on it is a reordering of commutative (independent-actor)
 // events the search has already covered, and is marked redundant -- counted
-// but never branched from. Budgets (max runs / depth / branches per point)
-// bound the search for CI; exhausting them trades completeness for time.
+// but never branched from. Budgets (max runs / depth, and at most four
+// branches per point) bound the search for CI; exhausting them trades
+// completeness for time. The search stops at its first counterexample.
 //
 // Every run executes under the mc::Invariants observer; a violating run is
 // minimized greedily (non-default picks reset to 0 where the violation
@@ -36,12 +37,10 @@ namespace lsl::mc {
 struct ExplorerOptions {
   std::uint64_t max_runs = 64;    ///< total scenario executions
   std::size_t max_depth = 32;     ///< choice points branched per run
-  std::size_t max_branches = 4;   ///< alternatives tried per choice point
   /// Ready-window slack: 0 explores only exact timestamp ties; > 0 also
   /// reorders events this close together (models timing perturbations).
   SimTime slack = SimTime::zero();
   bool sleep_sets = true;         ///< prune commutative reorderings
-  std::size_t max_violations = 1; ///< stop after this many counterexamples
   std::uint64_t minimize_budget = 32;  ///< extra runs spent shrinking a trace
 };
 
@@ -115,7 +114,8 @@ class Explorer {
  public:
   explicit Explorer(ScenarioFn scenario, ExplorerOptions options = {});
 
-  /// DFS over the choice tree until budgets or max_violations hit.
+  /// DFS over the choice tree until a budget runs out or a counterexample
+  /// is found.
   const ExploreStats& explore();
 
   /// Execute the scenario once with a fixed pick vector (indexes into each

@@ -21,6 +21,10 @@ std::map<std::string, net::NodeId> host_ids(const exp::Scenario& scenario) {
   return ids;
 }
 
+/// Each transfer of a checked run must finish within this much simulated
+/// time.
+constexpr SimTime kTransferDeadline = SimTime::seconds(3600);
+
 std::string seconds_str(double s) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%+.6gs", s);
@@ -100,8 +104,7 @@ std::string FuzzResult::str() const {
 }
 
 FuzzResult fuzz_fault_schedules(const exp::Scenario& scenario,
-                                std::uint64_t base_seed, std::uint64_t runs,
-                                const FuzzOptions& options) {
+                                std::uint64_t base_seed, std::uint64_t runs) {
   const auto ids = host_ids(scenario);
   fault::RandomPlanSpec space;
   // Depot-crash candidates: every host a transfer routes via. Link faults
@@ -118,9 +121,6 @@ FuzzResult fuzz_fault_schedules(const exp::Scenario& scenario,
   for (const exp::ScenarioLink& link : scenario.links) {
     space.links.emplace_back(ids.at(link.a), ids.at(link.b));
   }
-  space.min_faults = options.min_faults;
-  space.max_faults = options.max_faults;
-  space.horizon = options.horizon;
 
   FuzzResult out;
   for (std::uint64_t i = 0; i < runs; ++i) {
@@ -131,14 +131,14 @@ FuzzResult fuzz_fault_schedules(const exp::Scenario& scenario,
     const fault::FaultPlan plan = fault::random_plan(space, rng);
     exp::Scenario variant =
         with_fault_plan(scenario, plan, /*clear_churns=*/true);
-    if (options.ensure_recovery && !variant.recovery.has_value()) {
+    if (!variant.recovery.has_value()) {
       variant.recovery = session::RecoveryConfig{};
     }
     Invariants inv;
     {
       ScopedObserver observe(&inv);
-      const auto outcomes = exp::run_scenario(
-          variant, seed, options.per_transfer_deadline);
+      const auto outcomes =
+          exp::run_scenario(variant, seed, kTransferDeadline);
       for (const exp::ScenarioOutcome& o : outcomes) {
         inv.note_outcome(o.outcome.session_hash, o.transfer.bytes,
                          o.outcome.completed, o.outcome.failed);
@@ -156,11 +156,10 @@ FuzzResult fuzz_fault_schedules(const exp::Scenario& scenario,
   return out;
 }
 
-ScenarioFn scenario_fn(const exp::Scenario& scenario, std::uint64_t seed,
-                       SimTime per_transfer_deadline) {
-  return [&scenario, seed, per_transfer_deadline](RunContext& ctx) {
+ScenarioFn scenario_fn(const exp::Scenario& scenario, std::uint64_t seed) {
+  return [&scenario, seed](RunContext& ctx) {
     const auto outcomes = exp::run_scenario(
-        scenario, seed, per_transfer_deadline, nullptr, nullptr,
+        scenario, seed, kTransferDeadline, nullptr, nullptr,
         [&ctx](exp::SimHarness& h) { ctx.attach(h.simulator()); });
     for (const exp::ScenarioOutcome& o : outcomes) {
       ctx.invariants().note_outcome(o.outcome.session_hash, o.transfer.bytes,
@@ -223,16 +222,11 @@ VerifyResult verify_scenario(const exp::Scenario& scenario, std::uint64_t seed,
 
   const std::uint64_t per_variant = std::max<std::uint64_t>(
       options.explorer.max_runs / variants.size(), 4);
-  for (std::size_t v = 0; v < variants.size(); ++v) {
-    if (out.counterexamples.size() >= options.explorer.max_violations) {
-      break;
-    }
+  for (std::size_t v = 0; v < variants.size() && out.counterexamples.empty();
+       ++v) {
     ExplorerOptions opts = options.explorer;
     opts.max_runs = per_variant;
-    opts.max_violations =
-        options.explorer.max_violations - out.counterexamples.size();
-    Explorer explorer(
-        scenario_fn(variants[v], seed, options.per_transfer_deadline), opts);
+    Explorer explorer(scenario_fn(variants[v], seed), opts);
     explorer.explore();
     merge_stats(out.stats, explorer.stats());
     for (const Counterexample& ce : explorer.counterexamples()) {

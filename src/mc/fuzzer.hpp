@@ -17,18 +17,6 @@ namespace lsl::mc {
 
 // ---- fault-schedule fuzzer --------------------------------------------------
 
-struct FuzzOptions {
-  /// Random-plan shape (candidate depots/links always come from the
-  /// scenario itself; see fault::RandomPlanSpec for the rest).
-  int min_faults = 1;
-  int max_faults = 4;
-  SimTime horizon = SimTime::seconds(20);
-  /// Give scenarios without a `recovery` directive a default recovery loop
-  /// so injected faults exercise resume instead of failing terminally.
-  bool ensure_recovery = true;
-  SimTime per_transfer_deadline = SimTime::seconds(3600);
-};
-
 struct FuzzResult {
   std::uint64_t runs = 0;
   std::vector<std::uint64_t> bad_seeds;
@@ -42,11 +30,14 @@ struct FuzzResult {
 
 /// Replace `scenario`'s declared faults/churns with a random plan drawn from
 /// seed base_seed + i for each of `runs` iterations, run it, and check every
-/// mc::Invariants observation plus per-transfer outcomes.
+/// mc::Invariants observation plus per-transfer outcomes. Plans take their
+/// candidate depots and links from the scenario and the rest of their shape
+/// from fault::RandomPlanSpec's defaults. A scenario without a `recovery`
+/// directive gets a default recovery loop, so injected faults exercise
+/// resume instead of failing terminally.
 [[nodiscard]] FuzzResult fuzz_fault_schedules(const exp::Scenario& scenario,
                                               std::uint64_t base_seed,
-                                              std::uint64_t runs,
-                                              const FuzzOptions& options = {});
+                                              std::uint64_t runs);
 
 // ---- scenario verification (lslsim --verify) --------------------------------
 
@@ -56,7 +47,6 @@ struct VerifyOptions {
   /// variant; see fault::perturbations). Empty = verify only the scenario
   /// as written. The explorer run budget is split across variants.
   std::vector<SimTime> perturb_offsets;
-  SimTime per_transfer_deadline = SimTime::seconds(3600);
 };
 
 /// A counterexample plus which fault-timing variant produced it.
@@ -74,8 +64,8 @@ struct VerifyResult {
 };
 
 /// Model-check `scenario`: DFS over event interleavings for the plan as
-/// written, then once per perturbation variant. Stops early once the
-/// explorer's max_violations counterexamples have been captured.
+/// written, then once per perturbation variant. Stops at the first
+/// counterexample.
 [[nodiscard]] VerifyResult verify_scenario(const exp::Scenario& scenario,
                                            std::uint64_t seed,
                                            const VerifyOptions& options = {});
@@ -84,9 +74,8 @@ struct VerifyResult {
 /// explorer's ChoiceHook attached to the harness kernel and notes every
 /// transfer outcome. `scenario` is captured by reference and must outlive
 /// the returned function.
-[[nodiscard]] ScenarioFn scenario_fn(
-    const exp::Scenario& scenario, std::uint64_t seed,
-    SimTime per_transfer_deadline = SimTime::seconds(3600));
+[[nodiscard]] ScenarioFn scenario_fn(const exp::Scenario& scenario,
+                                     std::uint64_t seed);
 
 // ---- plan <-> scenario conversion (exposed for tests) -----------------------
 

@@ -101,10 +101,5 @@ class ScopedMutation {
 
 // LSL_MC_MUTATION(name) guards a seeded-bug branch at a protocol decision
 // point: false in normal operation, true when a test enabled the named
-// mutation. Define LSL_MC_NO_MUTATIONS to compile every mutation site away
-// entirely (the branch folds to the fixed behavior).
-#ifdef LSL_MC_NO_MUTATIONS
-#define LSL_MC_MUTATION(name) false
-#else
+// mutation.
 #define LSL_MC_MUTATION(name) (::lsl::mc::mutation_enabled(name))
-#endif

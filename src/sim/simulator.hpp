@@ -165,7 +165,6 @@ class Simulator {
   /// used to compute an absolute deadline. Not for the perf path: each
   /// dispatch walks the heap top to collect the window.
   void set_choice_hook(ChoiceHook* hook, SimTime slack = SimTime::zero());
-  [[nodiscard]] ChoiceHook* choice_hook() const { return choice_hook_; }
 
   [[nodiscard]] KernelProfile profile() const;
 

@@ -281,16 +281,8 @@ void Connection::send_data_segment(std::uint64_t wire_seq, std::uint32_t len,
   attach_sack_blocks(p.tcp);
   last_advertised_wnd_ = p.tcp.wnd;
 
-  ++stats_.segments_sent;
-  if (metrics_ != nullptr) {
-    metrics_->segments_sent->inc();
-  }
-  if (retransmission) {
-    ++stats_.retransmits;
-    if (metrics_ != nullptr) {
-      metrics_->retransmits->inc();
-    }
-  } else {
+  count_sent(retransmission);
+  if (!retransmission) {
     stats_.bytes_sent += len;
     if (!timing_active_) {
       timing_active_ = true;
@@ -306,7 +298,21 @@ void Connection::send_data_segment(std::uint64_t wire_seq, std::uint32_t len,
   arm_rto();
 }
 
-void Connection::send_control(std::uint8_t flags, std::uint64_t wire_seq) {
+void Connection::count_sent(bool retransmission) {
+  ++stats_.segments_sent;
+  if (metrics_ != nullptr) {
+    metrics_->segments_sent->inc();
+  }
+  if (retransmission) {
+    ++stats_.retransmits;
+    if (metrics_ != nullptr) {
+      metrics_->retransmits->inc();
+    }
+  }
+}
+
+void Connection::send_control(std::uint8_t flags, std::uint64_t wire_seq,
+                              bool retransmission) {
   net::Packet p;
   p.src = local_node_;
   p.dst = remote_node_;
@@ -323,10 +329,7 @@ void Connection::send_control(std::uint8_t flags, std::uint64_t wire_seq) {
   p.tcp.wnd = advertised_window();
   p.payload_bytes = 0;
   last_advertised_wnd_ = p.tcp.wnd;
-  ++stats_.segments_sent;
-  if (metrics_ != nullptr) {
-    metrics_->segments_sent->inc();
-  }
+  count_sent(retransmission);
   stack_.emit(std::move(p));
 }
 
@@ -508,8 +511,7 @@ void Connection::on_rto() {
       return;
     }
     // Retransmit the (SYN / SYN+ACK) handshake segment.
-    ++stats_.retransmits;
-    send_control(net::kFlagSyn, 0);
+    send_control(net::kFlagSyn, 0, /*retransmission=*/true);
     rto_timer_.arm(rtt_.rto());
     rto_armed_at_ = sim_.now();
     return;
@@ -528,8 +530,7 @@ void Connection::on_rto() {
     // Payload needs no retransmission (fluid flows are lossless); the only
     // wire sequence in flight is the FIN.
     if (fin_sent_ && !fin_acked_) {
-      ++stats_.retransmits;
-      send_control(net::kFlagFin, fin_wire_);
+      send_control(net::kFlagFin, fin_wire_, /*retransmission=*/true);
       snd_nxt_ = fin_wire_ + 1;
       snd_max_ = std::max(snd_max_, snd_nxt_);
       rto_timer_.arm(rtt_.rto());
@@ -551,8 +552,7 @@ void Connection::on_rto() {
     snd_nxt_ = fin_wire_;
   }
   if (snd_nxt_ == fin_wire_ && fin_sent_) {
-    ++stats_.retransmits;
-    send_control(net::kFlagFin, fin_wire_);
+    send_control(net::kFlagFin, fin_wire_, /*retransmission=*/true);
     snd_nxt_ = fin_wire_ + 1;
   } else if (snd_nxt_ < stream_data_end_wire()) {
     const std::uint64_t offset = snd_nxt_ - 1;
@@ -616,8 +616,7 @@ void Connection::handle_packet(const net::Packet& packet) {
         arm_rto();
       } else {
         // Retransmitted SYN: our SYN+ACK was lost.
-        ++stats_.retransmits;
-        send_control(net::kFlagSyn, 0);
+        send_control(net::kFlagSyn, 0, /*retransmission=*/true);
         arm_rto();
       }
       return;
@@ -863,8 +862,7 @@ void Connection::enter_recovery() {
   rtx_out_.clear();
   // Retransmit the presumed-lost head segment.
   if (fin_sent_ && snd_una_ == fin_wire_) {
-    ++stats_.retransmits;
-    send_control(net::kFlagFin, fin_wire_);
+    send_control(net::kFlagFin, fin_wire_, /*retransmission=*/true);
   } else {
     const std::uint32_t sent = retransmit_at(snd_una_);
     if (sent > 0) {
@@ -882,8 +880,7 @@ void Connection::enter_recovery() {
 std::uint32_t Connection::retransmit_at(std::uint64_t wire_seq) {
   if (wire_seq < 1 || wire_seq >= stream_data_end_wire()) {
     if (fin_sent_ && wire_seq == fin_wire_) {
-      ++stats_.retransmits;
-      send_control(net::kFlagFin, fin_wire_);
+      send_control(net::kFlagFin, fin_wire_, /*retransmission=*/true);
       return 1;
     }
     return 0;

@@ -152,7 +152,6 @@ class Connection : public std::enable_shared_from_this<Connection> {
   /// The congestion-control implementation driving this connection.
   [[nodiscard]] const CongestionControl& congestion() const { return *cc_; }
   [[nodiscard]] SimTime srtt() const { return rtt_.srtt(); }
-  [[nodiscard]] net::NodeId local_node() const { return local_node_; }
   [[nodiscard]] net::NodeId remote_node() const { return remote_node_; }
   [[nodiscard]] net::Port local_port() const { return local_port_; }
   [[nodiscard]] net::Port remote_port() const { return remote_port_; }
@@ -193,7 +192,12 @@ class Connection : public std::enable_shared_from_this<Connection> {
   void try_send();
   void send_data_segment(std::uint64_t wire_seq, std::uint32_t len,
                          bool retransmission);
-  void send_control(std::uint8_t flags, std::uint64_t wire_seq);
+  /// A payload-free segment: SYN, FIN, RST or a pure ACK. A resent SYN or
+  /// FIN is a retransmission and counts like a resent data segment.
+  void send_control(std::uint8_t flags, std::uint64_t wire_seq,
+                    bool retransmission = false);
+  /// One sent segment, in the connection's stats and the registry.
+  void count_sent(bool retransmission);
   void send_pure_ack();
   /// ACK generation for received data: immediate, or deferred per the
   /// delayed-ACK rules when enabled.

@@ -36,31 +36,29 @@ PathScenario ucsb_uf_via_houston() {
 }
 
 PathTestbed::PathTestbed(const PathScenario& scenario, std::uint64_t seed)
-    : scenario_(scenario),
-      harness_(std::make_unique<exp::SimHarness>(seed)) {
+    : harness_(std::make_unique<exp::SimHarness>(seed)) {
   src_ = harness_->add_host("ash.ucsb.edu", "ucsb.edu");
   depot_ = harness_->add_host("depot", "core");
   dst_ = harness_->add_host("destination", "remote.edu");
 
   const auto link = [&](SimTime delay, double loss) {
     net::LinkConfig cfg;
-    cfg.rate = scenario_.capacity;
+    cfg.rate = kPathCapacity;
     cfg.propagation_delay = delay;
-    cfg.queue_capacity_bytes = scenario_.queue_bytes;
+    cfg.queue_capacity_bytes = kPathQueueBytes;
     cfg.loss_rate = loss;
     return cfg;
   };
   harness_->add_link(src_, depot_,
-                     link(scenario_.src_depot_delay, scenario_.leg1_loss));
+                     link(scenario.src_depot_delay, scenario.leg1_loss));
   harness_->add_link(depot_, dst_,
-                     link(scenario_.depot_dst_delay, scenario_.leg2_loss));
+                     link(scenario.depot_dst_delay, scenario.leg2_loss));
   harness_->add_link(src_, dst_,
-                     link(scenario_.direct_delay, scenario_.direct_loss));
+                     link(scenario.direct_delay, scenario.direct_loss));
 
   session::DepotConfig depot_cfg;
-  depot_cfg.tcp =
-      tcp::TcpOptions{}.with_buffers(scenario_.depot_kernel_buffer);
-  depot_cfg.user_buffer_bytes = scenario_.depot_user_buffer;
+  depot_cfg.tcp = tcp::TcpOptions{}.with_buffers(kDepotKernelBuffer);
+  depot_cfg.user_buffer_bytes = scenario.depot_user_buffer;
   harness_->deploy(depot_cfg);
 
   // Pin the direct route onto the direct link; otherwise shortest-delay
@@ -78,7 +76,7 @@ session::TransferSpec PathTestbed::make_spec(bool via_depot,
     spec.via = {depot_};
   }
   spec.payload_bytes = bytes;
-  spec.tcp = tcp::TcpOptions{}.with_buffers(scenario_.endpoint_buffer);
+  spec.tcp = tcp::TcpOptions{}.with_buffers(kEndpointBuffer);
   return spec;
 }
 

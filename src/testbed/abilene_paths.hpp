@@ -19,6 +19,16 @@
 
 namespace lsl::testbed {
 
+/// Both paths run over the paper's OC-3 links.
+inline constexpr Bandwidth kPathCapacity = Bandwidth::mbps(155);
+/// Deep router buffers (Abilene-era backbone): at least the endpoints'
+/// 8 MB windows, so slow-start overshoot does not add artificial loss.
+inline constexpr std::uint64_t kPathQueueBytes = 8 * kMiB;
+/// Paper: Linux 2.4 hosts, 8 MB buffers via setsockopt, at the endpoints
+/// and the depot alike.
+inline constexpr std::uint64_t kEndpointBuffer = 8 * kMiB;
+inline constexpr std::uint64_t kDepotKernelBuffer = 8 * kMiB;
+
 struct PathScenario {
   std::string name;
   /// One-way propagation delays (RTT = 2x). Paper RTTs: see above.
@@ -28,13 +38,6 @@ struct PathScenario {
   double leg1_loss = 1e-4;
   double leg2_loss = 1e-4;
   double direct_loss = 1e-4;
-  Bandwidth capacity = Bandwidth::mbps(155);
-  /// Deep router buffers (Abilene-era backbone): at least the endpoints'
-  /// 8 MB windows, so slow-start overshoot does not add artificial loss.
-  std::uint64_t queue_bytes = 8 * kMiB;
-  /// Paper: Linux 2.4 hosts, 8 MB buffers via setsockopt.
-  std::uint64_t endpoint_buffer = 8 * kMiB;
-  std::uint64_t depot_kernel_buffer = 8 * kMiB;
   /// Paper: the depot allocates send+receive buffer bytes of user storage;
   /// with 8 MB kernel buffers the total pipeline is 32 MB.
   std::uint64_t depot_user_buffer = 16 * kMiB;
@@ -58,7 +61,6 @@ class PathTestbed {
   [[nodiscard]] net::NodeId src() const { return src_; }
   [[nodiscard]] net::NodeId depot() const { return depot_; }
   [[nodiscard]] net::NodeId dst() const { return dst_; }
-  [[nodiscard]] const PathScenario& scenario() const { return scenario_; }
 
   /// The transfer spec used by launch(); exposed for traced launches.
   [[nodiscard]] session::TransferSpec make_spec(bool via_depot,
@@ -71,7 +73,6 @@ class PathTestbed {
                                                      std::uint64_t bytes);
 
  private:
-  PathScenario scenario_;
   std::unique_ptr<exp::SimHarness> harness_;
   net::NodeId src_ = 0;
   net::NodeId depot_ = 0;

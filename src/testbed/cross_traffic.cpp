@@ -4,6 +4,13 @@
 
 namespace lsl::testbed {
 
+namespace {
+
+/// The sink port every background flow targets.
+constexpr net::Port kCrossTrafficPort = 7100;
+
+}  // namespace
+
 struct CrossTraffic::Slot {
   tcp::Connection::Ptr conn;
   sim::EventId pending_start;
@@ -19,7 +26,7 @@ CrossTraffic::CrossTraffic(exp::SimHarness& harness,
   // One sink listener per host; every background flow targets it.
   for (std::size_t host = 0; host < harness_.host_count(); ++host) {
     harness_.stack(static_cast<net::NodeId>(host))
-        .listen(config_.base_port, [](tcp::Connection::Ptr conn) {
+        .listen(kCrossTrafficPort, [](tcp::Connection::Ptr conn) {
           conn->on_readable = [c = conn.get()] {
             c->read(c->readable_bytes());
           };
@@ -64,7 +71,7 @@ void CrossTraffic::start_burst(std::size_t slot_index) {
                             config_.mean_burst_bytes)));
   slot.queued = 0;
   slot.conn = harness_.stack(src).connect(
-      dst, config_.base_port,
+      dst, kCrossTrafficPort,
       tcp::TcpOptions{}.with_buffers(config_.tcp_buffer));
 
   auto* conn = slot.conn.get();

@@ -25,8 +25,6 @@ struct CrossTrafficConfig {
   SimTime mean_gap = SimTime::milliseconds(200);
   /// Socket buffers for background flows.
   std::uint64_t tcp_buffer = 256 * kKiB;
-  /// Port range base (one port per flow slot at the destination).
-  net::Port base_port = 7100;
 };
 
 /// Drives background flows over an exp::SimHarness. Construct after

@@ -28,11 +28,46 @@ double normal_from_units(double u1, double u2) {
          std::cos(2.0 * std::numbers::pi * u2);
 }
 
+// Calibration constants (DESIGN.md section 5) of the two section 4.2
+// testbeds.
+//
+// PlanetLab pool: one to three machines per site, as in the paper.
+// 2004-era PlanetLab access links and virtualized host throughput were
+// modest; most pairs are capacity-bound (where relaying cannot help), only
+// long-RTT well-connected pairs are window-bound (where it can).
+constexpr std::size_t kMinHostsPerSite = 1;
+constexpr std::size_t kMaxHostsPerSite = 3;
+constexpr double kRateLimitedFraction = 0.15;
+constexpr double kAccessBwMedianMbps = 12.0;
+constexpr double kAccessBwSigma = 1.2;
+constexpr double kHostCapMedianMbps = 14.0;
+constexpr double kHostCapSigma = 1.0;
+constexpr SimTime kPlanetLabRttBase = SimTime::milliseconds(6);
+// The unit square's diagonal spans about a continental RTT.
+constexpr double kPlanetLabRttScaleMs = 95.0;
+constexpr double kPlanetLabLossMedian = 4e-5;
+constexpr double kPlanetLabLossSigma = 1.2;
+
+// Abilene core: ten universities homed onto the POPs.
+constexpr std::size_t kUniversities = 10;  // paper: 10 U.S. universities
+constexpr std::uint64_t kUniversityTcpBuffer = 64 * kKiB;
+constexpr std::uint64_t kCoreTcpBuffer = 8 * kMiB;  // Internet2 observatory
+constexpr double kUniversityAccessMbps = 90.0;
+// Endpoints are still PlanetLab machines: virtualization caps what any path
+// through them can carry, relayed or not.
+constexpr double kUniversityCapMedianMbps = 18.0;
+constexpr double kUniversityCapSigma = 0.9;
+constexpr double kCoreCapacityMbps = 900.0;
+constexpr SimTime kAbileneRttBase = SimTime::milliseconds(4);
+constexpr double kAbileneRttScaleMs = 110.0;
+constexpr double kAbileneLossMedian = 2e-5;
+constexpr double kAbileneLossSigma = 1.0;
+
 }  // namespace
 
-SyntheticGrid::SyntheticGrid(std::vector<HostProfile> hosts, GridNoise noise,
+SyntheticGrid::SyntheticGrid(std::vector<HostProfile> hosts,
                              std::uint64_t seed)
-    : hosts_(std::move(hosts)), noise_(noise), seed_(seed) {
+    : hosts_(std::move(hosts)), seed_(seed) {
   LSL_ASSERT(!hosts_.empty());
 }
 
@@ -83,8 +118,6 @@ SimTime SyntheticGrid::rtt(std::size_t a, std::size_t b) const {
   const double dist = std::sqrt(dx * dx + dy * dy);
   // Mild persistent wiggle so equidistant pairs are not identical.
   const double wiggle = 0.9 + 0.2 * pair_unit(a, b, 1);
-  // rtt_base and rtt_scale come from the generating config; they ride along
-  // in the first host's profile-independent fields, so recompute directly:
   return rtt_base_ +
          SimTime::from_seconds(dist * rtt_scale_ms_ * wiggle * 1e-3);
 }
@@ -136,7 +169,7 @@ Bandwidth SyntheticGrid::loaded_cap(const HostProfile& host, Rng& trial) const {
   if (host.core) {
     return host.host_cap;  // backbone depots are unloaded
   }
-  const double factor = trial.lognormal(0.0, noise_.load_sigma);
+  const double factor = trial.lognormal(0.0, GridNoise::load_sigma);
   return Bandwidth::mbps(host.host_cap.megabits_per_second() /
                          std::max(factor, 0.05));
 }
@@ -150,13 +183,13 @@ PairRealization SyntheticGrid::realize_direct(std::size_t a, std::size_t b,
   real.loss_rate = loss(a, b);
   real.window_bytes = std::min(hosts_[a].tcp_buffer, hosts_[b].tcp_buffer);
 
-  const double cross = trial.lognormal(0.0, noise_.path_sigma);
+  const double cross = trial.lognormal(0.0, GridNoise::path_sigma);
   double mbps = base_path_bw(a, b).megabits_per_second() / std::max(cross, 0.2);
   mbps = std::min(mbps, loaded_cap(hosts_[a], trial).megabits_per_second());
   mbps = std::min(mbps, loaded_cap(hosts_[b], trial).megabits_per_second());
   for (const std::size_t h : {a, b}) {
-    if (hosts_[h].rate_limited && bytes > noise_.rate_limit_threshold) {
-      mbps = std::min(mbps, noise_.rate_limit.megabits_per_second());
+    if (hosts_[h].rate_limited && bytes > GridNoise::rate_limit_threshold) {
+      mbps = std::min(mbps, GridNoise::rate_limit.megabits_per_second());
     }
   }
   real.bottleneck = Bandwidth::mbps(std::max(mbps, 0.05));
@@ -174,7 +207,7 @@ std::vector<PairRealization> SyntheticGrid::realize_relay_hops(
     const bool is_depot = i > 0 && i + 1 < path.size();
     if (is_depot && !hosts_[path[i]].core) {
       // User-space relaying on a shared virtualized host costs extra.
-      cap *= noise_.relay_efficiency;
+      cap *= GridNoise::relay_efficiency;
     }
     cap_mbps[i] = cap;
   }
@@ -187,39 +220,19 @@ std::vector<PairRealization> SyntheticGrid::realize_relay_hops(
     hop.rtt = rtt(a, b);
     hop.loss_rate = loss(a, b);
     hop.window_bytes = std::min(hosts_[a].tcp_buffer, hosts_[b].tcp_buffer);
-    const double cross = trial.lognormal(0.0, noise_.path_sigma);
+    const double cross = trial.lognormal(0.0, GridNoise::path_sigma);
     double mbps =
         base_path_bw(a, b).megabits_per_second() / std::max(cross, 0.2);
     mbps = std::min({mbps, cap_mbps[i], cap_mbps[i + 1]});
     for (const std::size_t h : {a, b}) {
-      if (hosts_[h].rate_limited && bytes > noise_.rate_limit_threshold) {
-        mbps = std::min(mbps, noise_.rate_limit.megabits_per_second());
+      if (hosts_[h].rate_limited && bytes > GridNoise::rate_limit_threshold) {
+        mbps = std::min(mbps, GridNoise::rate_limit.megabits_per_second());
       }
     }
     hop.bottleneck = Bandwidth::mbps(std::max(mbps, 0.05));
     hops.push_back(hop);
   }
   return hops;
-}
-
-flow::ConnectionParams SyntheticGrid::direct_params(std::size_t a,
-                                                    std::size_t b,
-                                                    std::uint64_t bytes,
-                                                    Rng& trial) const {
-  return realize_direct(a, b, bytes, trial).connection_params();
-}
-
-std::vector<flow::ConnectionParams> SyntheticGrid::relay_params(
-    const std::vector<std::size_t>& path, std::uint64_t bytes,
-    Rng& trial) const {
-  const std::vector<PairRealization> hops =
-      realize_relay_hops(path, bytes, trial);
-  std::vector<flow::ConnectionParams> out;
-  out.reserve(hops.size());
-  for (const PairRealization& hop : hops) {
-    out.push_back(hop.connection_params());
-  }
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -234,11 +247,10 @@ SyntheticGrid SyntheticGrid::planetlab(const PlanetLabConfig& config,
     const double x = rng.next_double();
     const double y = rng.next_double();
     const double access_mbps =
-        config.access_bw_median_mbps *
-        std::exp(config.access_bw_sigma * rng.normal());
-    const auto count = static_cast<std::size_t>(rng.uniform_int(
-        static_cast<std::int64_t>(config.min_hosts_per_site),
-        static_cast<std::int64_t>(config.max_hosts_per_site)));
+        kAccessBwMedianMbps * std::exp(kAccessBwSigma * rng.normal());
+    const auto count = static_cast<std::size_t>(
+        rng.uniform_int(static_cast<std::int64_t>(kMinHostsPerSite),
+                        static_cast<std::int64_t>(kMaxHostsPerSite)));
     for (std::size_t k = 0; k < count; ++k) {
       HostProfile h;
       h.name = "node" + std::to_string(k) + "." + site;
@@ -246,19 +258,19 @@ SyntheticGrid SyntheticGrid::planetlab(const PlanetLabConfig& config,
       h.x = x;
       h.y = y;
       h.access = Bandwidth::mbps(std::clamp(access_mbps, 4.0, 400.0));
-      const double cap = config.host_cap_median_mbps *
-                         std::exp(config.host_cap_sigma * rng.normal());
+      const double cap =
+          kHostCapMedianMbps * std::exp(kHostCapSigma * rng.normal());
       h.host_cap = Bandwidth::mbps(std::clamp(cap, 3.0, 300.0));
       h.tcp_buffer = config.host_tcp_buffer;
-      h.rate_limited = rng.chance(config.rate_limited_fraction);
+      h.rate_limited = rng.chance(kRateLimitedFraction);
       hosts.push_back(std::move(h));
     }
   }
-  SyntheticGrid grid(std::move(hosts), config.noise, seed);
-  grid.rtt_base_ = config.rtt_base;
-  grid.rtt_scale_ms_ = config.rtt_scale_ms;
-  grid.loss_median_ = config.loss_median;
-  grid.loss_sigma_ = config.loss_sigma;
+  SyntheticGrid grid(std::move(hosts), seed);
+  grid.rtt_base_ = kPlanetLabRttBase;
+  grid.rtt_scale_ms_ = kPlanetLabRttScaleMs;
+  grid.loss_median_ = kPlanetLabLossMedian;
+  grid.loss_sigma_ = kPlanetLabLossSigma;
   return grid;
 }
 
@@ -268,8 +280,7 @@ PlanetLabConfig scaled_planetlab_config(std::size_t pool_size) {
   return config;
 }
 
-SyntheticGrid SyntheticGrid::abilene_core(const AbileneCoreConfig& config,
-                                          std::uint64_t seed) {
+SyntheticGrid SyntheticGrid::abilene_core(std::uint64_t seed) {
   // Rough unit-square placement of the 11 Abilene POPs (2004 topology).
   struct Pop {
     const char* name;
@@ -286,19 +297,18 @@ SyntheticGrid SyntheticGrid::abilene_core(const AbileneCoreConfig& config,
   Rng rng(seed);
   std::vector<HostProfile> hosts;
   // University endpoints first, each homed near a random POP.
-  for (std::size_t u = 0; u < config.universities; ++u) {
+  for (std::size_t u = 0; u < kUniversities; ++u) {
     const Pop& pop = kPops[rng.pick_index(std::size(kPops))];
     HostProfile h;
     h.site = "univ" + std::to_string(u) + ".edu";
     h.name = "planetlab1." + h.site;
     h.x = std::clamp(pop.x + rng.uniform(-0.06, 0.06), 0.0, 1.0);
     h.y = std::clamp(pop.y + rng.uniform(-0.06, 0.06), 0.0, 1.0);
-    h.access = Bandwidth::mbps(config.university_access_mbps);
+    h.access = Bandwidth::mbps(kUniversityAccessMbps);
     h.host_cap = Bandwidth::mbps(std::clamp(
-        config.university_cap_median_mbps *
-            std::exp(config.university_cap_sigma * rng.normal()),
+        kUniversityCapMedianMbps * std::exp(kUniversityCapSigma * rng.normal()),
         4.0, 200.0));
-    h.tcp_buffer = config.university_tcp_buffer;
+    h.tcp_buffer = kUniversityTcpBuffer;
     hosts.push_back(std::move(h));
   }
   // Depot-grade observatory hosts at every POP.
@@ -308,17 +318,17 @@ SyntheticGrid SyntheticGrid::abilene_core(const AbileneCoreConfig& config,
     h.name = "depot." + h.site;
     h.x = pop.x;
     h.y = pop.y;
-    h.access = Bandwidth::mbps(config.core_capacity_mbps);
-    h.host_cap = Bandwidth::mbps(config.core_capacity_mbps);
-    h.tcp_buffer = config.core_tcp_buffer;
+    h.access = Bandwidth::mbps(kCoreCapacityMbps);
+    h.host_cap = Bandwidth::mbps(kCoreCapacityMbps);
+    h.tcp_buffer = kCoreTcpBuffer;
     h.core = true;
     hosts.push_back(std::move(h));
   }
-  SyntheticGrid grid(std::move(hosts), config.noise, seed);
-  grid.rtt_base_ = config.rtt_base;
-  grid.rtt_scale_ms_ = config.rtt_scale_ms;
-  grid.loss_median_ = config.loss_median;
-  grid.loss_sigma_ = config.loss_sigma;
+  SyntheticGrid grid(std::move(hosts), seed);
+  grid.rtt_base_ = kAbileneRttBase;
+  grid.rtt_scale_ms_ = kAbileneRttScaleMs;
+  grid.loss_median_ = kAbileneLossMedian;
+  grid.loss_sigma_ = kAbileneLossSigma;
   return grid;
 }
 

@@ -42,65 +42,39 @@ struct HostProfile {
   bool core = false;  ///< backbone depot (unloaded, large buffers)
 };
 
+/// Per-trial realization noise and the sweep calibration, shared by every
+/// synthetic grid. Calibration constants (DESIGN.md section 5).
 struct GridNoise {
   /// Per-trial lognormal sigma on host capacity (background load swings).
-  double load_sigma = 0.55;
+  static constexpr double load_sigma = 0.55;
   /// Per-trial lognormal sigma on path bandwidth (cross traffic).
-  double path_sigma = 0.30;
+  static constexpr double path_sigma = 0.30;
   /// Relaying through user space on a busy virtualized host costs this
   /// efficiency factor on the depot's capacity.
-  double relay_efficiency = 0.62;
+  static constexpr double relay_efficiency = 0.62;
   /// Edge-equivalence margin the section 4.2 experiments schedule with.
   /// Calibrated so the scheduler relays ~26% of pairs as the paper reports
   /// (under our synthetic noise, the paper's nominal 10% over-schedules).
-  double sweep_epsilon = 0.25;
+  static constexpr double sweep_epsilon = 0.25;
   /// Administrative rate limits engage beyond this many bytes.
-  std::uint64_t rate_limit_threshold = 16 * kMiB;
-  Bandwidth rate_limit = Bandwidth::mbps(10);
+  static constexpr std::uint64_t rate_limit_threshold = 16 * kMiB;
+  static constexpr Bandwidth rate_limit = Bandwidth::mbps(10);
 };
 
+/// The two PlanetLab pool values callers vary: its size and its hosts'
+/// socket buffers. The rest of the pool's shape (one to three hosts per
+/// site, 15% rate-limited hosts, access, host-cap, RTT and loss
+/// distributions) is calibration constants in grid.cpp.
 struct PlanetLabConfig {
   std::size_t sites = 70;
-  std::size_t min_hosts_per_site = 1;
-  std::size_t max_hosts_per_site = 3;  ///< paper: one to three machines/site
-  double rate_limited_fraction = 0.15;
   std::uint64_t host_tcp_buffer = 64 * kKiB;  ///< paper: unmodifiable 64 KB
-  /// 2004-era PlanetLab access links and virtualized host throughput were
-  /// modest; most pairs are capacity-bound (where relaying cannot help),
-  /// only long-RTT well-connected pairs are window-bound (where it can).
-  double access_bw_median_mbps = 12.0;
-  double access_bw_sigma = 1.2;
-  double host_cap_median_mbps = 14.0;
-  double host_cap_sigma = 1.0;
-  SimTime rtt_base = SimTime::milliseconds(6);
-  double rtt_scale_ms = 95.0;  ///< unit-square diagonal ~ continental RTT
-  double loss_median = 4e-5;
-  double loss_sigma = 1.2;
-  GridNoise noise;
 };
 
 /// A PlanetLab-style config scaled to roughly `pool_size` hosts: sites =
-/// pool_size / 2 (the 1..3 hosts/site draw averages ~2), every other knob
-/// at its 2004 default. Used by the `--pool-size` sweeps that exercise the
+/// pool_size / 2 (the 1..3 hosts/site draw averages ~2), host buffers at
+/// their 2004 default. Used by the `--pool-size` sweeps that exercise the
 /// scheduler control plane at 1000+ hosts.
 [[nodiscard]] PlanetLabConfig scaled_planetlab_config(std::size_t pool_size);
-
-struct AbileneCoreConfig {
-  std::size_t universities = 10;  ///< paper: 10 U.S. universities
-  std::uint64_t university_tcp_buffer = 64 * kKiB;
-  std::uint64_t core_tcp_buffer = 8 * kMiB;  ///< Internet2 observatory hosts
-  double university_access_mbps = 90.0;
-  /// Endpoints are still PlanetLab machines: virtualization caps what any
-  /// path through them can carry, relayed or not.
-  double university_cap_median_mbps = 18.0;
-  double university_cap_sigma = 0.9;
-  double core_capacity_mbps = 900.0;
-  SimTime rtt_base = SimTime::milliseconds(4);
-  double rtt_scale_ms = 110.0;
-  double loss_median = 2e-5;
-  double loss_sigma = 1.0;
-  GridNoise noise;
-};
 
 /// One realized pair (direct path or relay hop): the single source of
 /// truth both measurement fidelities consume. The analytic model reads it
@@ -130,8 +104,7 @@ struct PairRealization {
 
 class SyntheticGrid {
  public:
-  SyntheticGrid(std::vector<HostProfile> hosts, GridNoise noise,
-                std::uint64_t seed);
+  SyntheticGrid(std::vector<HostProfile> hosts, std::uint64_t seed);
 
   /// The paper's PlanetLab-like pool (~142 hosts over ~70 sites).
   [[nodiscard]] static SyntheticGrid planetlab(const PlanetLabConfig& config,
@@ -139,8 +112,7 @@ class SyntheticGrid {
 
   /// 10 universities homed onto the 11 Abilene POPs, with depot-grade hosts
   /// at every POP (paper section 4.2, second experiment).
-  [[nodiscard]] static SyntheticGrid abilene_core(
-      const AbileneCoreConfig& config, std::uint64_t seed);
+  [[nodiscard]] static SyntheticGrid abilene_core(std::uint64_t seed);
 
   [[nodiscard]] std::size_t size() const { return hosts_.size(); }
   [[nodiscard]] const HostProfile& host(std::size_t i) const;
@@ -174,19 +146,8 @@ class SyntheticGrid {
       const std::vector<std::size_t>& path, std::uint64_t bytes,
       Rng& trial) const;
 
-  /// Adapter: realize_direct() as analytic-model connection parameters.
-  /// Draws from `trial` exactly as realize_direct does.
-  [[nodiscard]] flow::ConnectionParams direct_params(std::size_t a,
-                                                     std::size_t b,
-                                                     std::uint64_t bytes,
-                                                     Rng& trial) const;
-
-  /// Adapter: realize_relay_hops() as analytic-model hop parameters.
-  [[nodiscard]] std::vector<flow::ConnectionParams> relay_params(
-      const std::vector<std::size_t>& path, std::uint64_t bytes,
-      Rng& trial) const;
-
-  [[nodiscard]] const GridNoise& noise() const { return noise_; }
+  /// The per-trial noise and sweep calibration every grid shares.
+  [[nodiscard]] static constexpr GridNoise noise() { return {}; }
 
  private:
   /// Stable pseudo-random factor for an unordered host-site pair.
@@ -196,7 +157,6 @@ class SyntheticGrid {
                                      Rng& trial) const;
 
   std::vector<HostProfile> hosts_;
-  GridNoise noise_;
   std::uint64_t seed_;
   // Latency / loss generation parameters (set by the named constructors).
   SimTime rtt_base_ = SimTime::milliseconds(6);

@@ -44,8 +44,6 @@ class FigureData {
 
   void print(std::ostream& os) const;
 
-  [[nodiscard]] const std::string& title() const { return title_; }
-
  private:
   std::string title_;
   std::string x_label_;

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "lsl/header.hpp"
+#include "tcp/recv_buffer.hpp"
 #include "util/rng.hpp"
 
 namespace lsl::session {
@@ -148,6 +151,81 @@ TEST(HeaderCodecTest, UnknownOptionSkipped) {
   const auto back = decode(bytes);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->dst, h.dst);
+}
+
+/// A byte stream whose bytes arrive in slices: read(max) consumes up to
+/// `max` of the bytes delivered so far, as tcp::Connection::read does, and
+/// records each `max` asked for.
+struct SlicedStream {
+  std::vector<std::byte> bytes;
+  std::size_t delivered = 0;
+  std::size_t consumed = 0;
+  std::vector<std::uint64_t> asks;
+
+  tcp::RecvBuffer::ReadResult read(std::uint64_t max) {
+    asks.push_back(max);
+    const std::size_t n = std::min<std::size_t>(max, delivered - consumed);
+    tcp::RecvBuffer::ReadResult r;
+    r.n = n;
+    r.real_bytes.assign(bytes.begin() + static_cast<std::ptrdiff_t>(consumed),
+                        bytes.begin() +
+                            static_cast<std::ptrdiff_t>(consumed + n));
+    consumed += n;
+    return r;
+  }
+};
+
+TEST(HeaderReadTest, ReassemblesSplitHeadersAndRejectsBadOnes) {
+  auto h = sample_header();
+  h.loose_route = {4, 5};
+  SlicedStream s;
+  s.bytes = encode(h);
+  const std::size_t len = s.bytes.size();
+  s.bytes.resize(len + 100);  // payload behind the header
+  const auto read = [&s](std::uint64_t max) { return s.read(max); };
+  std::vector<std::byte> buf;
+  SessionHeader out;
+
+  // The preamble split across reads, then the rest of the header.
+  s.delivered = 3;
+  EXPECT_EQ(read_header(read, buf, out), HeaderRead::kNeedMore);
+  s.delivered = 10;
+  EXPECT_EQ(read_header(read, buf, out), HeaderRead::kNeedMore);
+  s.delivered = len - 1;
+  EXPECT_EQ(read_header(read, buf, out), HeaderRead::kNeedMore);
+  s.delivered = s.bytes.size();
+  ASSERT_EQ(read_header(read, buf, out), HeaderRead::kHeader);
+  EXPECT_EQ(out, h);
+  EXPECT_EQ(s.consumed, len);  // the payload stays unread
+  const std::vector<std::uint64_t> asks{8, 5, 5, len - 8, len - 10,
+                                        len - 10, 1, 1};
+  EXPECT_EQ(s.asks, asks);
+
+  // A length below the fixed header: rejected after the preamble alone.
+  SlicedStream bad_length;
+  bad_length.bytes = encode(h);
+  bad_length.bytes[6] = std::byte{0};
+  bad_length.bytes[7] = std::byte{10};
+  bad_length.delivered = bad_length.bytes.size();
+  const auto read_bad_length = [&bad_length](std::uint64_t max) {
+    return bad_length.read(max);
+  };
+  buf.clear();
+  EXPECT_EQ(read_header(read_bad_length, buf, out), HeaderRead::kMalformed);
+  EXPECT_EQ(bad_length.consumed, kHeaderPreambleBytes);
+
+  // A whole header whose body does not decode: its option overruns it.
+  SlicedStream bad_body;
+  bad_body.bytes = encode(h);
+  bad_body.bytes[kFixedHeaderBytes + 2] = std::byte{0};
+  bad_body.bytes[kFixedHeaderBytes + 3] = std::byte{12};
+  bad_body.delivered = bad_body.bytes.size();
+  const auto read_bad_body = [&bad_body](std::uint64_t max) {
+    return bad_body.read(max);
+  };
+  buf.clear();
+  EXPECT_EQ(read_header(read_bad_body, buf, out), HeaderRead::kMalformed);
+  EXPECT_EQ(bad_body.consumed, bad_body.bytes.size());
 }
 
 TEST(MulticastTreeTest, ChildrenOf) {

@@ -343,7 +343,7 @@ TEST(FaultRandomPlanTest, DeterministicAndBounded) {
     // Never permanent: a stranded fault would leave depot relays holding
     // buffer grants forever, a false buffer-balance violation.
     EXPECT_GT(f.duration, SimTime::zero());
-    EXPECT_LE(f.duration, spec.max_duration);
+    EXPECT_LE(f.duration, fault::kMaxFaultDuration);
     EXPECT_TRUE(f.kind == fault::FaultKind::kDepotCrash ||
                 f.kind == fault::FaultKind::kLinkDown ||
                 f.kind == fault::FaultKind::kLinkBrownout);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "fixtures.hpp"
+#include "obs/metrics.hpp"
 #include "tcp/connection.hpp"
 
 namespace lsl::tcp {
@@ -95,6 +96,8 @@ TEST(SynRetryTest, ConnectToDeadPortEventuallyGivesUp) {
 }
 
 TEST(SynRetryTest, RetryCountIsRespected) {
+  obs::Registry registry;
+  const obs::ScopedRegistry scope(registry);
   TwoNodeNet net(lan());
   auto c = net.stack_a->connect(net.b, 9999);
   net.sim.run(600_s);
@@ -102,6 +105,9 @@ TEST(SynRetryTest, RetryCountIsRespected) {
   EXPECT_LE(c->stats().retransmits,
             static_cast<std::uint64_t>(kMaxSynRetries));
   EXPECT_EQ(c->state(), TcpState::kDead);
+  // Every SYN resend is a retransmission in the registry too.
+  EXPECT_EQ(registry.counter("tcp.conn.retransmits").value(),
+            c->stats().retransmits);
 }
 
 TEST(SynRetryTest, SlowHandshakeStillSucceedsWithinBudget) {

@@ -88,7 +88,7 @@ TEST(SyntheticGridTest, ProbeBwRespectsCapsAndWindow) {
 }
 
 TEST(SyntheticGridTest, AbileneCoreShape) {
-  const auto grid = SyntheticGrid::abilene_core(AbileneCoreConfig{}, 5);
+  const auto grid = SyntheticGrid::abilene_core(5);
   EXPECT_EQ(grid.size(), 21u);  // 10 universities + 11 POPs
   EXPECT_EQ(grid.core_hosts().size(), 11u);
   for (const std::size_t core : grid.core_hosts()) {
@@ -99,15 +99,20 @@ TEST(SyntheticGridTest, AbileneCoreShape) {
 }
 
 TEST(SyntheticGridTest, DirectParamsRateLimitKicksInPastThreshold) {
-  PlanetLabConfig config;
-  config.rate_limited_fraction = 1.0;  // everyone limited
-  const auto grid = SyntheticGrid::planetlab(config, 17);
+  // 15% of the default pool's hosts are rate-limited; one is enough.
+  const auto grid = SyntheticGrid::planetlab(PlanetLabConfig{}, 17);
+  std::size_t limited = 0;
+  while (limited < grid.size() && !grid.host(limited).rate_limited) {
+    ++limited;
+  }
+  ASSERT_LT(limited, grid.size());
+  const std::size_t peer = limited == 0 ? grid.size() - 1 : 0;
   Rng trial(1);
-  const auto small = grid.direct_params(0, grid.size() - 1, mib(1), trial);
+  const auto small = grid.realize_direct(limited, peer, mib(1), trial);
   Rng trial2(1);
-  const auto big = grid.direct_params(0, grid.size() - 1, mib(64), trial2);
+  const auto big = grid.realize_direct(limited, peer, mib(64), trial2);
   EXPECT_LE(big.bottleneck.megabits_per_second(),
-            config.noise.rate_limit.megabits_per_second() + 1e-9);
+            GridNoise::rate_limit.megabits_per_second() + 1e-9);
   EXPECT_GE(small.bottleneck.megabits_per_second(),
             big.bottleneck.megabits_per_second());
 }
@@ -116,7 +121,7 @@ TEST(SyntheticGridTest, RelayParamsMatchPathStructure) {
   const auto grid = SyntheticGrid::planetlab(PlanetLabConfig{}, 23);
   Rng trial(9);
   const std::vector<std::size_t> path{0, 5, 10};
-  const auto hops = grid.relay_params(path, mib(4), trial);
+  const auto hops = grid.realize_relay_hops(path, mib(4), trial);
   ASSERT_EQ(hops.size(), 2u);
   EXPECT_EQ(hops[0].rtt, grid.rtt(0, 5));
   EXPECT_EQ(hops[1].rtt, grid.rtt(5, 10));
@@ -188,7 +193,7 @@ TEST(SweepTest, AnalyticSweepMatchesParentBitForBit) {
 }
 
 TEST(SweepTest, ExplicitSizesRespected) {
-  const auto grid = SyntheticGrid::abilene_core(AbileneCoreConfig{}, 9);
+  const auto grid = SyntheticGrid::abilene_core(9);
   SweepConfig config;
   config.sizes = {mib(16), mib(128)};
   config.iterations = 2;

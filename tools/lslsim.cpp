@@ -10,10 +10,7 @@
 // scenario `pool` directive) it instead runs a synthetic PlanetLab-style
 // speedup sweep -- the control-plane scaling path for 1000+ host pools.
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -23,7 +20,6 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "exp/parallel.hpp"
@@ -42,6 +38,7 @@
 #include "testbed/grid.hpp"
 #include "testbed/sweep.hpp"
 #include "util/log.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -115,28 +112,17 @@ void usage() {
                "  disables the built-in instrumentation.\n");
 }
 
-/// Parses the whole of `text` as a number, or exits 2 naming `flag`: an
-/// unchecked strtoull/strtod would quietly read "banana" as 0. Unsigned
-/// values take no sign; floating values must be finite.
+/// Parses the whole of `text` as a number (lsl::parse_number), or exits 2
+/// naming `flag`.
 template <typename T>
 T parse_number(const char* flag, const std::string& text, int base = 10) {
-  const char* begin = text.c_str();
-  char* end = nullptr;
-  errno = 0;
-  T value{};
-  bool ok = false;
-  if constexpr (std::is_floating_point_v<T>) {
-    value = std::strtod(begin, &end);
-    ok = std::isfinite(value);
-  } else {
-    value = std::strtoull(begin, &end, base);
-    ok = std::isxdigit(static_cast<unsigned char>(text[0])) != 0;
-  }
-  if (!ok || errno != 0 || end == begin || *end != '\0') {
-    std::fprintf(stderr, "lslsim: bad value for %s: '%s'\n", flag, begin);
+  const std::optional<T> value = lsl::parse_number<T>(text, base);
+  if (!value.has_value()) {
+    std::fprintf(stderr, "lslsim: bad value for %s: '%s'\n", flag,
+                 text.c_str());
     std::exit(2);
   }
-  return value;
+  return *value;
 }
 
 /// Parses a comma-separated list of numbers (empty for an empty value).
@@ -343,7 +329,7 @@ int main(int argc, char** argv) {
 
     if (fuzz_runs > 0) {
       const auto result =
-          lsl::mc::fuzz_fault_schedules(scenario, seed, fuzz_runs, {});
+          lsl::mc::fuzz_fault_schedules(scenario, seed, fuzz_runs);
       std::printf("%s\n", result.str().c_str());
       return result.ok() ? 0 : 1;
     }
