@@ -34,10 +34,11 @@ int main() {
     OnlineStats bw;
     for (std::size_t it = 0; it < iterations; ++it) {
       testbed::PathTestbed bed(scenario, 4000 + it);
-      const auto r = exp::run_parallel_transfer(
+      const auto r = exp::run_raw_transfer(
           bed.harness().simulator(), bed.harness().stack(bed.src()),
-          bed.harness().stack(bed.dst()), bytes, streams,
-          tcp::TcpOptions{}.with_buffers(testbed::kEndpointBuffer));
+          bed.harness().stack(bed.dst()), bytes,
+          tcp::TcpOptions{}.with_buffers(testbed::kEndpointBuffer), streams,
+          SimTime::seconds(3600), /*base_port=*/6001);
       if (r.completed) {
         bw.add(r.goodput.megabits_per_second());
       }

@@ -13,7 +13,8 @@
 // machine-readable {bench, metric, value} records through JsonRecords, so
 // successive PRs can diff results/BENCH_*.json. Wall-clock metrics are
 // named *_wall_seconds / *_per_second so determinism checks can filter them
-// out. --jobs N sets the trial-engine parallelism for benches that sweep.
+// out with scripts/strip_wall_clock.py. --jobs N sets the trial-engine
+// parallelism for benches that sweep.
 #pragma once
 
 #include <cctype>

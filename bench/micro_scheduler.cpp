@@ -10,12 +10,10 @@
 // records that results/BENCH_sched.json tracks across PRs.
 #include <benchmark/benchmark.h>
 
-#include <cstring>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "bench_common.hpp"
+#include "micro_runner.hpp"
 #include "sched/minimax.hpp"
 #include "sched/route_advisor.hpp"
 #include "sched/scheduler.hpp"
@@ -188,65 +186,13 @@ void BM_AdvisorEvaluateBlacklisted(benchmark::State& state) {
 }
 BENCHMARK(BM_AdvisorEvaluateBlacklisted)->Arg(142)->Arg(512)->Arg(1024);
 
-/// Console output as usual, plus one JsonRecords entry per benchmark and
-/// derived mask-vs-copy speedup / advisor-vs-route ratio records. All names end
-/// in _wall_seconds / _per_second / _speedup: perf-trajectory numbers, not
-/// determinism-checked ones.
-class RecordingReporter : public benchmark::ConsoleReporter {
- public:
-  explicit RecordingReporter(lsl::bench::JsonRecords& records)
-      : records_(records) {}
-
-  void ReportRuns(const std::vector<Run>& runs) override {
-    for (const Run& run : runs) {
-      if (run.error_occurred || run.run_type != Run::RT_Iteration) {
-        continue;
-      }
-      const double seconds =
-          run.iterations > 0
-              ? run.real_accumulated_time / static_cast<double>(run.iterations)
-              : run.real_accumulated_time;
-      records_.add(run.benchmark_name() + "_wall_seconds", seconds);
-      seconds_by_name_[run.benchmark_name()] = seconds;
-    }
-    ConsoleReporter::ReportRuns(runs);
-  }
-
-  /// Mean per-iteration seconds of `name`, or 0 when it did not run.
-  [[nodiscard]] double seconds(const std::string& name) const {
-    const auto it = seconds_by_name_.find(name);
-    return it == seconds_by_name_.end() ? 0.0 : it->second;
-  }
-
- private:
-  lsl::bench::JsonRecords& records_;
-  std::map<std::string, double> seconds_by_name_;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto opts = lsl::bench::parse_options(argc, argv);
-  // Strip the bench_common flags before google-benchmark sees argv.
-  std::vector<char*> args;
-  args.reserve(static_cast<std::size_t>(argc) + 1);
-  for (int i = 0; i < argc; ++i) {
-    if ((std::strcmp(argv[i], "--json") == 0 ||
-         std::strcmp(argv[i], "--jobs") == 0) &&
-        i + 1 < argc) {
-      ++i;
-    } else if (std::strncmp(argv[i], "--json=", 7) != 0 &&
-               std::strncmp(argv[i], "--jobs=", 7) != 0) {
-      args.push_back(argv[i]);
-    }
-  }
-  args.push_back(nullptr);
-  int bench_argc = static_cast<int>(args.size()) - 1;
-  benchmark::Initialize(&bench_argc, args.data());
   lsl::bench::JsonRecords records("micro_scheduler");
-  RecordingReporter reporter(records);
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  benchmark::Shutdown();
+  lsl::bench::RecordingReporter reporter(records);
+  lsl::bench::run_micro_benchmarks(argc, argv, reporter);
   // Paired trajectory records: both sides come from this run, so host
   // speed cancels out and scripts/check_perf_gate.py can gate them.
   for (const char* n : {"142", "512", "1024"}) {

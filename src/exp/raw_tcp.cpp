@@ -30,50 +30,8 @@ void drive_sender(const tcp::Connection::Ptr& conn, std::uint64_t bytes) {
 RawTransferResult run_raw_transfer(sim::Simulator& sim, tcp::TcpStack& src,
                                    tcp::TcpStack& dst, std::uint64_t bytes,
                                    const tcp::TcpOptions& options,
-                                   SimTime deadline, net::Port port) {
-  RawTransferResult result;
-  std::uint64_t received = 0;
-  SimTime finished_at = SimTime::zero();
-
-  dst.listen(port, [&](tcp::Connection::Ptr conn) {
-    conn->on_readable = [&received, c = conn.get()] {
-      received += c->read(c->readable_bytes()).n;
-    };
-    conn->on_eof = [&, c = conn.get()] {
-      received += c->read(c->readable_bytes()).n;
-      result.completed = true;
-      finished_at = sim.now();
-      c->close();
-    };
-  }, options);
-
-  const SimTime start = sim.now();
-  auto client = src.connect(dst.node_id(), port, options);
-  drive_sender(client, bytes);
-
-  while (sim.now() < deadline && !result.completed) {
-    if (!sim.step()) {
-      break;
-    }
-  }
-  sim.run(sim.now() + SimTime::seconds(2));  // drain teardown
-
-  result.bytes_delivered = received;
-  result.elapsed = (result.completed ? finished_at : sim.now()) - start;
-  result.sender_stats = client->stats();
-  result.goodput = throughput_of(received, result.elapsed);
-  dst.stop_listening(port);
-  return result;
-}
-
-RawTransferResult run_parallel_transfer(sim::Simulator& sim,
-                                        tcp::TcpStack& src,
-                                        tcp::TcpStack& dst,
-                                        std::uint64_t bytes,
-                                        std::size_t streams,
-                                        const tcp::TcpOptions& options,
-                                        SimTime deadline,
-                                        net::Port base_port) {
+                                   std::size_t streams, SimTime deadline,
+                                   net::Port base_port) {
   LSL_ASSERT(streams > 0);
   RawTransferResult result;
   std::uint64_t received = 0;

@@ -1,5 +1,6 @@
 // Raw TCP bulk-transfer driver (no LSL layer): used for baselines such as
-// PSockets-style parallel sockets and for SACK on/off ablations.
+// PSockets-style parallel sockets, for SACK on/off ablations and by the TCP
+// test suites.
 #pragma once
 
 #include <cstdint>
@@ -16,23 +17,19 @@ struct RawTransferResult {
   std::uint64_t bytes_delivered = 0;
   SimTime elapsed = SimTime::zero();
   Bandwidth goodput;
-  tcp::ConnectionStats sender_stats;
+  tcp::ConnectionStats sender_stats;  ///< the first stream's sender
 };
 
-/// Drives one bulk transfer of `bytes` from `src` to a sink listening on
-/// `dst` (port chosen internally), running the simulation until the
-/// receiver sees EOF or `deadline` passes.
+/// Drives a bulk transfer of `bytes` from `src` to sinks listening on `dst`
+/// over `streams` parallel TCP connections (PSockets-style striping: each
+/// carries bytes/streams, the last one the remainder) on ports base_port,
+/// base_port + 1, ..., running the simulation until every stripe's receiver
+/// sees EOF or `deadline` passes.
 RawTransferResult run_raw_transfer(sim::Simulator& sim, tcp::TcpStack& src,
                                    tcp::TcpStack& dst, std::uint64_t bytes,
                                    const tcp::TcpOptions& options,
+                                   std::size_t streams = 1,
                                    SimTime deadline = SimTime::seconds(3600),
-                                   net::Port port = 5001);
-
-/// PSockets-style striping: `streams` parallel TCP connections each carry
-/// bytes/streams; completion is when every stripe has fully arrived.
-RawTransferResult run_parallel_transfer(
-    sim::Simulator& sim, tcp::TcpStack& src, tcp::TcpStack& dst,
-    std::uint64_t bytes, std::size_t streams, const tcp::TcpOptions& options,
-    SimTime deadline = SimTime::seconds(3600), net::Port base_port = 6001);
+                                   net::Port base_port = 5001);
 
 }  // namespace lsl::exp

@@ -591,37 +591,18 @@ nws::TruthFn topology_truth(net::Topology& topology) {
     if (from == to) {
       return Bandwidth::mbps(0);
     }
-    // Walk the forwarding tables, bottlenecking on each hop's effective
-    // rate. route_for yields the outgoing link; the next node is the
-    // neighbour that link reaches.
+    const auto path = topology.routed_path(static_cast<net::NodeId>(from),
+                                           static_cast<net::NodeId>(to));
+    if (!path) {
+      return Bandwidth::bps(0);  // unreachable, or a forwarding loop
+    }
+    // Bottleneck on each hop's effective rate.
     double bottleneck_bps = std::numeric_limits<double>::infinity();
-    net::NodeId cur = static_cast<net::NodeId>(from);
-    const net::NodeId dst = static_cast<net::NodeId>(to);
-    for (std::size_t hops = 0; cur != dst; ++hops) {
-      if (hops >= topology.node_count()) {
-        return Bandwidth::bps(0);  // forwarding loop; treat as unreachable
-      }
-      net::Link* out = topology.node(cur).route_for(dst);
-      if (out == nullptr) {
-        return Bandwidth::bps(0);
-      }
-      const net::LinkConfig& config = out->config();
+    for (const net::Link* link : *path) {
+      const net::LinkConfig& config = link->config();
       bottleneck_bps =
           std::min(bottleneck_bps, config.rate.bits_per_second() *
                                        (1.0 - config.loss_rate));
-      net::NodeId next = net::kInvalidNode;
-      for (net::NodeId candidate = 0; candidate < topology.node_count();
-           ++candidate) {
-        if (candidate != cur &&
-            topology.link_between(cur, candidate) == out) {
-          next = candidate;
-          break;
-        }
-      }
-      if (next == net::kInvalidNode) {
-        return Bandwidth::bps(0);
-      }
-      cur = next;
     }
     return Bandwidth::bps(std::max(bottleneck_bps, 0.0));
   };

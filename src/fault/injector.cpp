@@ -7,31 +7,8 @@
 
 namespace lsl::fault {
 
-FaultMetrics* FaultMetrics::get() {
-  if (!obs::metrics_enabled()) {
-    return nullptr;
-  }
-  // Thread-local, revalidated by registry uid (parallel trials swap the
-  // thread's registry via obs::ScopedRegistry).
-  thread_local FaultMetrics metrics;
-  thread_local std::uint64_t bound_uid = 0;
-  auto& reg = obs::Registry::global();
-  if (bound_uid != reg.uid()) {
-    bound_uid = reg.uid();
-    metrics.injected = &reg.counter("fault.injected");
-    metrics.healed = &reg.counter("fault.healed");
-    metrics.link_down = &reg.counter("fault.link_down");
-    metrics.link_brownouts = &reg.counter("fault.link_brownouts");
-    metrics.depot_crashes = &reg.counter("fault.depot_crashes");
-    metrics.depot_restarts = &reg.counter("fault.depot_restarts");
-    metrics.nws_blackouts = &reg.counter("fault.nws_blackouts");
-    metrics.active = &reg.gauge("fault.active");
-  }
-  return &metrics;
-}
-
 FaultInjector::FaultInjector(sim::Simulator& sim, net::Topology& topology)
-    : sim_(sim), topo_(topology), metrics_(FaultMetrics::get()) {}
+    : sim_(sim), topo_(topology), metrics_(obs::bundle<FaultMetrics>()) {}
 
 void FaultInjector::schedule(const FaultPlan& plan) {
   for (const FaultSpec& fault : plan.sorted()) {
@@ -66,28 +43,23 @@ std::uint32_t FaultInjector::actor_of(const FaultSpec& fault) {
 }
 
 void FaultInjector::apply(const FaultSpec& fault) {
-  ++stats_.injected;
   ++active_;
   switch (fault.kind) {
     case FaultKind::kLinkDown:
-      ++stats_.link_down;
       set_duplex_loss(fault.link_a, fault.link_b, 1.0);
       break;
     case FaultKind::kLinkBrownout:
-      ++stats_.link_brownouts;
       set_duplex_loss(fault.link_a, fault.link_b, fault.loss);
       if (fault.rate_factor < 1.0) {
         scale_duplex_rate(fault.link_a, fault.link_b, fault.rate_factor);
       }
       break;
     case FaultKind::kDepotCrash:
-      ++stats_.depot_crashes;
       if (depot_control_) {
         depot_control_(fault.node, /*up=*/false);
       }
       break;
     case FaultKind::kNwsBlackout:
-      ++stats_.nws_blackouts;
       if (nws_control_) {
         nws_control_(/*blackout=*/true);
       }
@@ -97,7 +69,6 @@ void FaultInjector::apply(const FaultSpec& fault) {
 }
 
 void FaultInjector::heal(const FaultSpec& fault) {
-  ++stats_.healed;
   --active_;
   switch (fault.kind) {
     case FaultKind::kLinkDown:
@@ -110,7 +81,6 @@ void FaultInjector::heal(const FaultSpec& fault) {
       }
       break;
     case FaultKind::kDepotCrash:
-      ++stats_.depot_restarts;
       if (depot_control_) {
         depot_control_(fault.node, /*up=*/true);
       }

@@ -23,27 +23,24 @@ namespace lsl::fault {
 
 /// Process-wide fault instruments (global metrics registry).
 struct FaultMetrics {
-  obs::Counter* injected;        ///< fault.injected
-  obs::Counter* healed;          ///< fault.healed
-  obs::Counter* link_down;       ///< fault.link_down
-  obs::Counter* link_brownouts;  ///< fault.link_brownouts
-  obs::Counter* depot_crashes;   ///< fault.depot_crashes
-  obs::Counter* depot_restarts;  ///< fault.depot_restarts
-  obs::Counter* nws_blackouts;   ///< fault.nws_blackouts
-  obs::Gauge* active;            ///< fault.active (currently live faults)
+  explicit FaultMetrics(obs::Registry& reg)
+      : injected(&reg.counter("fault.injected")),
+        healed(&reg.counter("fault.healed")),
+        link_down(&reg.counter("fault.link_down")),
+        link_brownouts(&reg.counter("fault.link_brownouts")),
+        depot_crashes(&reg.counter("fault.depot_crashes")),
+        depot_restarts(&reg.counter("fault.depot_restarts")),
+        nws_blackouts(&reg.counter("fault.nws_blackouts")),
+        active(&reg.gauge("fault.active")) {}
 
-  /// nullptr while obs::metrics_enabled() is false.
-  static FaultMetrics* get();
-};
-
-struct InjectorStats {
-  std::uint64_t injected = 0;
-  std::uint64_t healed = 0;
-  std::uint64_t link_down = 0;
-  std::uint64_t link_brownouts = 0;
-  std::uint64_t depot_crashes = 0;
-  std::uint64_t depot_restarts = 0;
-  std::uint64_t nws_blackouts = 0;
+  obs::Counter* injected;
+  obs::Counter* healed;
+  obs::Counter* link_down;
+  obs::Counter* link_brownouts;
+  obs::Counter* depot_crashes;
+  obs::Counter* depot_restarts;
+  obs::Counter* nws_blackouts;
+  obs::Gauge* active;  ///< currently live faults
 };
 
 class FaultInjector {
@@ -70,7 +67,6 @@ class FaultInjector {
   /// faults (NWS blackout) get 0 (dependent on everything).
   [[nodiscard]] static std::uint32_t actor_of(const FaultSpec& fault);
 
-  [[nodiscard]] const InjectorStats& stats() const { return stats_; }
   [[nodiscard]] int active_faults() const { return active_; }
 
  private:
@@ -97,7 +93,6 @@ class FaultInjector {
       std::tuple<int, std::int64_t, net::NodeId, net::NodeId, net::NodeId>;
   std::map<FaultKey, std::uint64_t> fault_spans_;
   int active_ = 0;
-  InjectorStats stats_;
   FaultMetrics* metrics_;
 };
 

@@ -10,36 +10,6 @@
 
 namespace lsl::session {
 
-DepotMetrics* DepotMetrics::get() {
-  if (!obs::metrics_enabled()) {
-    return nullptr;
-  }
-  // Thread-local, revalidated by registry uid (parallel trials swap the
-  // thread's registry via obs::ScopedRegistry).
-  thread_local DepotMetrics metrics;
-  thread_local std::uint64_t bound_uid = 0;
-  auto& reg = obs::Registry::global();
-  if (bound_uid != reg.uid()) {
-    bound_uid = reg.uid();
-    metrics.sessions_accepted = &reg.counter("lsl.depot.sessions_accepted");
-    metrics.sessions_refused = &reg.counter("lsl.depot.sessions_refused");
-    metrics.sessions_relayed = &reg.counter("lsl.depot.sessions_relayed");
-    metrics.sessions_delivered = &reg.counter("lsl.depot.sessions_delivered");
-    metrics.bytes_relayed = &reg.counter("lsl.depot.bytes_relayed");
-    metrics.bytes_delivered = &reg.counter("lsl.depot.bytes_delivered");
-    metrics.sessions_interrupted =
-        &reg.counter("lsl.depot.sessions_interrupted");
-    metrics.sessions_resumed = &reg.counter("lsl.depot.sessions_resumed");
-    metrics.offset_queries = &reg.counter("lsl.depot.offset_queries");
-    metrics.stall_us = &reg.counter("lsl.depot.stall_us");
-    metrics.buffer_occupancy = &reg.gauge("lsl.depot.buffer_occupancy");
-    // Session sizes from the paper span 1 MiB .. 1 GiB in doublings.
-    metrics.relay_session_mib = &reg.histogram(
-        "lsl.depot.relay_session_mib", obs::exponential_buckets(1.0, 2.0, 11));
-  }
-  return &metrics;
-}
-
 // ---------------------------------------------------------------------------
 // Relay: one accepted session flowing through this depot.
 
@@ -74,7 +44,6 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
       }
     };
     clear(up_);
-    clear(down_);
     for (auto& child : children_) {
       clear(child.conn);
     }
@@ -83,19 +52,26 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
  private:
   enum class Phase {
     kReadingHeader,
-    kRelaying,    ///< unicast store-and-forward
+    kForwarding,  ///< store-and-forward to the next hop(s)
     kDelivering,  ///< this node is the destination
     kStoring,     ///< async session parked here
     kServingFetch,
     kServingOffset,  ///< answering a resume-offset probe
-    kMulticast,
     kDone,
   };
 
+  /// One downstream connection of a forwarded session: the next hop of a
+  /// unicast session (its only child) or one child of a multicast tree.
   struct Child {
     tcp::Connection::Ptr conn;
+    SessionHeader header;  ///< written ahead of the payload once connected
+    /// Its early close fails the session (unicast: the only next hop); a
+    /// multicast child is dropped instead and its siblings carry on.
+    bool required = false;
     std::uint64_t sent = 0;  ///< payload stream offset written so far
     bool header_written = false;
+    /// Closed by the peer, or by this relay (marked before the close call,
+    /// so a close that aborts synchronously does not re-enter the relay).
     bool closed = false;
   };
 
@@ -149,10 +125,10 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
       if (index.has_value()) {
         const auto kids = hdr_.multicast->children_of(*index);
         if (!kids.empty()) {
-          phase_ = Phase::kMulticast;
+          phase_ = Phase::kForwarding;
           user_buffer_granted_ = depot_.reserve_user_memory();
           for (const net::NodeId kid : kids) {
-            open_child(kid);
+            open_child(kid, hdr_, /*required=*/false);  // same tree to each
           }
           pump();
           return;
@@ -206,48 +182,43 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
                hop.has_value() && *hop != me) {
       next = *hop;
     }
-    phase_ = Phase::kRelaying;
+    phase_ = Phase::kForwarding;
     user_buffer_granted_ = depot_.reserve_user_memory();
-    forward_header_ = std::move(fwd);
-    open_downstream(next);
+    open_child(next, std::move(fwd), /*required=*/true);
     pump();
   }
 
-  void open_downstream(net::NodeId next) {
-    down_ = depot_.stack_.connect(next, kLslPort, depot_.config_.tcp);
-    if (depot_.on_downstream_open) {
-      depot_.on_downstream_open(*down_, forward_header_);
-    }
-    down_->on_connected = [this] {
-      const auto bytes = encode(forward_header_);
-      const std::uint64_t n = down_->write_bytes(bytes);
-      LSL_ASSERT_MSG(n == bytes.size(),
-                     "send buffer must hold the session header");
-      down_ready_ = true;
-      pump();
-    };
-    down_->on_writable = [this] { pump(); };
-    down_->on_closed = [this] { on_downstream_closed(); };
-  }
-
-  void open_child(net::NodeId kid) {
-    Child child;
-    child.conn = depot_.stack_.connect(kid, kLslPort, depot_.config_.tcp);
+  void open_child(net::NodeId node, SessionHeader header, bool required) {
     const std::size_t index = children_.size();
+    Child& child = children_.emplace_back();
+    child.conn = depot_.stack_.connect(node, kLslPort, depot_.config_.tcp);
+    child.header = std::move(header);
+    child.required = required;
+    if (depot_.on_downstream_open) {
+      depot_.on_downstream_open(*child.conn, child.header);
+    }
     child.conn->on_connected = [this, index] {
       Child& c = children_[index];
-      const auto bytes = encode(hdr_);  // same tree travels to every child
+      const auto bytes = encode(c.header);
       const std::uint64_t n = c.conn->write_bytes(bytes);
-      LSL_ASSERT(n == bytes.size());
+      LSL_ASSERT_MSG(n == bytes.size(),
+                     "send buffer must hold the session header");
       c.header_written = true;
       pump();
     };
     child.conn->on_writable = [this] { pump(); };
     child.conn->on_closed = [this, index] {
-      children_[index].closed = true;
-      pump();
+      Child& c = children_[index];
+      if (phase_ == Phase::kDone || c.closed) {
+        return;
+      }
+      c.closed = true;
+      if (c.required) {
+        fail();  // the next hop died mid-relay: tear the session down
+      } else {
+        pump();
+      }
     };
-    children_.push_back(std::move(child));
   }
 
   // ---- the relay pump ----------------------------------------------------
@@ -257,19 +228,14 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
       return;
     }
     switch (phase_) {
-      case Phase::kRelaying:
-        push_downstream();
+      case Phase::kForwarding:
+        push_children();
         pull_upstream();
-        push_downstream();
+        push_children();
         break;
       case Phase::kDelivering:
       case Phase::kStoring:
         drain_locally();
-        break;
-      case Phase::kMulticast:
-        push_children();
-        pull_upstream();
-        push_children();
         break;
       default:
         break;
@@ -289,24 +255,6 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
       }
       buf_high_ += r.n;
       payload_seen_ += r.n;
-    }
-    account_buffer();
-  }
-
-  void push_downstream() {
-    if (!down_ready_ || down_ == nullptr) {
-      return;
-    }
-    while (buf_base_ < buf_high_) {
-      const std::uint64_t n = down_->write_synthetic(buf_high_ - buf_base_);
-      if (n == 0) {
-        break;
-      }
-      buf_base_ += n;
-      depot_.stats_.bytes_relayed += n;
-      if (depot_.metrics_ != nullptr) {
-        depot_.metrics_->bytes_relayed->inc(n);
-      }
     }
     account_buffer();
   }
@@ -337,6 +285,8 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
     }
   }
 
+  /// Write buffered payload to every live child; the buffer frees up to the
+  /// slowest one.
   void push_children() {
     std::uint64_t min_sent = buf_high_;
     for (auto& child : children_) {
@@ -455,7 +405,6 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
   /// response rides our send direction; the relay is finished immediately
   /// (the connection drains independently of relay callbacks).
   void serve_offset_query() {
-    ++depot_.stats_.offset_queries;
     if (depot_.metrics_ != nullptr) {
       depot_.metrics_->offset_queries->inc();
     }
@@ -512,32 +461,36 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
     }
   }
 
-  void on_downstream_closed() {
-    if (phase_ == Phase::kDone) {
-      return;
-    }
-    if (!up_eof_ || buf_base_ < buf_high_) {
-      // Downstream died mid-relay: tear the session down.
-      fail();
-    }
-  }
-
   void finish_if_drained() {
     if (phase_ == Phase::kDone || !up_eof_ || up_->readable_bytes() > 0) {
       return;
     }
     switch (phase_) {
-      case Phase::kRelaying:
-        if (buf_base_ == buf_high_ && down_ready_) {
-          down_->close();
-          up_->close();  // our send direction was never used; finish both
-          ++depot_.stats_.sessions_relayed;
-          if (depot_.metrics_ != nullptr) {
-            depot_.metrics_->sessions_relayed->inc();
-          }
-          done();
+      case Phase::kForwarding: {
+        // A child is finished once closed, or once its header and every
+        // buffered byte went out (a zero-byte session still needs the
+        // header, so a child still connecting is not finished).
+        const bool finished =
+            std::ranges::all_of(children_, [this](const Child& c) {
+              return c.closed || (c.header_written && c.sent == buf_high_);
+            });
+        if (!finished) {
+          break;
         }
+        for (auto& child : children_) {
+          if (!child.closed) {
+            child.closed = true;
+            child.conn->close();
+          }
+        }
+        up_->close();  // our send direction was never used; finish both
+        ++depot_.stats_.sessions_relayed;
+        if (depot_.metrics_ != nullptr) {
+          depot_.metrics_->sessions_relayed->inc();
+        }
+        done();
         break;
+      }
       case Phase::kDelivering: {
         const SessionHeader header = hdr_;
         const std::uint64_t bytes = resume_base_ + payload_seen_;
@@ -558,29 +511,6 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
         up_->close();
         done();
         break;
-      case Phase::kMulticast: {
-        bool all_sent = true;
-        for (const auto& child : children_) {
-          if (!child.closed && child.sent < buf_high_) {
-            all_sent = false;
-            break;
-          }
-        }
-        if (all_sent) {
-          for (auto& child : children_) {
-            if (!child.closed) {
-              child.conn->close();
-            }
-          }
-          up_->close();
-          ++depot_.stats_.sessions_relayed;
-          if (depot_.metrics_ != nullptr) {
-            depot_.metrics_->sessions_relayed->inc();
-          }
-          done();
-        }
-        break;
-      }
       default:
         break;
     }
@@ -602,11 +532,9 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
     if (up_) {
       up_->abort();
     }
-    if (down_) {
-      down_->abort();
-    }
     for (auto& child : children_) {
-      if (child.conn && !child.closed) {
+      if (!child.closed) {
+        child.closed = true;
         child.conn->abort();
       }
     }
@@ -625,8 +553,7 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
             static_cast<std::uint64_t>((now - stall_since_).ns() / 1000));
       }
     }
-    if (depot_.metrics_ != nullptr &&
-        (phase_ == Phase::kRelaying || phase_ == Phase::kMulticast)) {
+    if (depot_.metrics_ != nullptr && phase_ == Phase::kForwarding) {
       depot_.metrics_->relay_session_mib->observe(
           static_cast<double>(payload_seen_) / static_cast<double>(kMiB));
     }
@@ -642,12 +569,9 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
 
   Depot& depot_;
   tcp::Connection::Ptr up_;
-  tcp::Connection::Ptr down_;
   Phase phase_ = Phase::kReadingHeader;
   std::vector<std::byte> hdr_buf_;
   SessionHeader hdr_;
-  SessionHeader forward_header_;
-  bool down_ready_ = false;
   bool up_eof_ = false;
   /// Relay buffer accounting in payload-stream offsets: [buf_base_,
   /// buf_high_) is held in user space right now.
@@ -672,7 +596,7 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
 // Depot
 
 Depot::Depot(tcp::TcpStack& stack, DepotConfig config)
-    : stack_(stack), config_(config), metrics_(DepotMetrics::get()) {
+    : stack_(stack), config_(config), metrics_(obs::bundle<DepotMetrics>()) {
   stack_.listen(
       kLslPort, [this](tcp::Connection::Ptr conn) { on_accept(std::move(conn)); },
       config_.tcp);

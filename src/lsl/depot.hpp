@@ -36,21 +36,35 @@ namespace lsl::session {
 /// Process-wide depot instruments in the global metrics registry (aggregated
 /// across depots; per-depot detail stays in DepotStats).
 struct DepotMetrics {
-  obs::Counter* sessions_accepted;  ///< lsl.depot.sessions_accepted
-  obs::Counter* sessions_refused;   ///< lsl.depot.sessions_refused
-  obs::Counter* sessions_relayed;   ///< lsl.depot.sessions_relayed
-  obs::Counter* sessions_delivered; ///< lsl.depot.sessions_delivered
-  obs::Counter* bytes_relayed;      ///< lsl.depot.bytes_relayed
-  obs::Counter* bytes_delivered;    ///< lsl.depot.bytes_delivered
-  obs::Counter* sessions_interrupted;  ///< lsl.depot.sessions_interrupted
-  obs::Counter* sessions_resumed;   ///< lsl.depot.sessions_resumed
-  obs::Counter* offset_queries;     ///< lsl.depot.offset_queries
-  obs::Counter* stall_us;           ///< lsl.depot.stall_us (buffer-full time)
-  obs::Gauge* buffer_occupancy;     ///< lsl.depot.buffer_occupancy (bytes)
-  obs::Histogram* relay_session_mib;///< lsl.depot.relay_session_mib
+  explicit DepotMetrics(obs::Registry& reg)
+      : sessions_accepted(&reg.counter("lsl.depot.sessions_accepted")),
+        sessions_refused(&reg.counter("lsl.depot.sessions_refused")),
+        sessions_relayed(&reg.counter("lsl.depot.sessions_relayed")),
+        sessions_delivered(&reg.counter("lsl.depot.sessions_delivered")),
+        bytes_relayed(&reg.counter("lsl.depot.bytes_relayed")),
+        bytes_delivered(&reg.counter("lsl.depot.bytes_delivered")),
+        sessions_interrupted(&reg.counter("lsl.depot.sessions_interrupted")),
+        sessions_resumed(&reg.counter("lsl.depot.sessions_resumed")),
+        offset_queries(&reg.counter("lsl.depot.offset_queries")),
+        stall_us(&reg.counter("lsl.depot.stall_us")),
+        buffer_occupancy(&reg.gauge("lsl.depot.buffer_occupancy")),
+        // Session sizes from the paper span 1 MiB .. 1 GiB in doublings.
+        relay_session_mib(
+            &reg.histogram("lsl.depot.relay_session_mib",
+                           obs::exponential_buckets(1.0, 2.0, 11))) {}
 
-  /// nullptr while obs::metrics_enabled() is false.
-  static DepotMetrics* get();
+  obs::Counter* sessions_accepted;
+  obs::Counter* sessions_refused;
+  obs::Counter* sessions_relayed;
+  obs::Counter* sessions_delivered;
+  obs::Counter* bytes_relayed;
+  obs::Counter* bytes_delivered;
+  obs::Counter* sessions_interrupted;
+  obs::Counter* sessions_resumed;
+  obs::Counter* offset_queries;
+  obs::Counter* stall_us;             ///< buffer-full time
+  obs::Gauge* buffer_occupancy;       ///< bytes
+  obs::Histogram* relay_session_mib;
 };
 
 /// Largest single read when a relay pulls from its upstream socket.
@@ -84,7 +98,6 @@ struct DepotStats {
   std::uint64_t sessions_interrupted = 0;
   /// Deliveries that resumed from a nonzero committed offset.
   std::uint64_t sessions_resumed = 0;
-  std::uint64_t offset_queries = 0;
 };
 
 /// A completed local delivery (this node was the destination).
@@ -100,8 +113,9 @@ class Depot {
   /// Fired when a session addressed to this node finishes arriving.
   std::function<void(const SessionRecord&)> on_session_complete;
 
-  /// Fired when this depot opens a downstream relay connection (before the
-  /// handshake completes); experiments attach trace hooks here.
+  /// Fired when this depot opens a downstream relay connection -- a unicast
+  /// next hop or a multicast child -- before the handshake completes, with
+  /// the header it will carry; experiments attach trace hooks here.
   std::function<void(tcp::Connection&, const SessionHeader&)>
       on_downstream_open;
 

@@ -24,33 +24,6 @@ std::uint64_t id_salt(const SessionId& id) {
 
 }  // namespace
 
-RecoveryMetrics* RecoveryMetrics::get() {
-  if (!obs::metrics_enabled()) {
-    return nullptr;
-  }
-  // Thread-local, revalidated by registry uid (parallel trials swap the
-  // thread's registry via obs::ScopedRegistry).
-  thread_local RecoveryMetrics metrics;
-  thread_local std::uint64_t bound_uid = 0;
-  auto& reg = obs::Registry::global();
-  if (bound_uid != reg.uid()) {
-    bound_uid = reg.uid();
-    metrics.failures_detected = &reg.counter("lsl.recovery.failures_detected");
-    metrics.retries = &reg.counter("lsl.recovery.retries");
-    metrics.sessions_recovered =
-        &reg.counter("lsl.recovery.sessions_recovered");
-    metrics.sessions_failed = &reg.counter("lsl.recovery.sessions_failed");
-    metrics.depots_blacklisted =
-        &reg.counter("lsl.recovery.depots_blacklisted");
-    metrics.offset_probes = &reg.counter("lsl.recovery.offset_probes");
-    metrics.resumed_bytes_saved =
-        &reg.counter("lsl.recovery.resumed_bytes_saved");
-    metrics.planned_handovers =
-        &reg.counter("lsl.recovery.planned_handovers");
-  }
-  return &metrics;
-}
-
 ReliableTransfer::ReliableTransfer(tcp::TcpStack& stack, TransferSpec spec,
                                    RecoveryConfig config, Rng rng,
                                    RouteProvider provider)
@@ -70,7 +43,7 @@ ReliableTransfer::ReliableTransfer(tcp::TcpStack& stack, TransferSpec spec,
             start_probe(ProbePurpose::kRelaunch);
           },
           "lsl.recovery"),
-      metrics_(RecoveryMetrics::get()) {}
+      metrics_(obs::bundle<RecoveryMetrics>()) {}
 
 ReliableTransfer::Ptr ReliableTransfer::start(tcp::TcpStack& stack,
                                               const TransferSpec& spec,

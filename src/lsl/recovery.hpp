@@ -56,17 +56,24 @@ struct RecoveryConfig {
 
 /// Process-wide recovery instruments in the global metrics registry.
 struct RecoveryMetrics {
-  obs::Counter* failures_detected;   ///< lsl.recovery.failures_detected
-  obs::Counter* retries;             ///< lsl.recovery.retries
-  obs::Counter* sessions_recovered;  ///< lsl.recovery.sessions_recovered
-  obs::Counter* sessions_failed;     ///< lsl.recovery.sessions_failed
-  obs::Counter* depots_blacklisted;  ///< lsl.recovery.depots_blacklisted
-  obs::Counter* offset_probes;       ///< lsl.recovery.offset_probes
-  obs::Counter* resumed_bytes_saved; ///< lsl.recovery.resumed_bytes_saved
-  obs::Counter* planned_handovers;   ///< lsl.recovery.planned_handovers
+  explicit RecoveryMetrics(obs::Registry& reg)
+      : failures_detected(&reg.counter("lsl.recovery.failures_detected")),
+        retries(&reg.counter("lsl.recovery.retries")),
+        sessions_recovered(&reg.counter("lsl.recovery.sessions_recovered")),
+        sessions_failed(&reg.counter("lsl.recovery.sessions_failed")),
+        depots_blacklisted(&reg.counter("lsl.recovery.depots_blacklisted")),
+        offset_probes(&reg.counter("lsl.recovery.offset_probes")),
+        resumed_bytes_saved(&reg.counter("lsl.recovery.resumed_bytes_saved")),
+        planned_handovers(&reg.counter("lsl.recovery.planned_handovers")) {}
 
-  /// nullptr while obs::metrics_enabled() is false.
-  static RecoveryMetrics* get();
+  obs::Counter* failures_detected;
+  obs::Counter* retries;
+  obs::Counter* sessions_recovered;
+  obs::Counter* sessions_failed;
+  obs::Counter* depots_blacklisted;
+  obs::Counter* offset_probes;
+  obs::Counter* resumed_bytes_saved;
+  obs::Counter* planned_handovers;
 };
 
 /// Picks the relay path for a retry given the depots blacklisted so far.

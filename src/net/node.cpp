@@ -21,9 +21,9 @@ Link* Node::route_for(NodeId dst) const {
 
 void Node::handle_packet(Packet packet) {
   if (packet.dst == id_) {
-    LSL_ASSERT_MSG(static_cast<bool>(local_),
+    LSL_ASSERT_MSG(stack_ != nullptr,
                    "packet addressed to node without a protocol stack");
-    local_(std::move(packet));
+    stack_->receive(std::move(packet));
     return;
   }
   Link* out = route_for(packet.dst);

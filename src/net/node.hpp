@@ -3,11 +3,10 @@
 // Nodes hold a forwarding table (destination -> outgoing link) filled in by
 // the Topology's route computation (or by explicit policy routes). The table
 // is a dense vector indexed by destination id: every packet-hop reads it.
-// Packets addressed to the node are handed to the registered local delivery
-// sink (the TCP stack); everything else is forwarded.
+// Packets addressed to the node are handed to its protocol stack (the TCP
+// stack); everything else is forwarded.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -16,10 +15,25 @@
 
 namespace lsl::net {
 
+/// The protocol stack attached to a node (tcp::TcpStack): the node hands it
+/// every packet addressed to the node. The fluid data plane also reads a
+/// peer node's stack to rendezvous with the remote endpoint object without
+/// routing a packet.
+class ProtocolStack {
+ public:
+  virtual ~ProtocolStack() = default;
+  ProtocolStack(const ProtocolStack&) = delete;
+  ProtocolStack& operator=(const ProtocolStack&) = delete;
+
+  /// A packet addressed to this node arrived.
+  virtual void receive(Packet packet) = 0;
+
+ protected:
+  ProtocolStack() = default;
+};
+
 class Node {
  public:
-  using LocalDeliverFn = std::function<void(Packet)>;
-
   Node(NodeId id, std::string name, std::string site)
       : id_(id), name_(std::move(name)), site_(std::move(site)) {}
 
@@ -32,8 +46,9 @@ class Node {
   /// the scheduler's edge-equivalence logic leans on this.
   [[nodiscard]] const std::string& site() const { return site_; }
 
-  /// Register the local protocol stack sink.
-  void set_local_deliver(LocalDeliverFn sink) { local_ = std::move(sink); }
+  /// Attach the protocol stack that receives this node's packets.
+  void set_stack(ProtocolStack* stack) { stack_ = stack; }
+  [[nodiscard]] ProtocolStack* stack() const { return stack_; }
 
   /// Point the route for `dst` at `out`. Last write wins.
   void set_route(NodeId dst, Link* out);
@@ -52,7 +67,7 @@ class Node {
   std::string name_;
   std::string site_;
   std::vector<Link*> routes_;  ///< by destination id; nullptr = no route
-  LocalDeliverFn local_;
+  ProtocolStack* stack_ = nullptr;
   std::uint64_t packets_forwarded_ = 0;
 };
 

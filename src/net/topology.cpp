@@ -1,5 +1,6 @@
 #include "net/topology.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <queue>
 #include <utility>
@@ -122,54 +123,25 @@ void Topology::enable_fluid() {
   }
 }
 
-void Topology::set_protocol_handle(NodeId id, ProtocolStack* stack) {
-  LSL_ASSERT(id < nodes_.size());
-  if (protocol_handles_.size() < nodes_.size()) {
-    protocol_handles_.resize(nodes_.size(), nullptr);
-  }
-  protocol_handles_[id] = stack;
-}
-
-ProtocolStack* Topology::protocol_handle(NodeId id) const {
-  if (id >= protocol_handles_.size()) {
-    return nullptr;
-  }
-  return protocol_handles_[id];
-}
-
-Topology::FluidPathInfo Topology::fluid_path(NodeId src, NodeId dst) const {
-  FluidPathInfo info;
-  if (fluid_ == nullptr || src >= nodes_.size() || dst >= nodes_.size()) {
-    return info;
-  }
-  if (src == dst) {
-    info.found = true;
-    return info;
-  }
-  constexpr std::uint64_t kMtuBytes = 1500;
-  NodeId cur = src;
-  while (cur != dst) {
+std::optional<std::vector<Link*>> Topology::routed_path(NodeId src,
+                                                        NodeId dst) const {
+  LSL_ASSERT(src < nodes_.size() && dst < nodes_.size());
+  std::vector<Link*> path;
+  for (NodeId cur = src; cur != dst;) {
     Link* out = nodes_[cur]->route_for(dst);
-    if (out == nullptr) {
-      return FluidPathInfo{};
+    if (out == nullptr || path.size() >= nodes_.size()) {
+      return std::nullopt;  // no route, or a routing loop
     }
-    NodeId next = kInvalidNode;
-    for (const Edge& e : adjacency_[cur]) {
-      if (e.link == out) {
-        next = e.to;
-        break;
-      }
+    // The next node is the neighbour this very link reaches: parallel links
+    // to one neighbour are told apart by identity, not by endpoint.
+    const auto edge = std::ranges::find(adjacency_[cur], out, &Edge::link);
+    if (edge == adjacency_[cur].end()) {
+      return std::nullopt;  // route through a link that leaves another node
     }
-    if (next == kInvalidNode || info.links.size() >= nodes_.size()) {
-      return FluidPathInfo{};  // broken table or routing loop
-    }
-    info.links.push_back(out->fluid_link_id());
-    info.latency += out->config().propagation_delay;
-    info.serialization += out->config().rate.transmit_time(kMtuBytes);
-    cur = next;
+    path.push_back(out);
+    cur = edge->to;
   }
-  info.found = true;
-  return info;
+  return path;
 }
 
 void Topology::send(Packet packet) {

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,17 +24,6 @@ class FluidNetwork;
 }  // namespace lsl::flow
 
 namespace lsl::net {
-
-/// Marker base for per-node protocol stacks (tcp::TcpStack). The topology
-/// keeps a NodeId -> stack registry so the fluid data plane can rendezvous
-/// with the peer endpoint object without routing a packet.
-class ProtocolStack {
- public:
-  virtual ~ProtocolStack() = default;
-
- protected:
-  ProtocolStack() = default;
-};
 
 class Topology {
  public:
@@ -63,8 +53,15 @@ class Topology {
   [[nodiscard]] Link& link(std::size_t index) { return *links_[index]; }
   [[nodiscard]] std::size_t link_count() const { return links_.size(); }
 
-  /// Directed link from a to b, or nullptr when not adjacent.
+  /// Directed link from a to b, or nullptr when not adjacent. With parallel
+  /// links this is the first one added.
   [[nodiscard]] Link* link_between(NodeId a, NodeId b);
+
+  /// The links a packet from src to dst crosses under the current forwarding
+  /// tables, in hop order (empty when src == dst); nullopt when dst is
+  /// unreachable or the tables loop.
+  [[nodiscard]] std::optional<std::vector<Link*>> routed_path(
+      NodeId src, NodeId dst) const;
 
   /// Look up a node id by name; asserts existence.
   [[nodiscard]] NodeId find(const std::string& name) const;
@@ -84,25 +81,6 @@ class Topology {
   /// The fluid engine, or nullptr while running at packet fidelity.
   [[nodiscard]] flow::FluidNetwork* fluid() { return fluid_.get(); }
 
-  /// Register / look up the protocol stack attached to a node.
-  void set_protocol_handle(NodeId id, ProtocolStack* stack);
-  [[nodiscard]] ProtocolStack* protocol_handle(NodeId id) const;
-
-  struct FluidPathInfo {
-    bool found = false;
-    /// Fluid link ids along the forwarding-table walk, in hop order.
-    std::vector<std::uint32_t> links;
-    /// Total propagation delay along the path.
-    SimTime latency = SimTime::zero();
-    /// Total store-and-forward serialization of one full-MTU packet.
-    SimTime serialization = SimTime::zero();
-  };
-
-  /// Walk the current forwarding tables from src towards dst and report the
-  /// fluid links plus one-way timing. found=false when no route exists (or
-  /// fluid mode is off); src==dst yields an empty, zero-latency path.
-  [[nodiscard]] FluidPathInfo fluid_path(NodeId src, NodeId dst) const;
-
  private:
   struct Edge {
     NodeId to;
@@ -115,7 +93,6 @@ class Topology {
   std::vector<std::unique_ptr<Link>> links_;
   std::vector<std::vector<Edge>> adjacency_;
   std::unique_ptr<flow::FluidNetwork> fluid_;
-  std::vector<ProtocolStack*> protocol_handles_;
 };
 
 }  // namespace lsl::net

@@ -8,27 +8,6 @@
 
 namespace lsl::nws {
 
-NwsMetrics* NwsMetrics::get() {
-  if (!obs::metrics_enabled()) {
-    return nullptr;
-  }
-  // Thread-local, revalidated by registry uid (parallel trials swap the
-  // thread's registry via obs::ScopedRegistry).
-  thread_local NwsMetrics metrics;
-  thread_local std::uint64_t bound_uid = 0;
-  auto& reg = obs::Registry::global();
-  if (bound_uid != reg.uid()) {
-    bound_uid = reg.uid();
-    metrics.epochs = &reg.counter("nws.monitor.epochs");
-    metrics.observations = &reg.counter("nws.monitor.observations");
-    metrics.blackout_epochs = &reg.counter("nws.monitor.blackout_epochs");
-    metrics.forecast_abs_rel_error =
-        &reg.histogram("nws.monitor.forecast_abs_rel_error",
-                       obs::linear_buckets(0.05, 0.05, 20));
-  }
-  return &metrics;
-}
-
 double NoiseModel::sample(double truth, Rng& rng) const {
   double value = truth * rng.lognormal(0.0, lognormal_sigma);
   if (rng.chance(outlier_probability)) {
@@ -42,7 +21,7 @@ PerformanceMonitor::PerformanceMonitor(std::vector<std::string> sites,
     : sites_(std::move(sites)),
       noise_(noise),
       rng_(seed),
-      metrics_(NwsMetrics::get()) {
+      metrics_(obs::bundle<NwsMetrics>()) {
   LSL_ASSERT(!sites_.empty());
   site_index_of_host_.resize(sites_.size());
   for (std::size_t host = 0; host < sites_.size(); ++host) {

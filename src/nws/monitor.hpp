@@ -21,15 +21,20 @@ namespace lsl::nws {
 
 /// Process-wide monitor instruments in the global metrics registry.
 struct NwsMetrics {
-  obs::Counter* epochs;          ///< nws.monitor.epochs
-  obs::Counter* observations;    ///< nws.monitor.observations
-  obs::Counter* blackout_epochs; ///< nws.monitor.blackout_epochs
-  /// nws.monitor.forecast_abs_rel_error: |measured - predicted| / measured
-  /// for every measurement taken after the pair's first one.
-  obs::Histogram* forecast_abs_rel_error;
+  explicit NwsMetrics(obs::Registry& reg)
+      : epochs(&reg.counter("nws.monitor.epochs")),
+        observations(&reg.counter("nws.monitor.observations")),
+        blackout_epochs(&reg.counter("nws.monitor.blackout_epochs")),
+        forecast_abs_rel_error(
+            &reg.histogram("nws.monitor.forecast_abs_rel_error",
+                           obs::linear_buckets(0.05, 0.05, 20))) {}
 
-  /// nullptr while obs::metrics_enabled() is false.
-  static NwsMetrics* get();
+  obs::Counter* epochs;
+  obs::Counter* observations;
+  obs::Counter* blackout_epochs;
+  /// |measured - predicted| / measured for every measurement taken after
+  /// the pair's first one.
+  obs::Histogram* forecast_abs_rel_error;
 };
 
 struct NoiseModel {

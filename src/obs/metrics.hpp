@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -149,8 +150,8 @@ class Registry {
   /// Registry used by all built-in instrumentation: the thread's scoped
   /// registry when one is installed (see ScopedRegistry), else the
   /// process-wide default. Hot paths never call this repeatedly -- the
-  /// instrument bundles (TcpMetrics etc.) cache resolved pointers and
-  /// revalidate with one pointer compare.
+  /// instrument bundles (see bundle() below) cache resolved pointers and
+  /// revalidate with one integer compare.
   static Registry& global();
 
   /// The process-wide default registry, ignoring any thread-local override.
@@ -196,5 +197,27 @@ class ScopedRegistry {
 void set_metrics_enabled(bool enabled);
 /// LSL_METRICS=off|0 disables the built-in instrumentation.
 void init_metrics_from_env();
+
+/// The calling thread's instrument bundle `Bundle` (a struct of instrument
+/// pointers whose constructor registers them in a Registry), bound to
+/// Registry::global(); nullptr while metrics are disabled. The bundle is
+/// thread-local and revalidated by registry uid: parallel trials install a
+/// per-trial ScopedRegistry, so it re-registers in place when the thread's
+/// registry changes (pointers cached by callers stay valid), and the hot
+/// path stays one integer compare.
+template <class Bundle>
+Bundle* bundle() {
+  if (!metrics_enabled()) {
+    return nullptr;
+  }
+  thread_local std::optional<Bundle> cached;
+  thread_local std::uint64_t bound_uid = 0;
+  Registry& reg = Registry::global();
+  if (bound_uid != reg.uid()) {
+    bound_uid = reg.uid();
+    cached.emplace(reg);
+  }
+  return &*cached;
+}
 
 }  // namespace lsl::obs

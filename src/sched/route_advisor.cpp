@@ -8,26 +8,6 @@
 
 namespace lsl::sched {
 
-AdvisorMetrics* AdvisorMetrics::get() {
-  if (!obs::metrics_enabled()) {
-    return nullptr;
-  }
-  // Thread-local, revalidated by registry uid (parallel trials swap the
-  // thread's registry via obs::ScopedRegistry).
-  thread_local AdvisorMetrics metrics;
-  thread_local std::uint64_t bound_uid = 0;
-  auto& reg = obs::Registry::global();
-  if (bound_uid != reg.uid()) {
-    bound_uid = reg.uid();
-    metrics.evaluations = &reg.counter("sched.advisor.evaluations");
-    metrics.reroutes_emitted = &reg.counter("sched.advisor.reroutes_emitted");
-    metrics.kept_current = &reg.counter("sched.advisor.kept_current");
-    metrics.held_hysteresis = &reg.counter("sched.advisor.held_hysteresis");
-    metrics.held_dwell = &reg.counter("sched.advisor.held_dwell");
-  }
-  return &metrics;
-}
-
 double predicted_remaining_seconds(double minimax_cost,
                                    std::uint64_t remaining_bytes) {
   if (minimax_cost >= kInfiniteCost) {
@@ -44,7 +24,7 @@ RouteAdvisor::RouteAdvisor(RouteAdvisorConfig config) : config_(config) {}
 RouteAdvice RouteAdvisor::evaluate(const Scheduler& scheduler,
                                    const SessionView& view, SimTime now,
                                    SimTime routed_at) const {
-  AdvisorMetrics* metrics = AdvisorMetrics::get();
+  AdvisorMetrics* metrics = obs::bundle<AdvisorMetrics>();
   if (metrics != nullptr) {
     metrics->evaluations->inc();
   }
@@ -133,7 +113,7 @@ std::size_t RouteAdvisor::on_schedule(const Scheduler& scheduler,
       ++emitted_;
       ++applied;
       took = true;
-      if (AdvisorMetrics* metrics = AdvisorMetrics::get()) {
+      if (AdvisorMetrics* metrics = obs::bundle<AdvisorMetrics>()) {
         metrics->reroutes_emitted->inc();
       }
     }

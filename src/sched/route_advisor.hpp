@@ -30,14 +30,18 @@ namespace lsl::sched {
 
 /// Process-wide advisor instruments in the global metrics registry.
 struct AdvisorMetrics {
-  obs::Counter* evaluations;           ///< sched.advisor.evaluations
-  obs::Counter* reroutes_emitted;      ///< sched.advisor.reroutes_emitted
-  obs::Counter* kept_current;          ///< sched.advisor.kept_current
-  obs::Counter* held_hysteresis;       ///< sched.advisor.held_hysteresis
-  obs::Counter* held_dwell;            ///< sched.advisor.held_dwell
+  explicit AdvisorMetrics(obs::Registry& reg)
+      : evaluations(&reg.counter("sched.advisor.evaluations")),
+        reroutes_emitted(&reg.counter("sched.advisor.reroutes_emitted")),
+        kept_current(&reg.counter("sched.advisor.kept_current")),
+        held_hysteresis(&reg.counter("sched.advisor.held_hysteresis")),
+        held_dwell(&reg.counter("sched.advisor.held_dwell")) {}
 
-  /// nullptr while obs::metrics_enabled() is false.
-  static AdvisorMetrics* get();
+  obs::Counter* evaluations;
+  obs::Counter* reroutes_emitted;
+  obs::Counter* kept_current;
+  obs::Counter* held_hysteresis;
+  obs::Counter* held_dwell;
 };
 
 struct RouteAdvisorConfig {

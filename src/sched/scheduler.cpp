@@ -10,28 +10,6 @@
 
 namespace lsl::sched {
 
-SchedMetrics* SchedMetrics::get() {
-  if (!obs::metrics_enabled()) {
-    return nullptr;
-  }
-  // Thread-local, revalidated by registry uid (parallel trials swap the
-  // thread's registry via obs::ScopedRegistry).
-  thread_local SchedMetrics metrics;
-  thread_local std::uint64_t bound_uid = 0;
-  auto& reg = obs::Registry::global();
-  if (bound_uid != reg.uid()) {
-    bound_uid = reg.uid();
-    metrics.trees_built = &reg.counter("sched.mmp.trees_built");
-    metrics.epsilon_collapses = &reg.counter("sched.mmp.epsilon_collapses");
-    metrics.route_decisions = &reg.counter("sched.mmp.route_decisions");
-    metrics.relays_chosen = &reg.counter("sched.mmp.relays_chosen");
-    metrics.reroutes = &reg.counter("sched.mmp.reroutes");
-    metrics.tree_build_us = &reg.histogram(
-        "sched.mmp.tree_build_us", obs::exponential_buckets(1.0, 4.0, 10));
-  }
-  return &metrics;
-}
-
 Scheduler::Scheduler(CostMatrix matrix, SchedulerOptions options)
     : matrix_(std::move(matrix)),
       options_(std::move(options)),
@@ -56,7 +34,7 @@ const MmpTree& Scheduler::tree_from(std::size_t src) const {
     const auto t0 = std::chrono::steady_clock::now();
     trees_[src] = build_mmp_tree(matrix_, src, mmp_options());
     const auto elapsed = std::chrono::steady_clock::now() - t0;
-    if (SchedMetrics* m = SchedMetrics::get(); m != nullptr) {
+    if (SchedMetrics* m = obs::bundle<SchedMetrics>(); m != nullptr) {
       m->trees_built->inc();
       m->epsilon_collapses->inc(trees_[src].epsilon_collapses);
       m->tree_build_us->observe(
@@ -85,7 +63,7 @@ Scheduler::Decision Scheduler::route(std::size_t src, std::size_t dst) const {
   if (!decision.path.empty()) {
     decision.scheduled_cost = tree.cost[dst];
   }
-  if (SchedMetrics* m = SchedMetrics::get(); m != nullptr) {
+  if (SchedMetrics* m = obs::bundle<SchedMetrics>(); m != nullptr) {
     m->route_decisions->inc();
     if (decision.uses_depots()) {
       m->relays_chosen->inc();
@@ -118,7 +96,7 @@ Scheduler::Decision Scheduler::route_avoiding(
   if (!decision.path.empty()) {
     decision.scheduled_cost = tree.cost[dst];
   }
-  if (SchedMetrics* m = SchedMetrics::get(); m != nullptr) {
+  if (SchedMetrics* m = obs::bundle<SchedMetrics>(); m != nullptr) {
     m->route_decisions->inc();
     m->reroutes->inc();
     if (decision.uses_depots()) {
@@ -199,7 +177,7 @@ void Scheduler::prebuild_trees(std::size_t jobs,
       });
     }
   });
-  if (SchedMetrics* m = SchedMetrics::get(); m != nullptr) {
+  if (SchedMetrics* m = obs::bundle<SchedMetrics>(); m != nullptr) {
     for (std::size_t w = 0; w < work.size(); ++w) {
       if (built[w] != 0) {
         m->trees_built->inc();

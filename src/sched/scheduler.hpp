@@ -29,15 +29,22 @@ namespace lsl::sched {
 
 /// Process-wide scheduler instruments in the global metrics registry.
 struct SchedMetrics {
-  obs::Counter* trees_built;       ///< sched.mmp.trees_built
-  obs::Counter* epsilon_collapses; ///< sched.mmp.epsilon_collapses
-  obs::Counter* route_decisions;   ///< sched.mmp.route_decisions
-  obs::Counter* relays_chosen;     ///< sched.mmp.relays_chosen
-  obs::Counter* reroutes;          ///< sched.mmp.reroutes (route_avoiding)
-  obs::Histogram* tree_build_us;   ///< sched.mmp.tree_build_us (wall clock)
+  explicit SchedMetrics(obs::Registry& reg)
+      : trees_built(&reg.counter("sched.mmp.trees_built")),
+        epsilon_collapses(&reg.counter("sched.mmp.epsilon_collapses")),
+        route_decisions(&reg.counter("sched.mmp.route_decisions")),
+        relays_chosen(&reg.counter("sched.mmp.relays_chosen")),
+        reroutes(&reg.counter("sched.mmp.reroutes")),
+        tree_build_us(&reg.histogram("sched.mmp.tree_build_us",
+                                     obs::exponential_buckets(1.0, 4.0, 10))) {
+  }
 
-  /// nullptr while obs::metrics_enabled() is false.
-  static SchedMetrics* get();
+  obs::Counter* trees_built;
+  obs::Counter* epsilon_collapses;
+  obs::Counter* route_decisions;
+  obs::Counter* relays_chosen;
+  obs::Counter* reroutes;         ///< route_avoiding
+  obs::Histogram* tree_build_us;  ///< wall clock
 };
 
 struct SchedulerOptions {

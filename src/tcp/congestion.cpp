@@ -16,27 +16,8 @@ constexpr std::uint64_t kHugeSsthresh =
 constexpr SimTime kMinRttWindow = SimTime::seconds(10);
 }  // namespace
 
-CcaMetrics* CcaMetrics::get() {
-  if (!obs::metrics_enabled()) {
-    return nullptr;
-  }
-  thread_local CcaMetrics metrics;
-  thread_local std::uint64_t bound_uid = 0;
-  auto& reg = obs::Registry::global();
-  if (bound_uid != reg.uid()) {
-    bound_uid = reg.uid();
-    metrics.loss_events = &reg.counter("tcp.conn.cca.loss_events");
-    metrics.rto_collapses = &reg.counter("tcp.conn.cca.rto_collapses");
-    metrics.recovery_exits = &reg.counter("tcp.conn.cca.recovery_exits");
-    metrics.bbr_phase_moves = &reg.counter("tcp.conn.cca.bbr_phase_moves");
-    metrics.cubic_fast_conv =
-        &reg.counter("tcp.conn.cca.cubic_fast_convergence");
-  }
-  return &metrics;
-}
-
 CongestionControl::CongestionControl()
-    : ssthresh_(kHugeSsthresh), metrics_(CcaMetrics::get()) {}
+    : ssthresh_(kHugeSsthresh), metrics_(obs::bundle<CcaMetrics>()) {}
 
 CongestionControl::~CongestionControl() = default;
 

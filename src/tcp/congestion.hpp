@@ -31,16 +31,22 @@
 
 namespace lsl::tcp {
 
-/// Process-wide CCA instruments (tcp.conn.cca.*), resolved per registry the
-/// same way as TcpMetrics. nullptr while metrics are disabled.
+/// Process-wide CCA instruments (tcp.conn.cca.*), resolved per registry
+/// through obs::bundle<CcaMetrics>() the same way as TcpMetrics.
 struct CcaMetrics {
-  obs::Counter* loss_events;       ///< tcp.conn.cca.loss_events
-  obs::Counter* rto_collapses;     ///< tcp.conn.cca.rto_collapses
-  obs::Counter* recovery_exits;    ///< tcp.conn.cca.recovery_exits
-  obs::Counter* bbr_phase_moves;   ///< tcp.conn.cca.bbr_phase_moves
-  obs::Counter* cubic_fast_conv;   ///< tcp.conn.cca.cubic_fast_convergence
+  explicit CcaMetrics(obs::Registry& reg)
+      : loss_events(&reg.counter("tcp.conn.cca.loss_events")),
+        rto_collapses(&reg.counter("tcp.conn.cca.rto_collapses")),
+        recovery_exits(&reg.counter("tcp.conn.cca.recovery_exits")),
+        bbr_phase_moves(&reg.counter("tcp.conn.cca.bbr_phase_moves")),
+        cubic_fast_conv(
+            &reg.counter("tcp.conn.cca.cubic_fast_convergence")) {}
 
-  static CcaMetrics* get();
+  obs::Counter* loss_events;
+  obs::Counter* rto_collapses;
+  obs::Counter* recovery_exits;
+  obs::Counter* bbr_phase_moves;
+  obs::Counter* cubic_fast_conv;
 };
 
 class CongestionControl {

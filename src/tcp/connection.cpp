@@ -10,35 +10,6 @@
 
 namespace lsl::tcp {
 
-TcpMetrics* TcpMetrics::get() {
-  if (!obs::metrics_enabled()) {
-    return nullptr;
-  }
-  // Thread-local, revalidated by registry uid: parallel trials install a
-  // per-trial ScopedRegistry, so the bundle re-resolves when the thread's
-  // registry changes and the hot path stays one integer compare.
-  thread_local TcpMetrics metrics;
-  thread_local std::uint64_t bound_uid = 0;
-  auto& reg = obs::Registry::global();
-  if (bound_uid != reg.uid()) {
-    bound_uid = reg.uid();
-    metrics.connections = &reg.counter("tcp.conn.opened");
-    metrics.segments_sent = &reg.counter("tcp.conn.segments_sent");
-    metrics.retransmits = &reg.counter("tcp.conn.retransmits");
-    metrics.fast_retransmits = &reg.counter("tcp.conn.fast_retransmits");
-    metrics.timeouts = &reg.counter("tcp.conn.timeouts");
-    metrics.dup_acks = &reg.counter("tcp.conn.dup_acks");
-    metrics.sack_blocks_rx = &reg.counter("tcp.conn.sack_blocks_rx");
-    // RTTs on the paper's paths sit between ~1 ms (LAN) and seconds under
-    // bufferbloat; cwnd in segments spans slow-start's doubling range.
-    metrics.rtt_ms = &reg.histogram("tcp.conn.rtt_ms",
-                                    obs::exponential_buckets(1.0, 2.0, 14));
-    metrics.cwnd_segments = &reg.histogram(
-        "tcp.conn.cwnd_segments", obs::exponential_buckets(1.0, 2.0, 16));
-  }
-  return &metrics;
-}
-
 const char* to_string(ConnectionError e) {
   switch (e) {
     case ConnectionError::kNone:
@@ -106,7 +77,7 @@ Connection::Connection(TcpStack& stack, net::NodeId local, net::NodeId remote,
           "tcp.delack") {
   LSL_ASSERT_MSG(opts_.recv_buffer_bytes >= kMss,
                  "receive buffer smaller than one segment");
-  metrics_ = TcpMetrics::get();
+  metrics_ = obs::bundle<TcpMetrics>();
   if (metrics_ != nullptr) {
     metrics_->connections->inc();
   }
@@ -210,7 +181,6 @@ std::uint64_t Connection::write_synthetic(std::uint64_t n) {
 
 RecvBuffer::ReadResult Connection::read(std::uint64_t max) {
   auto r = recv_buf_.read(max);
-  stats_.bytes_read += r.n;
   if (r.n > 0) {
     if (fluid_admit_pending() && recv_buf_.readable() > 0) {
       // Held fluid chunks became readable mid-read. Notify from a fresh
@@ -282,13 +252,10 @@ void Connection::send_data_segment(std::uint64_t wire_seq, std::uint32_t len,
   last_advertised_wnd_ = p.tcp.wnd;
 
   count_sent(retransmission);
-  if (!retransmission) {
-    stats_.bytes_sent += len;
-    if (!timing_active_) {
-      timing_active_ = true;
-      timed_wire_end_ = wire_seq + len;
-      timed_sent_at_ = sim_.now();
-    }
+  if (!retransmission && !timing_active_) {
+    timing_active_ = true;
+    timed_wire_end_ = wire_seq + len;
+    timed_sent_at_ = sim_.now();
   }
   // The segment carries a current cumulative ACK: any pending delayed ACK
   // is satisfied by the piggyback.
@@ -590,7 +557,6 @@ void Connection::handle_packet(const net::Packet& packet) {
       snd_una_ = 1;
       snd_wnd_ = h.wnd;
       state_ = TcpState::kEstablished;
-      stats_.established_at = sim_.now();
       span_on_established();
       restart_rto_if_needed();
       send_pure_ack();
@@ -694,7 +660,6 @@ void Connection::process_ack(const net::Packet& packet) {
       const std::uint64_t before = send_buf_.head();
       if (data_acked > before) {
         send_buf_.release_through(data_acked);
-        stats_.bytes_acked += data_acked - before;
         fluid_acked_ = std::max(fluid_acked_, data_acked);
         if (on_ack_advance) {
           on_ack_advance(sim_.now(), send_buf_.head());
@@ -750,7 +715,6 @@ void Connection::process_ack(const net::Packet& packet) {
     const std::uint64_t before = send_buf_.head();
     if (data_acked > before) {
       send_buf_.release_through(data_acked);
-      stats_.bytes_acked += data_acked - before;
       if (on_ack_advance) {
         on_ack_advance(sim_.now(), send_buf_.head());
       }
@@ -826,7 +790,6 @@ void Connection::process_ack(const net::Packet& packet) {
   }
 
   if (is_dup) {
-    ++stats_.dup_acks_seen;
     if (metrics_ != nullptr) {
       metrics_->dup_acks->inc();
     }
@@ -972,7 +935,6 @@ void Connection::process_payload(const net::Packet& packet) {
       recv_buf_.on_segment(offset, packet.payload_bytes, packet.content);
   if (res.advanced) {
     rcv_nxt_wire_ = 1 + recv_buf_.rcv_nxt();
-    stats_.bytes_received = recv_buf_.rcv_nxt();
     maybe_accept_pending_fin();
     if (on_readable && recv_buf_.readable() > 0) {
       on_readable();
@@ -1025,7 +987,6 @@ void Connection::maybe_accept_pending_fin() {
 
 void Connection::advance_handshake_established() {
   state_ = TcpState::kEstablished;
-  stats_.established_at = sim_.now();
   span_on_established();
   restart_rto_if_needed();
   stack_.deliver_accept(ConnKey{remote_node_, local_port_, remote_port_});
@@ -1152,13 +1113,13 @@ bool Connection::ensure_fluid_channel() {
   if (fnet == nullptr) {
     return false;
   }
-  const auto fwd = stack_.topology().fluid_path(local_node_, remote_node_);
-  const auto rev = stack_.topology().fluid_path(remote_node_, local_node_);
-  if (!fwd.found || !rev.found) {
+  const auto fwd = stack_.topology().routed_path(local_node_, remote_node_);
+  const auto rev = stack_.topology().routed_path(remote_node_, local_node_);
+  if (!fwd || !rev) {
     return false;
   }
   auto* peer_stack = dynamic_cast<TcpStack*>(
-      stack_.topology().protocol_handle(remote_node_));
+      stack_.topology().node(remote_node_).stack());
   if (peer_stack == nullptr) {
     return false;
   }
@@ -1168,17 +1129,23 @@ bool Connection::ensure_fluid_channel() {
     return false;
   }
   fluid_peer_ = peer;
-  fluid_fwd_latency_ = fwd.latency + fwd.serialization;
-  fluid_rev_latency_ = rev.latency;
   fluid_window_ = std::max<std::uint64_t>(
       1, std::min(opts_.send_buffer_bytes, peer->opts_.recv_buffer_bytes));
 
+  // One-way timing as a data segment experiences it: each forward hop's
+  // propagation plus one full-MTU store-and-forward serialization; the
+  // ACK's return leg is propagation only.
+  constexpr std::uint64_t kMtuBytes = 1500;
   flow::FluidFlowSpec spec;
-  spec.path = std::vector<flow::FluidLinkId>(fwd.links.begin(),
-                                             fwd.links.end());
-  // Base RTT as a data segment experiences it: forward propagation plus
-  // store-and-forward serialization, then the ACK's return propagation.
-  spec.rtt = std::max(fwd.latency + fwd.serialization + rev.latency,
+  for (const net::Link* link : *fwd) {
+    spec.path.push_back(link->fluid_link_id());
+    fluid_fwd_latency_ += link->config().propagation_delay +
+                          link->config().rate.transmit_time(kMtuBytes);
+  }
+  for (const net::Link* link : *rev) {
+    fluid_rev_latency_ += link->config().propagation_delay;
+  }
+  spec.rtt = std::max(fluid_fwd_latency_ + fluid_rev_latency_,
                       SimTime::microseconds(1));
   spec.window_bytes = fluid_window_;
   spec.mss = kMss;
@@ -1218,7 +1185,6 @@ void Connection::fluid_pump() {
         std::min({avail, quantum, inflight_limit - inflight});
     fluid_offered_ += n;
     snd_max_ = std::max(snd_max_, 1 + fluid_offered_);
-    stats_.bytes_sent += n;
     fnet->add_bytes(fluid_flow_, n);
     auto self = shared_from_this();
     fnet->notify_at(fluid_flow_, fluid_offered_,
@@ -1300,7 +1266,6 @@ bool Connection::fluid_admit_pending() {
   }
   if (advanced) {
     rcv_nxt_wire_ = 1 + recv_buf_.rcv_nxt();
-    stats_.bytes_received = recv_buf_.rcv_nxt();
     maybe_accept_pending_fin();
   }
   if (acker != nullptr) {
@@ -1319,7 +1284,6 @@ void Connection::fluid_handle_ack(std::uint64_t ack_data) {
   if (state_ == TcpState::kDead || ack_data <= fluid_acked_) {
     return;
   }
-  stats_.bytes_acked += ack_data - fluid_acked_;
   fluid_acked_ = ack_data;
   data_retries_ = 0;
   snd_una_ = std::max(snd_una_, 1 + ack_data);

@@ -68,34 +68,42 @@ enum class ConnectionError {
 
 /// Process-wide TCP instruments in the global metrics registry, shared by
 /// every connection (stack-level aggregates; per-connection detail stays in
-/// ConnectionStats). Obtained once at connection construction so hot-path
-/// updates are plain pointer stores.
+/// ConnectionStats). Obtained once at connection construction through
+/// obs::bundle<TcpMetrics>() so hot-path updates are plain pointer stores.
 struct TcpMetrics {
-  obs::Counter* connections;       ///< tcp.conn.opened
-  obs::Counter* segments_sent;     ///< tcp.conn.segments_sent
-  obs::Counter* retransmits;       ///< tcp.conn.retransmits
-  obs::Counter* fast_retransmits;  ///< tcp.conn.fast_retransmits
-  obs::Counter* timeouts;          ///< tcp.conn.timeouts
-  obs::Counter* dup_acks;          ///< tcp.conn.dup_acks
-  obs::Counter* sack_blocks_rx;    ///< tcp.conn.sack_blocks_rx
-  obs::Histogram* rtt_ms;          ///< tcp.conn.rtt_ms
-  obs::Histogram* cwnd_segments;   ///< tcp.conn.cwnd_segments
+  explicit TcpMetrics(obs::Registry& reg)
+      : connections(&reg.counter("tcp.conn.opened")),
+        segments_sent(&reg.counter("tcp.conn.segments_sent")),
+        retransmits(&reg.counter("tcp.conn.retransmits")),
+        fast_retransmits(&reg.counter("tcp.conn.fast_retransmits")),
+        timeouts(&reg.counter("tcp.conn.timeouts")),
+        dup_acks(&reg.counter("tcp.conn.dup_acks")),
+        sack_blocks_rx(&reg.counter("tcp.conn.sack_blocks_rx")),
+        // RTTs on the paper's paths sit between ~1 ms (LAN) and seconds
+        // under bufferbloat; cwnd in segments spans slow-start's doubling
+        // range.
+        rtt_ms(&reg.histogram("tcp.conn.rtt_ms",
+                              obs::exponential_buckets(1.0, 2.0, 14))),
+        cwnd_segments(&reg.histogram("tcp.conn.cwnd_segments",
+                                     obs::exponential_buckets(1.0, 2.0, 16))) {
+  }
 
-  /// nullptr while obs::metrics_enabled() is false.
-  static TcpMetrics* get();
+  obs::Counter* connections;
+  obs::Counter* segments_sent;
+  obs::Counter* retransmits;
+  obs::Counter* fast_retransmits;
+  obs::Counter* timeouts;
+  obs::Counter* dup_acks;
+  obs::Counter* sack_blocks_rx;
+  obs::Histogram* rtt_ms;
+  obs::Histogram* cwnd_segments;
 };
 
 struct ConnectionStats {
-  std::uint64_t bytes_sent = 0;           ///< payload bytes first-transmitted
-  std::uint64_t bytes_acked = 0;          ///< payload bytes cumulatively acked
-  std::uint64_t bytes_received = 0;       ///< payload bytes admitted in order
-  std::uint64_t bytes_read = 0;           ///< bytes returned to the app
   std::uint64_t segments_sent = 0;
   std::uint64_t retransmits = 0;
   std::uint64_t fast_retransmits = 0;
   std::uint64_t timeouts = 0;
-  std::uint64_t dup_acks_seen = 0;
-  SimTime established_at = SimTime::zero();
 };
 
 /// A TCP connection; doubles as the application-facing socket.

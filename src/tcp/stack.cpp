@@ -9,9 +9,7 @@ namespace lsl::tcp {
 
 TcpStack::TcpStack(net::Topology& topology, net::NodeId node)
     : topology_(topology), node_(node) {
-  topology_.node(node).set_local_deliver(
-      [this](net::Packet p) { on_packet(std::move(p)); });
-  topology_.set_protocol_handle(node, this);
+  topology_.node(node).set_stack(this);
 }
 
 TcpStack::~TcpStack() {
@@ -47,7 +45,7 @@ Connection::Ptr TcpStack::connect(net::NodeId dst, net::Port dst_port,
   return conn;
 }
 
-void TcpStack::on_packet(net::Packet packet) {
+void TcpStack::receive(net::Packet packet) {
   const ConnKey key{packet.src, packet.tcp.dst_port, packet.tcp.src_port};
   if (const auto it = conns_.find(key); it != conns_.end()) {
     // Hold a local ref: handle_packet may trigger reap of this connection.

@@ -42,6 +42,9 @@ class TcpStack : public net::ProtocolStack {
 
   void stop_listening(net::Port port);
 
+  /// Demultiplex a packet addressed to this node.
+  void receive(net::Packet packet) override;
+
   /// Active open to (dst, dst_port). The returned socket is connecting;
   /// install callbacks immediately (on_connected fires later).
   Connection::Ptr connect(net::NodeId dst, net::Port dst_port,
@@ -73,7 +76,6 @@ class TcpStack : public net::ProtocolStack {
  private:
   friend class Connection;
 
-  void on_packet(net::Packet packet);
   /// Deferred erase, which also releases the connection's callbacks; safe
   /// to call from within the connection's own packet/timer processing and
   /// its callbacks.

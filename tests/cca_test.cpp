@@ -7,6 +7,7 @@
 #include <cmath>
 #include <memory>
 
+#include "exp/raw_tcp.hpp"
 #include "fixtures.hpp"
 #include "flow/tcp_model.hpp"
 #include "tcp/congestion.hpp"
@@ -247,7 +248,7 @@ TEST(BbrTest, MinRttWindowExpiresStaleSamples) {
 // ---------------------------------------------------------------------------
 // End to end: packet-level crossover on a lossy high-BDP path
 
-testing::TransferResult run_high_bdp(Cca cca, std::uint64_t bytes) {
+exp::RawTransferResult run_high_bdp(Cca cca, std::uint64_t bytes) {
   net::LinkConfig link;
   link.rate = Bandwidth::mbps(2000);
   link.propagation_delay = SimTime::milliseconds(80);  // RTT 160 ms
@@ -255,8 +256,8 @@ testing::TransferResult run_high_bdp(Cca cca, std::uint64_t bytes) {
   link.loss_rate = 1e-4;
   testing::TwoNodeNet net(link, /*seed=*/7);
   const TcpOptions opts = TcpOptions{}.with_buffers(mib(8)).with_cca(cca);
-  return testing::run_bulk_transfer(net.sim, *net.stack_a, *net.stack_b,
-                                    bytes, opts);
+  return exp::run_raw_transfer(net.sim, *net.stack_a, *net.stack_b,
+                               bytes, opts);
 }
 
 TEST(CcaCrossoverTest, CubicBeatsRenoOnLossyHighBdpPath) {

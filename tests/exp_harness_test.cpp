@@ -181,8 +181,8 @@ TEST(RawTcpTest, ParallelStripesDeliverExactly) {
   tcp::TcpStack sa(topo, a);
   tcp::TcpStack sb(topo, b);
   // 10 MB over 4 stripes (not divisible evenly: 2.5 MB each).
-  const auto r = run_parallel_transfer(sim, sa, sb, 10 * kMiB, 4,
-                                       tcp::TcpOptions{}.with_buffers(mib(1)));
+  const auto r = run_raw_transfer(sim, sa, sb, 10 * kMiB,
+                                  tcp::TcpOptions{}.with_buffers(mib(1)), 4);
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.bytes_delivered, 10 * kMiB);
 }
@@ -202,8 +202,8 @@ TEST(RawTcpTest, ParallelBeatsSingleOnLossyHighRttPath) {
     topo.compute_routes();
     tcp::TcpStack sa(topo, a);
     tcp::TcpStack sb(topo, b);
-    return run_parallel_transfer(sim, sa, sb, mib(16), streams,
-                                 tcp::TcpOptions{}.with_buffers(mib(8)));
+    return run_raw_transfer(sim, sa, sb, mib(16),
+                            tcp::TcpOptions{}.with_buffers(mib(8)), streams);
   };
   const auto one = run(1);
   const auto four = run(4);

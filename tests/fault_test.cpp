@@ -12,6 +12,7 @@
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "nws/monitor.hpp"
+#include "obs/metrics.hpp"
 #include "sched/scheduler.hpp"
 #include "util/rng.hpp"
 
@@ -87,6 +88,8 @@ TEST(FaultPlanTest, ChurnRespectsHorizonAndAlternates) {
 // ---- injector -------------------------------------------------------------
 
 TEST(FaultInjectorTest, LinkDownFlipsLossAndHeals) {
+  obs::Registry registry;
+  const obs::ScopedRegistry scope(registry);
   exp::SimHarness h(50);
   const auto a = h.add_host("a");
   const auto b = h.add_host("b");
@@ -121,12 +124,14 @@ TEST(FaultInjectorTest, LinkDownFlipsLossAndHeals) {
   EXPECT_DOUBLE_EQ(forward->config().loss_rate, 0.01);
   EXPECT_DOUBLE_EQ(backward->config().loss_rate, 0.01);
   EXPECT_EQ(injector.active_faults(), 0);
-  EXPECT_EQ(injector.stats().injected, 1u);
-  EXPECT_EQ(injector.stats().healed, 1u);
-  EXPECT_EQ(injector.stats().link_down, 1u);
+  EXPECT_EQ(registry.counter("fault.injected").value(), 1u);
+  EXPECT_EQ(registry.counter("fault.healed").value(), 1u);
+  EXPECT_EQ(registry.counter("fault.link_down").value(), 1u);
 }
 
 TEST(FaultInjectorTest, BrownoutUsesSpecLoss) {
+  obs::Registry registry;
+  const obs::ScopedRegistry scope(registry);
   exp::SimHarness h(51);
   const auto a = h.add_host("a");
   const auto b = h.add_host("b");
@@ -151,10 +156,12 @@ TEST(FaultInjectorTest, BrownoutUsesSpecLoss) {
   EXPECT_DOUBLE_EQ(forward->config().loss_rate, 0.42);
   h.simulator().run(3_s);
   EXPECT_DOUBLE_EQ(forward->config().loss_rate, 0.0);
-  EXPECT_EQ(injector.stats().link_brownouts, 1u);
+  EXPECT_EQ(registry.counter("fault.link_brownouts").value(), 1u);
 }
 
 TEST(FaultInjectorTest, DepotAndNwsFaultsDriveControls) {
+  obs::Registry registry;
+  const obs::ScopedRegistry scope(registry);
   exp::SimHarness h(52);
   const auto a = h.add_host("a");
   const auto b = h.add_host("b");
@@ -189,9 +196,9 @@ TEST(FaultInjectorTest, DepotAndNwsFaultsDriveControls) {
   ASSERT_EQ(nws_events.size(), 2u);
   EXPECT_TRUE(nws_events[0]);
   EXPECT_FALSE(nws_events[1]);
-  EXPECT_EQ(injector.stats().depot_crashes, 1u);
-  EXPECT_EQ(injector.stats().depot_restarts, 1u);
-  EXPECT_EQ(injector.stats().nws_blackouts, 1u);
+  EXPECT_EQ(registry.counter("fault.depot_crashes").value(), 1u);
+  EXPECT_EQ(registry.counter("fault.depot_restarts").value(), 1u);
+  EXPECT_EQ(registry.counter("fault.nws_blackouts").value(), 1u);
 }
 
 // ---- NWS blackout ---------------------------------------------------------

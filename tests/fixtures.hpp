@@ -1,15 +1,13 @@
-// Shared test fixtures: small topologies and a bulk-transfer driver used by
-// the TCP and LSL test suites.
+// Shared test fixture: the two-host topology used by the TCP and LSL test
+// suites. Bulk transfers over it run through exp::run_raw_transfer.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 
 #include "net/topology.hpp"
 #include "sim/simulator.hpp"
 #include "tcp/stack.hpp"
-#include "util/units.hpp"
 
 namespace lsl::testing {
 
@@ -32,21 +30,5 @@ struct TwoNodeNet {
     stack_b = std::make_unique<tcp::TcpStack>(*topo, b);
   }
 };
-
-/// Result of driving a one-directional bulk transfer to completion.
-struct TransferResult {
-  bool completed = false;
-  std::uint64_t bytes_delivered = 0;
-  SimTime elapsed = SimTime::zero();
-  Bandwidth goodput;
-  tcp::ConnectionStats sender_stats;
-};
-
-/// Sends `bytes` from stack_src to a sink listening on stack_dst and runs the
-/// simulation until the receiver sees EOF (or `deadline` passes).
-TransferResult run_bulk_transfer(sim::Simulator& sim, tcp::TcpStack& src,
-                                 tcp::TcpStack& dst, std::uint64_t bytes,
-                                 const tcp::TcpOptions& opts,
-                                 SimTime deadline = SimTime::seconds(600));
 
 }  // namespace lsl::testing

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include "exp/raw_tcp.hpp"
 #include "fixtures.hpp"
 #include "flow/path_model.hpp"
 #include "flow/tcp_model.hpp"
@@ -193,9 +194,9 @@ TEST_P(FlowVsPacketTest, TransferTimeMatchesSimulatorWithinTolerance) {
   link.queue_capacity_bytes = mib(4);
   link.loss_rate = c.loss;
   testing::TwoNodeNet net(link, /*seed=*/1234);
-  const auto sim_result = testing::run_bulk_transfer(
+  const auto sim_result = exp::run_raw_transfer(
       net.sim, *net.stack_a, *net.stack_b, c.bytes,
-      tcp::TcpOptions{}.with_buffers(c.buffer), SimTime::seconds(3600));
+      tcp::TcpOptions{}.with_buffers(c.buffer));
   ASSERT_TRUE(sim_result.completed) << c.label;
 
   ConnectionParams params;
@@ -258,9 +259,9 @@ TEST(CalibrationGolden, MathisConstantMatchesPacketStack) {
   int runs = 0;
   for (const std::uint64_t seed : {11, 23, 47}) {
     testing::TwoNodeNet net(link, seed);
-    const auto r = testing::run_bulk_transfer(
+    const auto r = exp::run_raw_transfer(
         net.sim, *net.stack_a, *net.stack_b, mib(16),
-        tcp::TcpOptions{}.with_buffers(kib(256)), SimTime::seconds(3600));
+        tcp::TcpOptions{}.with_buffers(kib(256)));
     ASSERT_TRUE(r.completed);
     sum_bps += r.goodput.bits_per_second();
     ++runs;
@@ -296,10 +297,9 @@ TEST(CalibrationGolden, CubicConstantMatchesPacketStack) {
   int runs = 0;
   for (const std::uint64_t seed : {11, 23}) {
     testing::TwoNodeNet net(link, seed);
-    const auto r = testing::run_bulk_transfer(
+    const auto r = exp::run_raw_transfer(
         net.sim, *net.stack_a, *net.stack_b, mib(512),
-        tcp::TcpOptions{}.with_buffers(mib(8)).with_cca(Cca::kCubic),
-        SimTime::seconds(3600));
+        tcp::TcpOptions{}.with_buffers(mib(8)).with_cca(Cca::kCubic));
     ASSERT_TRUE(r.completed);
     sum_bps += r.goodput.bits_per_second();
     ++runs;
@@ -332,10 +332,9 @@ TEST(CalibrationGolden, BbrTracksTheWindowLimitThroughLoss) {
   link.queue_capacity_bytes = mib(8);
   link.loss_rate = 1e-4;
   testing::TwoNodeNet net(link, /*seed=*/11);
-  const auto r = testing::run_bulk_transfer(
+  const auto r = exp::run_raw_transfer(
       net.sim, *net.stack_a, *net.stack_b, mib(256),
-      tcp::TcpOptions{}.with_buffers(mib(8)).with_cca(Cca::kBbr),
-      SimTime::seconds(3600));
+      tcp::TcpOptions{}.with_buffers(mib(8)).with_cca(Cca::kBbr));
   ASSERT_TRUE(r.completed);
   const double measured = r.goodput.bits_per_second();
 
@@ -360,9 +359,9 @@ TEST(CalibrationGolden, SlowStartRampMatchesPacketStack) {
   link.propagation_delay = 30_ms;
   link.queue_capacity_bytes = mib(1);
   testing::TwoNodeNet net(link, /*seed=*/7);
-  const auto r = testing::run_bulk_transfer(
+  const auto r = exp::run_raw_transfer(
       net.sim, *net.stack_a, *net.stack_b, kib(512),
-      tcp::TcpOptions{}.with_buffers(mib(4)), SimTime::seconds(600));
+      tcp::TcpOptions{}.with_buffers(mib(4)));
   ASSERT_TRUE(r.completed);
 
   ConnectionParams params;

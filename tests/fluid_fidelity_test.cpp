@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "exp/raw_tcp.hpp"
 #include "fixtures.hpp"
 #include "flow/fluid.hpp"
 #include "net/topology.hpp"
@@ -16,8 +17,8 @@
 namespace lsl {
 namespace {
 
-using testing::run_bulk_transfer;
-using testing::TransferResult;
+using exp::run_raw_transfer;
+using exp::RawTransferResult;
 using testing::TwoNodeNet;
 
 net::LinkConfig wan_link(double mbps, int one_way_ms, double loss = 0.0) {
@@ -29,14 +30,14 @@ net::LinkConfig wan_link(double mbps, int one_way_ms, double loss = 0.0) {
   return link;
 }
 
-TransferResult transfer(const net::LinkConfig& link, bool fluid,
-                        std::uint64_t bytes, const tcp::TcpOptions& opts,
-                        std::uint64_t seed = 42) {
+RawTransferResult transfer(const net::LinkConfig& link, bool fluid,
+                           std::uint64_t bytes, const tcp::TcpOptions& opts,
+                           std::uint64_t seed = 42) {
   TwoNodeNet net{link, seed};
   if (fluid) {
     net.topo->enable_fluid();
   }
-  return run_bulk_transfer(net.sim, *net.stack_a, *net.stack_b, bytes, opts);
+  return run_raw_transfer(net.sim, *net.stack_a, *net.stack_b, bytes, opts);
 }
 
 double relative_gap(double a, double b) {
@@ -138,7 +139,7 @@ TEST(FluidFidelityTest, MidTransferLinkDownStallsAndHealResumes) {
     net.topo->link(1).set_loss_rate(0.0);
   });
   const auto r =
-      run_bulk_transfer(net.sim, *net.stack_a, *net.stack_b, 8 * kMiB, opts);
+      run_raw_transfer(net.sim, *net.stack_a, *net.stack_b, 8 * kMiB, opts);
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.bytes_delivered, 8 * kMiB);
   // ~5 s of dead air must show up in the elapsed time (8 MiB at ~9.7 Mbps
@@ -157,7 +158,7 @@ TEST(FluidFidelityTest, MidTransferBrownoutThrottlesFluidRate) {
     net.topo->link(0).set_rate(Bandwidth::mbps(5));
   });
   const auto r =
-      run_bulk_transfer(net.sim, *net.stack_a, *net.stack_b, 16 * kMiB, opts);
+      run_raw_transfer(net.sim, *net.stack_a, *net.stack_b, 16 * kMiB, opts);
   ASSERT_TRUE(r.completed);
   EXPECT_GT(r.elapsed, baseline.elapsed * 2);
 }
@@ -259,7 +260,7 @@ TEST(FluidFidelityTest, MultiHopPathMatchesPacketFidelity) {
     auto sa = std::make_unique<tcp::TcpStack>(*topo, a);
     auto sb = std::make_unique<tcp::TcpStack>(*topo, b);
     const auto opts = tcp::TcpOptions{}.with_buffers(128 * kKiB);
-    auto res = run_bulk_transfer(*sim, *sa, *sb, 8 * kMiB, opts);
+    auto res = run_raw_transfer(*sim, *sa, *sb, 8 * kMiB, opts);
     return res;
   };
   const auto packet = build(false);

@@ -312,43 +312,76 @@ TEST(DepotTest, FetchOfUnknownSessionFails) {
   EXPECT_TRUE(errored);
 }
 
-TEST(DepotTest, MulticastTreeStagesDataToAllLeaves) {
-  // root depot (r) fans out to two mid depots, each with one leaf sink.
-  SimHarness h(11);
-  const auto src = h.add_host("src");
-  const auto root = h.add_host("root");
-  const auto m1 = h.add_host("m1");
-  const auto m2 = h.add_host("m2");
-  const auto l1 = h.add_host("l1");
-  const auto l2 = h.add_host("l2");
-  h.add_link(src, root, wan(100, 5_ms));
-  h.add_link(root, m1, wan(100, 5_ms));
-  h.add_link(root, m2, wan(100, 5_ms));
-  h.add_link(m1, l1, wan(100, 5_ms));
-  h.add_link(m2, l2, wan(100, 5_ms));
-  h.deploy(depot_cfg(mib(1), mib(2)));
-
+/// src -> root depot, which fans a staging tree out to two mid depots, each
+/// with one leaf sink: root -> m1, m2; m1 -> l1; m2 -> l2.
+struct MulticastTreeNet {
+  SimHarness h{11};
+  net::NodeId src = h.add_host("src");
+  net::NodeId root = h.add_host("root");
+  net::NodeId m1 = h.add_host("m1");
+  net::NodeId m2 = h.add_host("m2");
+  net::NodeId l1 = h.add_host("l1");
+  net::NodeId l2 = h.add_host("l2");
   int deliveries = 0;
   std::uint64_t delivered_bytes = 0;
-  for (const auto leaf : {l1, l2}) {
-    h.depot(leaf).on_session_complete =
-        [&](const session::SessionRecord& rec) {
-          ++deliveries;
-          delivered_bytes += rec.bytes;
-        };
+
+  MulticastTreeNet() {
+    h.add_link(src, root, wan(100, 5_ms));
+    h.add_link(root, m1, wan(100, 5_ms));
+    h.add_link(root, m2, wan(100, 5_ms));
+    h.add_link(m1, l1, wan(100, 5_ms));
+    h.add_link(m2, l2, wan(100, 5_ms));
+    h.deploy(depot_cfg(mib(1), mib(2)));
+    for (const auto leaf : {l1, l2}) {
+      h.depot(leaf).on_session_complete =
+          [this](const session::SessionRecord& rec) {
+            ++deliveries;
+            delivered_bytes += rec.bytes;
+          };
+    }
   }
 
-  session::MulticastTree tree;
-  tree.entries = {{root, 0}, {m1, 0}, {m2, 0}, {l1, 1}, {l2, 2}};
-  TransferSpec spec;
-  spec.dst = root;
-  spec.multicast = tree;
-  spec.payload_bytes = mib(1);
-  spec.tcp = tcp::TcpOptions{}.with_buffers(mib(1));
-  session::LslSource::start(h.stack(src), spec, h.rng());
-  h.simulator().run(h.simulator().now() + 120_s);
-  EXPECT_EQ(deliveries, 2);
-  EXPECT_EQ(delivered_bytes, 2 * mib(1));
+  /// Stage `bytes` down the tree and run for two simulated minutes.
+  void stage(std::uint64_t bytes) {
+    session::MulticastTree tree;
+    tree.entries = {{root, 0}, {m1, 0}, {m2, 0}, {l1, 1}, {l2, 2}};
+    TransferSpec spec;
+    spec.dst = root;
+    spec.multicast = tree;
+    spec.payload_bytes = bytes;
+    spec.tcp = tcp::TcpOptions{}.with_buffers(mib(1));
+    session::LslSource::start(h.stack(src), spec, h.rng());
+    h.simulator().run(h.simulator().now() + 120_s);
+  }
+
+  [[nodiscard]] std::size_t open_connections() {
+    std::size_t open = 0;
+    for (const auto node : {src, root, m1, m2, l1, l2}) {
+      open += h.stack(node).open_connections();
+    }
+    return open;
+  }
+};
+
+TEST(DepotTest, MulticastTreeStagesDataToAllLeaves) {
+  MulticastTreeNet net;
+  net.stage(mib(1));
+  EXPECT_EQ(net.deliveries, 2);
+  EXPECT_EQ(net.delivered_bytes, 2 * mib(1));
+}
+
+TEST(DepotTest, ZeroByteMulticastReachesEveryLeafOnce) {
+  // The empty payload drains while the root's children are still
+  // connecting: the root must wait for each child's header to go out
+  // before closing it, and finish the session once.
+  MulticastTreeNet net;
+  net.stage(0);
+  EXPECT_EQ(net.h.depot(net.l1).stats().sessions_delivered, 1u);
+  EXPECT_EQ(net.h.depot(net.l2).stats().sessions_delivered, 1u);
+  EXPECT_EQ(net.deliveries, 2);
+  EXPECT_EQ(net.delivered_bytes, 0u);
+  EXPECT_EQ(net.h.depot(net.root).stats().sessions_relayed, 1u);
+  EXPECT_EQ(net.open_connections(), 0u);
 }
 
 TEST(DepotTest, ConcurrentRelaySessionsAllComplete) {

@@ -3,6 +3,7 @@
 // or duplicating data.
 #include <gtest/gtest.h>
 
+#include "exp/raw_tcp.hpp"
 #include "fixtures.hpp"
 #include "net/link.hpp"
 
@@ -11,7 +12,7 @@ namespace {
 
 using namespace lsl::time_literals;
 using testing::TwoNodeNet;
-using testing::run_bulk_transfer;
+using exp::run_raw_transfer;
 
 TEST(LinkJitterTest, JitterReordersDelivery) {
   sim::Simulator sim;
@@ -63,10 +64,9 @@ TEST_P(JitterConservationTest, TcpDeliversExactlyUnderReordering) {
   link.queue_capacity_bytes = mib(1);
   link.jitter = 4_ms;  // heavy reordering
   TwoNodeNet net(link, GetParam());
-  const auto r = run_bulk_transfer(net.sim, *net.stack_a, *net.stack_b,
-                                   mib(2) + 777,
-                                   tcp::TcpOptions{}.with_buffers(mib(1)),
-                                   SimTime::seconds(3600));
+  const auto r = run_raw_transfer(net.sim, *net.stack_a, *net.stack_b,
+                                  mib(2) + 777,
+                                  tcp::TcpOptions{}.with_buffers(mib(1)));
   ASSERT_TRUE(r.completed);
   EXPECT_EQ(r.bytes_delivered, mib(2) + 777);
 }
@@ -79,10 +79,9 @@ TEST_P(JitterConservationTest, TcpDeliversExactlyUnderReorderingAndLoss) {
   link.jitter = 3_ms;
   link.loss_rate = 1e-3;
   TwoNodeNet net(link, GetParam() ^ 0xF00D);
-  const auto r = run_bulk_transfer(net.sim, *net.stack_a, *net.stack_b,
-                                   mib(2),
-                                   tcp::TcpOptions{}.with_buffers(mib(1)),
-                                   SimTime::seconds(3600));
+  const auto r = run_raw_transfer(net.sim, *net.stack_a, *net.stack_b,
+                                  mib(2),
+                                  tcp::TcpOptions{}.with_buffers(mib(1)));
   ASSERT_TRUE(r.completed);
   EXPECT_EQ(r.bytes_delivered, mib(2));
 }

@@ -24,6 +24,16 @@ Packet make_packet(NodeId src, NodeId dst, std::uint32_t payload,
   return p;
 }
 
+/// Protocol stack stand-in: records when each packet addressed to its node
+/// arrives.
+struct SinkStack : ProtocolStack {
+  explicit SinkStack(sim::Simulator& simulator) : sim(simulator) {}
+  void receive(Packet) override { arrivals.push_back(sim.now()); }
+
+  sim::Simulator& sim;
+  std::vector<SimTime> arrivals;
+};
+
 TEST(PacketTest, WireBytesIncludesOverhead) {
   EXPECT_EQ(make_packet(0, 1, 1460).wire_bytes(), 1500u);
   EXPECT_EQ(make_packet(0, 1, 0).wire_bytes(), kPacketOverheadBytes);
@@ -115,11 +125,11 @@ TEST(TopologyTest, DirectDelivery) {
   const NodeId b = topo.add_node("b");
   topo.add_duplex_link(a, b, LinkConfig{});
   topo.compute_routes();
-  int delivered = 0;
-  topo.node(b).set_local_deliver([&](Packet) { ++delivered; });
+  SinkStack sink(sim);
+  topo.node(b).set_stack(&sink);
   topo.send(make_packet(a, b, 100));
   sim.run();
-  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(sink.arrivals.size(), 1u);
 }
 
 TEST(TopologyTest, MultiHopForwarding) {
@@ -133,11 +143,12 @@ TEST(TopologyTest, MultiHopForwarding) {
   topo.add_duplex_link(a, r, cfg);
   topo.add_duplex_link(r, b, cfg);
   topo.compute_routes();
-  SimTime arrival = SimTime::zero();
-  topo.node(b).set_local_deliver([&](Packet) { arrival = sim.now(); });
+  SinkStack sink(sim);
+  topo.node(b).set_stack(&sink);
   topo.send(make_packet(a, b, 0));
   sim.run();
-  EXPECT_GT(arrival, 10_ms);  // two propagation hops
+  ASSERT_EQ(sink.arrivals.size(), 1u);
+  EXPECT_GT(sink.arrivals[0], 10_ms);  // two propagation hops
   EXPECT_EQ(topo.node(r).packets_forwarded(), 1u);
 }
 
@@ -157,7 +168,8 @@ TEST(TopologyTest, ShortestDelayPathChosen) {
   topo.add_duplex_link(a, fast, fast_cfg);
   topo.add_duplex_link(fast, b, fast_cfg);
   topo.compute_routes();
-  topo.node(b).set_local_deliver([](Packet) {});
+  SinkStack sink(sim);
+  topo.node(b).set_stack(&sink);
   topo.send(make_packet(a, b, 0));
   sim.run();
   EXPECT_EQ(topo.node(fast).packets_forwarded(), 1u);
@@ -179,7 +191,8 @@ TEST(TopologyTest, ExplicitRouteOverride) {
   topo.compute_routes();
   // Pin a->b through r2 regardless of what Dijkstra chose.
   topo.node(a).set_route(b, topo.link_between(a, r2));
-  topo.node(b).set_local_deliver([](Packet) {});
+  SinkStack sink(sim);
+  topo.node(b).set_stack(&sink);
   topo.send(make_packet(a, b, 0));
   sim.run();
   EXPECT_EQ(topo.node(r2).packets_forwarded(), 1u);

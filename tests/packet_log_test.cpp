@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "exp/packet_log.hpp"
+#include "exp/raw_tcp.hpp"
 #include "fixtures.hpp"
 
 namespace lsl::exp {
@@ -10,7 +11,6 @@ namespace {
 
 using namespace lsl::time_literals;
 using testing::TwoNodeNet;
-using testing::run_bulk_transfer;
 
 net::LinkConfig wan(double loss = 0.0) {
   net::LinkConfig cfg;
@@ -27,8 +27,8 @@ TEST(PacketLogTest, CapturesHandshakeShape) {
   log.attach(net.topo->link(0), net.sim);  // a -> b direction
   log.attach(net.topo->link(1), net.sim);  // b -> a direction
 
-  const auto r = run_bulk_transfer(net.sim, *net.stack_a, *net.stack_b,
-                                   10'000, tcp::TcpOptions{});
+  const auto r = run_raw_transfer(net.sim, *net.stack_a, *net.stack_b,
+                                  10'000, tcp::TcpOptions{});
   ASSERT_TRUE(r.completed);
   ASSERT_GE(log.size(), 6u);
 
@@ -52,8 +52,8 @@ TEST(PacketLogTest, NoRetransmissionsOnCleanLink) {
   TwoNodeNet net(wan());
   PacketLog log;
   log.attach(net.topo->link(0), net.sim);
-  const auto r = run_bulk_transfer(net.sim, *net.stack_a, *net.stack_b,
-                                   mib(1), tcp::TcpOptions{}.with_buffers(
+  const auto r = run_raw_transfer(net.sim, *net.stack_a, *net.stack_b,
+                                  mib(1), tcp::TcpOptions{}.with_buffers(
                                                kib(256)));
   ASSERT_TRUE(r.completed);
   EXPECT_EQ(log.retransmitted_segments(), 0u);
@@ -71,9 +71,9 @@ TEST(PacketLogTest, AckBlackoutProducesVisibleWireRetransmissions) {
     net.topo->link(1).set_loss_rate(1.0);  // b -> a: the ACK path
   });
   net.sim.schedule_at(3_s, [&] { net.topo->link(1).set_loss_rate(0.0); });
-  const auto r = run_bulk_transfer(net.sim, *net.stack_a, *net.stack_b,
-                                   mib(1),
-                                   tcp::TcpOptions{}.with_buffers(kib(256)));
+  const auto r = run_raw_transfer(net.sim, *net.stack_a, *net.stack_b,
+                                  mib(1),
+                                  tcp::TcpOptions{}.with_buffers(kib(256)));
   ASSERT_TRUE(r.completed);
   EXPECT_GT(r.sender_stats.timeouts, 0u);
   EXPECT_GT(log.retransmitted_segments(), 0u);
@@ -83,8 +83,8 @@ TEST(PacketLogTest, FilterSelectsBySeq) {
   TwoNodeNet net(wan());
   PacketLog log;
   log.attach(net.topo->link(0), net.sim);
-  (void)run_bulk_transfer(net.sim, *net.stack_a, *net.stack_b, 50'000,
-                          tcp::TcpOptions{});
+  (void)run_raw_transfer(net.sim, *net.stack_a, *net.stack_b, 50'000,
+                         tcp::TcpOptions{});
   const auto first_window = log.filter(
       [](const PacketLogEntry& e) { return e.payload > 0 && e.seq < 3000; });
   EXPECT_GE(first_window.size(), 2u);
@@ -97,8 +97,8 @@ TEST(PacketLogTest, RendersReadableLines) {
   TwoNodeNet net(wan());
   PacketLog log;
   log.attach(net.topo->link(0), net.sim);
-  (void)run_bulk_transfer(net.sim, *net.stack_a, *net.stack_b, 5'000,
-                          tcp::TcpOptions{});
+  (void)run_raw_transfer(net.sim, *net.stack_a, *net.stack_b, 5'000,
+                         tcp::TcpOptions{});
   std::ostringstream os;
   log.print(os);
   const std::string out = os.str();
@@ -111,8 +111,8 @@ TEST(PacketLogTest, AdvertisedWindowVisibleOnWire) {
   TwoNodeNet net(wan());
   PacketLog log;
   log.attach(net.topo->link(1), net.sim);  // ACK direction
-  (void)run_bulk_transfer(net.sim, *net.stack_a, *net.stack_b, 100'000,
-                          tcp::TcpOptions{});
+  (void)run_raw_transfer(net.sim, *net.stack_a, *net.stack_b, 100'000,
+                         tcp::TcpOptions{});
   // Receiver drains promptly, so most ACKs advertise a large window.
   std::size_t wide = 0;
   for (const auto& entry : log.entries()) {

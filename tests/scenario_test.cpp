@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include "exp/scenario.hpp"
+#include "net/topology.hpp"
+#include "sim/simulator.hpp"
 
 namespace lsl::exp {
 namespace {
+
+using namespace lsl::time_literals;
 
 constexpr const char* kValid = R"(
 # a minimal triangle
@@ -341,6 +345,30 @@ TEST(ScenarioRunnerTest, DeterministicForSeed) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].outcome.elapsed, b[i].outcome.elapsed);
   }
+}
+
+TEST(TopologyTruthTest, ReadsTheRoutedLinkAmongParallelOnes) {
+  // Two duplex links join a and b (a scenario may repeat a `link` line):
+  // the routes take the lower-delay second one, and so must the NWS ground
+  // truth, not the first link between the pair.
+  sim::Simulator sim;
+  net::Topology topo(sim, 1);
+  const auto a = topo.add_node("a");
+  const auto b = topo.add_node("b");
+  net::LinkConfig slow;
+  slow.rate = Bandwidth::mbps(10);
+  slow.propagation_delay = 50_ms;
+  net::LinkConfig fast;
+  fast.rate = Bandwidth::mbps(100);
+  fast.propagation_delay = 5_ms;
+  topo.add_duplex_link(a, b, slow);
+  const std::size_t fast_ab = topo.add_duplex_link(a, b, fast);
+  topo.compute_routes();
+  ASSERT_EQ(topo.node(a).route_for(b), &topo.link(fast_ab));
+
+  const nws::TruthFn truth = topology_truth(topo);
+  EXPECT_DOUBLE_EQ(truth(a, b).megabits_per_second(), 100.0);
+  EXPECT_DOUBLE_EQ(truth(b, a).megabits_per_second(), 100.0);
 }
 
 }  // namespace

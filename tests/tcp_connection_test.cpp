@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "exp/packet_log.hpp"
+#include "exp/raw_tcp.hpp"
 #include "fixtures.hpp"
 #include "net/link.hpp"
 #include "tcp/connection.hpp"
@@ -13,7 +14,7 @@ namespace {
 
 using namespace lsl::time_literals;
 using testing::TwoNodeNet;
-using testing::run_bulk_transfer;
+using exp::run_raw_transfer;
 
 net::LinkConfig wan(double mbit, SimTime one_way, double loss = 0.0) {
   net::LinkConfig cfg;
@@ -39,16 +40,16 @@ TEST(TcpConnectionTest, HandshakeEstablishes) {
 
 TEST(TcpConnectionTest, SmallTransferDeliversExactly) {
   TwoNodeNet net(wan(100, 5_ms));
-  const auto r = run_bulk_transfer(net.sim, *net.stack_a, *net.stack_b,
-                                   10'000, TcpOptions{});
+  const auto r = run_raw_transfer(net.sim, *net.stack_a, *net.stack_b,
+                                  10'000, TcpOptions{});
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.bytes_delivered, 10'000u);
 }
 
 TEST(TcpConnectionTest, LargeTransferDeliversExactly) {
   TwoNodeNet net(wan(100, 5_ms));
-  const auto r = run_bulk_transfer(net.sim, *net.stack_a, *net.stack_b,
-                                   mib(8), TcpOptions{}.with_buffers(mib(1)));
+  const auto r = run_raw_transfer(net.sim, *net.stack_a, *net.stack_b,
+                                  mib(8), TcpOptions{}.with_buffers(mib(1)));
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.bytes_delivered, mib(8));
 }
@@ -57,8 +58,8 @@ TEST(TcpConnectionTest, LosslessGoodputApproachesLinkRate) {
   TwoNodeNet net(wan(100, 2_ms));
   // Socket buffers below the queue capacity: flow control prevents
   // slow-start overshoot drops, so the link saturates cleanly.
-  const auto r = run_bulk_transfer(net.sim, *net.stack_a, *net.stack_b,
-                                   mib(16), TcpOptions{}.with_buffers(mib(1)));
+  const auto r = run_raw_transfer(net.sim, *net.stack_a, *net.stack_b,
+                                  mib(16), TcpOptions{}.with_buffers(mib(1)));
   ASSERT_TRUE(r.completed);
   // 40B/1460B header overhead caps goodput at ~97% of the raw link rate.
   EXPECT_GT(r.goodput.megabits_per_second(), 85.0);
@@ -68,8 +69,8 @@ TEST(TcpConnectionTest, LosslessGoodputApproachesLinkRate) {
 TEST(TcpConnectionTest, WindowLimitedThroughputMatchesBufferOverRtt) {
   // 64 KB buffers over an 80ms RTT path: ceiling = 64KB/80ms = 6.55 Mbit/s.
   TwoNodeNet net(wan(1000, 40_ms));
-  const auto r = run_bulk_transfer(net.sim, *net.stack_a, *net.stack_b,
-                                   mib(8), TcpOptions{});  // default 64 KB
+  const auto r = run_raw_transfer(net.sim, *net.stack_a, *net.stack_b,
+                                  mib(8), TcpOptions{});  // default 64 KB
   ASSERT_TRUE(r.completed);
   EXPECT_NEAR(r.goodput.megabits_per_second(), 6.55, 1.0);
 }
@@ -79,10 +80,10 @@ TEST(TcpConnectionTest, ThroughputScalesInverselyWithRtt) {
   // the window-limited throughput.
   TwoNodeNet short_net(wan(1000, 20_ms));
   TwoNodeNet long_net(wan(1000, 40_ms));
-  const auto fast = run_bulk_transfer(short_net.sim, *short_net.stack_a,
-                                      *short_net.stack_b, mib(8), TcpOptions{});
-  const auto slow = run_bulk_transfer(long_net.sim, *long_net.stack_a,
-                                      *long_net.stack_b, mib(8), TcpOptions{});
+  const auto fast = run_raw_transfer(short_net.sim, *short_net.stack_a,
+                                     *short_net.stack_b, mib(8), TcpOptions{});
+  const auto slow = run_raw_transfer(long_net.sim, *long_net.stack_a,
+                                     *long_net.stack_b, mib(8), TcpOptions{});
   ASSERT_TRUE(fast.completed);
   ASSERT_TRUE(slow.completed);
   const double ratio = fast.goodput.bits_per_second() /
@@ -92,8 +93,8 @@ TEST(TcpConnectionTest, ThroughputScalesInverselyWithRtt) {
 
 TEST(TcpConnectionTest, SurvivesPacketLossAndDeliversExactly) {
   TwoNodeNet net(wan(50, 10_ms, /*loss=*/0.01));
-  const auto r = run_bulk_transfer(net.sim, *net.stack_a, *net.stack_b,
-                                   mib(2), TcpOptions{}.with_buffers(mib(1)));
+  const auto r = run_raw_transfer(net.sim, *net.stack_a, *net.stack_b,
+                                  mib(2), TcpOptions{}.with_buffers(mib(1)));
   ASSERT_TRUE(r.completed);
   EXPECT_EQ(r.bytes_delivered, mib(2));
   EXPECT_GT(r.sender_stats.retransmits, 0u);
@@ -103,10 +104,10 @@ TEST(TcpConnectionTest, LossReducesThroughput) {
   TwoNodeNet clean(wan(100, 20_ms));
   TwoNodeNet lossy(wan(100, 20_ms, /*loss=*/0.002));
   const auto opts = TcpOptions{}.with_buffers(mib(4));
-  const auto r_clean = run_bulk_transfer(clean.sim, *clean.stack_a,
-                                         *clean.stack_b, mib(8), opts);
-  const auto r_lossy = run_bulk_transfer(lossy.sim, *lossy.stack_a,
-                                         *lossy.stack_b, mib(8), opts);
+  const auto r_clean = run_raw_transfer(clean.sim, *clean.stack_a,
+                                        *clean.stack_b, mib(8), opts);
+  const auto r_lossy = run_raw_transfer(lossy.sim, *lossy.stack_a,
+                                        *lossy.stack_b, mib(8), opts);
   ASSERT_TRUE(r_clean.completed);
   ASSERT_TRUE(r_lossy.completed);
   EXPECT_LT(r_lossy.goodput.bits_per_second(),
@@ -115,8 +116,8 @@ TEST(TcpConnectionTest, LossReducesThroughput) {
 
 TEST(TcpConnectionTest, FastRetransmitUsedBeforeTimeout) {
   TwoNodeNet net(wan(100, 10_ms, /*loss=*/0.005));
-  const auto r = run_bulk_transfer(net.sim, *net.stack_a, *net.stack_b,
-                                   mib(4), TcpOptions{}.with_buffers(mib(2)));
+  const auto r = run_raw_transfer(net.sim, *net.stack_a, *net.stack_b,
+                                  mib(4), TcpOptions{}.with_buffers(mib(2)));
   ASSERT_TRUE(r.completed);
   EXPECT_GT(r.sender_stats.fast_retransmits, 0u);
   // With plentiful dupacks most recoveries avoid the RTO path.
@@ -224,8 +225,8 @@ TEST(TcpConnectionTest, AbortSendsRstAndTearsDown) {
 TEST(TcpConnectionTest, DeterministicAcrossRuns) {
   auto run_once = [] {
     TwoNodeNet net(wan(80, 15_ms, 0.001), /*seed=*/1234);
-    return run_bulk_transfer(net.sim, *net.stack_a, *net.stack_b, mib(4),
-                             TcpOptions{}.with_buffers(mib(1)));
+    return run_raw_transfer(net.sim, *net.stack_a, *net.stack_b, mib(4),
+                            TcpOptions{}.with_buffers(mib(1)));
   };
   const auto r1 = run_once();
   const auto r2 = run_once();

@@ -2,6 +2,7 @@
 // SYN retry cap.
 #include <gtest/gtest.h>
 
+#include "exp/raw_tcp.hpp"
 #include "fixtures.hpp"
 #include "obs/metrics.hpp"
 #include "tcp/connection.hpp"
@@ -11,7 +12,7 @@ namespace {
 
 using namespace lsl::time_literals;
 using testing::TwoNodeNet;
-using testing::run_bulk_transfer;
+using exp::run_raw_transfer;
 
 net::LinkConfig lan() {
   net::LinkConfig cfg;
@@ -26,8 +27,8 @@ TEST(DelayedAckTest, RoughlyHalvesAckTraffic) {
     TwoNodeNet net(lan());
     auto opts = TcpOptions{}.with_buffers(mib(1));
     opts.delayed_ack = delayed;
-    const auto r = run_bulk_transfer(net.sim, *net.stack_a, *net.stack_b,
-                                     mib(4), opts);
+    const auto r = run_raw_transfer(net.sim, *net.stack_a, *net.stack_b,
+                                    mib(4), opts);
     EXPECT_TRUE(r.completed);
     EXPECT_EQ(r.bytes_delivered, mib(4));
     // Receiver-side segments are almost all pure ACKs.
@@ -46,7 +47,7 @@ TEST(DelayedAckTest, TransferStillDeliversExactlyUnderLoss) {
   auto opts = TcpOptions{}.with_buffers(mib(1));
   opts.delayed_ack = true;
   const auto r =
-      run_bulk_transfer(net.sim, *net.stack_a, *net.stack_b, mib(2), opts);
+      run_raw_transfer(net.sim, *net.stack_a, *net.stack_b, mib(2), opts);
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.bytes_delivered, mib(2));
 }
@@ -60,7 +61,7 @@ TEST(DelayedAckTest, OutOfOrderDataStillAckedImmediately) {
   auto opts = TcpOptions{}.with_buffers(mib(1));
   opts.delayed_ack = true;
   const auto r =
-      run_bulk_transfer(net.sim, *net.stack_a, *net.stack_b, mib(8), opts);
+      run_raw_transfer(net.sim, *net.stack_a, *net.stack_b, mib(8), opts);
   ASSERT_TRUE(r.completed);
   EXPECT_GT(r.sender_stats.fast_retransmits, 0u);
 }

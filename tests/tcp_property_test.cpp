@@ -7,6 +7,7 @@
 
 #include <tuple>
 
+#include "exp/raw_tcp.hpp"
 #include "fixtures.hpp"
 #include "tcp/connection.hpp"
 
@@ -15,7 +16,7 @@ namespace {
 
 using namespace lsl::time_literals;
 using testing::TwoNodeNet;
-using testing::run_bulk_transfer;
+using exp::run_raw_transfer;
 
 struct PropertyCase {
   double loss;
@@ -52,8 +53,8 @@ TEST_P(TcpConservationTest, ExactDeliveryAndCleanTermination) {
   options.delayed_ack = c.delack;
 
   const std::uint64_t bytes = mib(2) + 12345;  // deliberately unaligned
-  const auto r = run_bulk_transfer(net.sim, *net.stack_a, *net.stack_b,
-                                   bytes, options, 3600_s);
+  const auto r = run_raw_transfer(net.sim, *net.stack_a, *net.stack_b,
+                                  bytes, options);
   ASSERT_TRUE(r.completed);
   EXPECT_EQ(r.bytes_delivered, bytes);
 
@@ -91,8 +92,8 @@ TEST_P(TcpDeterminismTest, IdenticalSeedsProduceIdenticalRuns) {
     link.queue_capacity_bytes = kib(512);
     link.loss_rate = 1e-3;
     TwoNodeNet net(link, GetParam());
-    return run_bulk_transfer(net.sim, *net.stack_a, *net.stack_b, mib(3),
-                             TcpOptions{}.with_buffers(mib(1)), 3600_s);
+    return run_raw_transfer(net.sim, *net.stack_a, *net.stack_b, mib(3),
+                            TcpOptions{}.with_buffers(mib(1)));
   };
   const auto r1 = run_once();
   const auto r2 = run_once();

@@ -140,13 +140,13 @@ std::vector<T> parse_number_list(const char* flag, const char* text) {
 /// the full tcp/lsl/sched/nws namespace even when a scenario exercises only
 /// part of the stack (registration is lazy otherwise).
 void preregister_metrics() {
-  (void)lsl::tcp::TcpMetrics::get();
-  (void)lsl::session::DepotMetrics::get();
-  (void)lsl::session::RecoveryMetrics::get();
-  (void)lsl::sched::SchedMetrics::get();
-  (void)lsl::sched::AdvisorMetrics::get();
-  (void)lsl::nws::NwsMetrics::get();
-  (void)lsl::fault::FaultMetrics::get();
+  (void)lsl::obs::bundle<lsl::tcp::TcpMetrics>();
+  (void)lsl::obs::bundle<lsl::session::DepotMetrics>();
+  (void)lsl::obs::bundle<lsl::session::RecoveryMetrics>();
+  (void)lsl::obs::bundle<lsl::sched::SchedMetrics>();
+  (void)lsl::obs::bundle<lsl::sched::AdvisorMetrics>();
+  (void)lsl::obs::bundle<lsl::nws::NwsMetrics>();
+  (void)lsl::obs::bundle<lsl::fault::FaultMetrics>();
 }
 
 /// Per-transfer status cell: ok / recovered(xN) / rerouted(xN) / FAILED.
