@@ -10,6 +10,8 @@
 // records that results/BENCH_sched.json tracks across PRs.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -37,6 +39,48 @@ CostMatrix random_matrix(std::size_t n, std::uint64_t seed) {
   return m;
 }
 
+/// The shape the pool sweep schedules over (PerformanceMonitor::
+/// build_matrix): one to three hosts per site, every host pair reading its
+/// sites' forecast, so whole rows repeat exactly equal costs. A site
+/// pair's bandwidth is the slower site's access link (lognormal, as in
+/// testbed/grid.cpp) under 10% forecast noise. At epsilon 0.25 about a
+/// fifth of all fringe visits collapse, near the pool matrix's 29%.
+CostMatrix site_clique_matrix(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::size_t> site_of(n);
+  std::size_t sites = 0;
+  for (std::size_t v = 0; v < n; ++sites) {
+    const auto count = static_cast<std::size_t>(rng.uniform_int(1, 3));
+    for (std::size_t k = 0; k < count && v < n; ++k) {
+      site_of[v++] = sites;
+    }
+  }
+  std::vector<double> access_mbps(sites);
+  for (double& mbps : access_mbps) {
+    mbps = rng.lognormal(std::log(12.0), 1.2);
+  }
+  std::vector<double> by_site(sites * sites);
+  for (std::size_t a = 0; a < sites; ++a) {
+    for (std::size_t b = 0; b < sites; ++b) {
+      const double mbps = std::min(access_mbps[a], access_mbps[b]) *
+                          rng.lognormal(0.0, 0.1);
+      by_site[a * sites + b] = 1.0 / mbps;  // s per Mbit
+    }
+  }
+  CostMatrix m(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i != j) {
+        m.set_cost(i, j,
+                   site_of[i] == site_of[j]
+                       ? 1.0 / 1000.0
+                       : by_site[site_of[i] * sites + site_of[j]]);
+      }
+    }
+  }
+  return m;
+}
+
 void BM_BuildMmpTree(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto matrix = random_matrix(n, 42);
@@ -47,6 +91,18 @@ void BM_BuildMmpTree(benchmark::State& state) {
   state.SetComplexityN(static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_BuildMmpTree)->RangeMultiplier(2)->Range(16, 1024)->Complexity();
+
+void BM_BuildMmpTreeSiteClique(benchmark::State& state) {
+  // The pool sweep's tree build: site-clique costs at its epsilon (0.25),
+  // where ties and damped relaxations are the common case.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto matrix = site_clique_matrix(n, 42);
+  for (auto _ : state) {
+    auto tree = build_mmp_tree(matrix, 0, {.epsilon = 0.25});
+    benchmark::DoNotOptimize(tree);
+  }
+}
+BENCHMARK(BM_BuildMmpTreeSiteClique)->Arg(142)->Arg(512)->Arg(1024);
 
 void BM_BuildShortestPathTree(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

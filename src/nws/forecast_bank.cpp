@@ -1,6 +1,5 @@
 #include "nws/forecast_bank.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -21,13 +20,31 @@ std::optional<double> ForecastBank::observe(double value) {
   // Add the newcomer before dropping the oldest: the summation order of
   // the sliding mean is part of its bit-exact result.
   window_sum_ += value;
+  std::size_t size = filled_;
   if (filled_ == kWindow) {
-    window_sum_ -= ring_[head_];
+    // The oldest value arrived kWindow measurements ago; close its gap.
+    const auto oldest = static_cast<std::uint8_t>(count_ - kWindow);
+    std::size_t k = 0;
+    while (arrival_[k] != oldest) {
+      ++k;
+    }
+    window_sum_ -= window_[k];
+    for (--size; k < size; ++k) {
+      window_[k] = window_[k + 1];
+      arrival_[k] = arrival_[k + 1];
+    }
   } else {
     ++filled_;
   }
-  ring_[head_] = value;
-  head_ = static_cast<std::uint8_t>((head_ + 1) % kWindow);
+  // Insert after any equal values: a stable sort of the window taken
+  // oldest first puts the newest of equals last.
+  std::size_t k = size;
+  for (; k > 0 && value < window_[k - 1]; --k) {
+    window_[k] = window_[k - 1];
+    arrival_[k] = arrival_[k - 1];
+  }
+  window_[k] = value;
+  arrival_[k] = static_cast<std::uint8_t>(count_);
   ewma_ = count_ == 0 ? value
                       : kEwmaAlpha * value + (1.0 - kEwmaAlpha) * ewma_;
   ++count_;
@@ -35,18 +52,11 @@ std::optional<double> ForecastBank::observe(double value) {
 }
 
 double ForecastBank::sliding_median() const {
-  // Oldest first, so the sort sees the same sequence for any ring phase.
-  std::array<double, kWindow> sorted{};
-  const std::size_t oldest = (head_ + kWindow - filled_) % kWindow;
-  for (std::size_t k = 0; k < filled_; ++k) {
-    sorted[k] = ring_[(oldest + k) % kWindow];
-  }
-  std::sort(sorted.begin(), sorted.begin() + filled_);
   const std::size_t mid = filled_ / 2;
   if (filled_ % 2 == 1) {
-    return sorted[mid];
+    return window_[mid];
   }
-  return 0.5 * (sorted[mid - 1] + sorted[mid]);
+  return 0.5 * (window_[mid - 1] + window_[mid]);
 }
 
 double ForecastBank::prediction(Member member) const {

@@ -54,15 +54,18 @@ class ForecastBank {
   double sum_ = 0.0;
   double window_sum_ = 0.0;
   double ewma_ = 0.0;
-  /// The last `filled_` measurements; `head_` is the next slot to write,
-  /// which once the ring is full holds the oldest.
-  std::array<double, kWindow> ring_{};
+  /// The last `filled_` measurements, kept sorted ascending with equal
+  /// values in arrival order: exactly a stable sort of the window taken
+  /// oldest first.
+  std::array<double, kWindow> window_{};
   std::array<double, kMembers> error_{};
   std::uint32_t count_ = 0;
-  std::uint8_t head_ = 0;
+  /// arrival_[k] is the low byte of window_[k]'s measurement number
+  /// (count_ when it arrived), which names the oldest slot to drop.
+  std::array<std::uint8_t, kWindow> arrival_{};
   std::uint8_t filled_ = 0;
 };
 
-static_assert(sizeof(ForecastBank) <= 192, "one bank per site pair");
+static_assert(sizeof(ForecastBank) <= 168, "one bank per site pair");
 
 }  // namespace lsl::nws

@@ -69,6 +69,10 @@ SyntheticGrid::SyntheticGrid(std::vector<HostProfile> hosts,
                              std::uint64_t seed)
     : hosts_(std::move(hosts)), seed_(seed) {
   LSL_ASSERT(!hosts_.empty());
+  site_hash_.reserve(hosts_.size());
+  for (const auto& h : hosts_) {
+    site_hash_.push_back(Rng::hash(h.site));
+  }
 }
 
 const HostProfile& SyntheticGrid::host(std::size_t i) const {
@@ -97,11 +101,9 @@ std::vector<std::size_t> SyntheticGrid::core_hosts() const {
 
 double SyntheticGrid::pair_unit(std::size_t a, std::size_t b,
                                 std::uint64_t salt) const {
-  const std::string& sa = hosts_[a].site;
-  const std::string& sb = hosts_[b].site;
   // Unordered: same factor in both directions.
-  const std::uint64_t ha = Rng::hash(sa);
-  const std::uint64_t hb = Rng::hash(sb);
+  const std::uint64_t ha = site_hash_[a];
+  const std::uint64_t hb = site_hash_[b];
   const std::uint64_t lo = std::min(ha, hb);
   const std::uint64_t hi = std::max(ha, hb);
   return unit_from_hash(lo ^ (hi * 0x9E3779B97F4A7C15ULL) ^

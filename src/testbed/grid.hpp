@@ -157,6 +157,9 @@ class SyntheticGrid {
                                      Rng& trial) const;
 
   std::vector<HostProfile> hosts_;
+  /// Rng::hash of each host's site, computed once: pair_unit runs per
+  /// probe.
+  std::vector<std::uint64_t> site_hash_;
   std::uint64_t seed_;
   // Latency / loss generation parameters (set by the named constructors).
   SimTime rtt_base_ = SimTime::milliseconds(6);

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -98,9 +100,9 @@ TEST(ForecastBankTest, AdaptiveReportsBestMember) {
 }
 
 TEST(ForecastBankTest, RingWrapsToLastTenValues) {
-  // 25 integer-valued measurements wrap the 10-slot ring; integer sums are
-  // exact, so the window members equal a fresh computation over the last
-  // ten values exactly.
+  // 25 integer-valued measurements overrun the 10-slot window; integer
+  // sums are exact, so the window members equal a fresh computation over
+  // the last ten values exactly.
   ForecastBank f;
   std::vector<double> series;
   for (int i = 0; i < 25; ++i) {
@@ -112,6 +114,41 @@ TEST(ForecastBankTest, RingWrapsToLastTenValues) {
   EXPECT_EQ(f.prediction(Member::kSlidingMean), sum / 10.0);
   std::sort(last.begin(), last.end());
   EXPECT_EQ(f.prediction(Member::kSlidingMedian), 0.5 * (last[4] + last[5]));
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(ForecastBankTest, SortedWindowMatchesStableSortBitForBit) {
+  // A handful of values repeated 10,000 times, with +0 and -0 among them
+  // (equal under <, different in their bits): the kept-sorted window must
+  // hold exactly what a stable sort of the last ten values, oldest first,
+  // holds, and the sliding mean must add the newcomer before it drops the
+  // oldest value.
+  constexpr double kValues[] = {-0.0, 0.0, 0.1, 0.1 + 0.2, 2.5, 7.0};
+  Rng rng(1021);
+  ForecastBank f;
+  std::vector<double> series;
+  double window_sum = 0.0;
+  for (int i = 0; i < 10'000; ++i) {
+    const double v = kValues[rng.pick_index(std::size(kValues))];
+    series.push_back(v);
+    f.observe(v);
+    window_sum += v;
+    if (series.size() > ForecastBank::kWindow) {
+      window_sum -= series[series.size() - 1 - ForecastBank::kWindow];
+    }
+    const std::size_t n = std::min(series.size(), ForecastBank::kWindow);
+    std::vector<double> window(series.end() - static_cast<std::ptrdiff_t>(n),
+                               series.end());
+    std::stable_sort(window.begin(), window.end());
+    const double median =
+        n % 2 == 1 ? window[n / 2] : 0.5 * (window[n / 2 - 1] + window[n / 2]);
+    ASSERT_EQ(bits(f.prediction(Member::kSlidingMedian)), bits(median))
+        << "after " << series.size() << " values";
+    ASSERT_EQ(bits(f.prediction(Member::kSlidingMean)),
+              bits(window_sum / static_cast<double>(n)))
+        << "after " << series.size() << " values";
+  }
 }
 
 TEST(NoiseModelTest, SamplesCenteredOnTruth) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -316,6 +318,165 @@ TEST(MaskedBuildTest, MaskEquivalentToPrunedCopy) {
       EXPECT_EQ(masked.epsilon_collapses, copied.epsilon_collapses);
     }
   }
+}
+
+// The Appendix A build as a full scan: every round visits all n nodes,
+// skips those in the tree, relaxes the rest against the node just admitted
+// and picks the cheapest, lowest index first. build_mmp_tree visits only
+// the packed fringe; this is the reference it must match bit for bit.
+MmpTree full_scan_mmp_tree(const CostMatrix& matrix, std::size_t start,
+                           const MmpOptions& options) {
+  const std::size_t n = matrix.size();
+  MmpTree tree;
+  tree.start = start;
+  tree.parent.assign(n, -1);
+  tree.cost.assign(n, kInfiniteCost);
+  std::vector<std::uint8_t> in_tree(n, 0);
+  if (!options.excluded.empty()) {
+    for (std::size_t v = 0; v < n; ++v) {
+      in_tree[v] = options.excluded[v] != 0 ? 1 : 0;
+    }
+  }
+  const double eps_factor = 1.0 + options.epsilon;
+  tree.cost[start] = 0.0;
+  tree.parent[start] = static_cast<std::int64_t>(start);
+  std::size_t new_node = start;
+  while (true) {
+    in_tree[new_node] = 1;
+    double through_cost = tree.cost[new_node];
+    if (!options.node_costs.empty() && new_node != start) {
+      through_cost = std::max(through_cost, options.node_costs[new_node]);
+    }
+    const double* row = matrix.row(new_node);
+    double best = kInfiniteCost;
+    std::size_t best_node = n;
+    for (std::size_t other = 0; other < n; ++other) {
+      if (in_tree[other]) {
+        continue;
+      }
+      const double edge = row[other];
+      if (edge != kInfiniteCost) {
+        const double relax_cost = std::max(edge, through_cost);
+        if (relax_cost * eps_factor < tree.cost[other]) {
+          tree.parent[other] = static_cast<std::int64_t>(new_node);
+          tree.cost[other] = relax_cost;
+        } else if (relax_cost < tree.cost[other]) {
+          ++tree.epsilon_collapses;
+        }
+      }
+      if (tree.cost[other] < best) {
+        best = tree.cost[other];
+        best_node = other;
+      }
+    }
+    if (best_node == n) {
+      return tree;
+    }
+    new_node = best_node;
+  }
+}
+
+std::vector<std::uint64_t> cost_bits(const std::vector<double>& costs) {
+  std::vector<std::uint64_t> out;
+  for (const double c : costs) {
+    out.push_back(std::bit_cast<std::uint64_t>(c));
+  }
+  return out;
+}
+
+/// Hosts grouped one to three per site, every host pair reading its sites'
+/// cost, as PerformanceMonitor::build_matrix fills it: whole rows of
+/// exactly equal costs. About 10% of site pairs have no edge.
+CostMatrix site_clique_matrix(std::size_t n, Rng& rng) {
+  std::vector<std::size_t> site_of(n);
+  std::size_t sites = 0;
+  for (std::size_t v = 0; v < n; ++sites) {
+    const auto count = static_cast<std::size_t>(rng.uniform_int(1, 3));
+    for (std::size_t k = 0; k < count && v < n; ++k) {
+      site_of[v++] = sites;
+    }
+  }
+  std::vector<double> by_site(sites * sites);
+  for (double& c : by_site) {
+    c = rng.chance(0.1) ? kInfiniteCost : 1.0 / rng.uniform(1.0, 50.0);
+  }
+  CostMatrix m(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i == j) {
+        continue;
+      }
+      const double c = site_of[i] == site_of[j]
+                           ? 1.0 / 1000.0
+                           : by_site[site_of[i] * sites + site_of[j]];
+      if (c != kInfiniteCost) {
+        m.set_cost(i, j, c);
+      }
+    }
+  }
+  return m;
+}
+
+/// Directed integer costs 1..6 (ties everywhere), ~10% of edges absent.
+CostMatrix integer_matrix(std::size_t n, Rng& rng) {
+  CostMatrix m(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i != j && !rng.chance(0.1)) {
+        m.set_cost(i, j, static_cast<double>(rng.uniform_int(1, 6)));
+      }
+    }
+  }
+  return m;
+}
+
+// Costs alone (MmpOptimalityTest) cannot see a changed tie-break: on
+// matrices full of exactly equal costs, the packed-fringe build must pick
+// the same parents, the same cost bits and the same collapse count as the
+// full scan, for every epsilon, with and without node costs and a mask.
+TEST(MmpTieBreakTest, PackedFringeMatchesFullScan) {
+  Rng rng(0x7137);
+  std::uint64_t collapses = 0;
+  for (int round = 0; round < 12; ++round) {
+    const std::size_t n = 8 + rng.pick_index(90);
+    const CostMatrix matrix =
+        round % 2 == 0 ? site_clique_matrix(n, rng) : integer_matrix(n, rng);
+    const auto start = rng.pick_index(n);
+    std::vector<double> node_costs(n);
+    for (double& c : node_costs) {
+      c = round % 2 == 0 ? 1.0 / rng.uniform(1.0, 50.0)
+                         : static_cast<double>(rng.uniform_int(0, 6));
+    }
+    std::vector<std::uint8_t> mask(n, 0);
+    for (std::size_t v = 0; v < n; ++v) {
+      mask[v] = v != start && rng.chance(0.15) ? 1 : 0;
+    }
+    for (const double epsilon : {0.0, 0.1, 0.25}) {
+      for (const bool with_node_costs : {false, true}) {
+        for (const bool with_mask : {false, true}) {
+          MmpOptions options;
+          options.epsilon = epsilon;
+          if (with_node_costs) {
+            options.node_costs = node_costs;
+          }
+          if (with_mask) {
+            options.excluded = mask;
+          }
+          const MmpTree got = build_mmp_tree(matrix, start, options);
+          const MmpTree want = full_scan_mmp_tree(matrix, start, options);
+          SCOPED_TRACE(::testing::Message()
+                       << "round " << round << " n=" << n << " eps="
+                       << epsilon << " node_costs=" << with_node_costs
+                       << " mask=" << with_mask);
+          ASSERT_EQ(got.parent, want.parent);
+          ASSERT_EQ(cost_bits(got.cost), cost_bits(want.cost));
+          ASSERT_EQ(got.epsilon_collapses, want.epsilon_collapses);
+          collapses += want.epsilon_collapses;
+        }
+      }
+    }
+  }
+  EXPECT_GT(collapses, 0u);  // the damping was exercised
 }
 
 // route_avoiding must give the same decision as the old implementation:
