@@ -166,10 +166,10 @@ int main(int argc, char** argv) {
       }
     }
   }
-  const exp::Fidelity fidelity = opts.fidelity == "flow"
-                                     ? exp::Fidelity::kFlow
-                                     : exp::Fidelity::kPacket;
-  if (opts.fidelity == "analytic") {
+  const exp::Fidelity fidelity =
+      opts.fidelity == testbed::SweepFidelity::kFlow ? exp::Fidelity::kFlow
+                                                     : exp::Fidelity::kPacket;
+  if (opts.fidelity == testbed::SweepFidelity::kAnalytic) {
     std::printf("(analytic fidelity not meaningful here; using packet)\n");
   }
 

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "testbed/sweep.hpp"
 #include "util/log.hpp"
 #include "util/parse.hpp"
 
@@ -64,11 +65,9 @@ struct BenchOptions {
   /// When non-empty, write {bench, metric, value} records here at the
   /// bench's discretion (--json <file>).
   std::string json_path;
-  /// Measurement fidelity for benches that sweep (--fidelity=...):
-  /// "analytic" (default), "flow", or "packet". The sweep benches map this
-  /// onto testbed::SweepFidelity; other benches ignore it. See
-  /// docs/flow_fidelity.md.
-  std::string fidelity = "analytic";
+  /// Measurement fidelity for benches that sweep (--fidelity=analytic,
+  /// flow or packet); other benches ignore it. See docs/flow_fidelity.md.
+  testbed::SweepFidelity fidelity = testbed::SweepFidelity::kAnalytic;
 };
 
 /// Reads --jobs, --json and --fidelity, each as "--name value" or
@@ -98,9 +97,7 @@ inline BenchOptions parse_options(int argc, char** argv) {
     } else if (const char* v = value_of(i, "--json")) {
       opts.json_path = v;
     } else if (const char* v = value_of(i, "--fidelity")) {
-      opts.fidelity = v;
-      if (opts.fidelity != "analytic" && opts.fidelity != "flow" &&
-          opts.fidelity != "packet") {
+      if (!testbed::parse_sweep_fidelity(v, opts.fidelity)) {
         reject_value("--fidelity", v);
       }
     }
@@ -186,11 +183,18 @@ inline std::string artifact_slug(const char* artifact) {
 
 }  // namespace detail
 
-inline void banner(const char* artifact, const char* description) {
+/// The header of one paper artifact's report.
+inline void section(const char* artifact, const char* description) {
   std::printf("==============================================================\n");
   std::printf("%s\n", artifact);
   std::printf("  %s\n", description);
   std::printf("==============================================================\n");
+}
+
+/// Opens a bench: the header of its first artifact, then logging, metrics
+/// and the metrics sidecar named after that artifact.
+inline void banner(const char* artifact, const char* description) {
+  section(artifact, description);
   lsl::init_log_from_env();
   obs::init_metrics_from_env();
   if (const char* v = std::getenv("LSL_BENCH_METRICS");

@@ -76,8 +76,7 @@ int main() {
          grid.realize_relay_hops(decision.path, size, trial)) {
       hops.push_back(hop.connection_params());
     }
-    const auto relay_time =
-        flow::relay_transfer_time({hops, 32 * kMiB}, size);
+    const auto relay_time = flow::relay_transfer_time({hops}, size);
     std::printf("\n16MB to %s: direct %s, scheduled %s (%.2fx)\n",
                 grid.host(example_dst).name.c_str(),
                 direct_time.str().c_str(), relay_time.str().c_str(),

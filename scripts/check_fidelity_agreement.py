@@ -10,12 +10,14 @@ same figure bench run at two fidelities and checks two things:
    realized networks, so disagreement here means an engine bug, not model
    error.
 
-2. flow vs analytic (loose): each fidelity_agreement_* record (simulated /
-   analytic on identical realizations, computed inside the bench) must lie
-   within --model-band (default [0.4, 2.2]). The analytic closed form is a
-   model, not ground truth -- e.g. slow-start overshoot on mid-size
-   transfers is real in both simulators but absent from the Mathis-style
-   formula -- so this band only catches gross divergence.
+2. each simulator vs analytic (loose): each fidelity_agreement_* record
+   (a simulated mean or median speedup over the same statistic of the
+   analytic twins, which the sweep computes on the very realizations it
+   simulates) must lie within --model-band (default [0.4, 2.2]). The
+   analytic closed form is a model, not ground truth -- e.g. slow-start
+   overshoot on mid-size transfers is real in both simulators but absent
+   from the Mathis-style formula -- so this band only catches gross
+   divergence.
 
 Usage: check_fidelity_agreement.py FLOW_JSON PACKET_JSON
            [--pair-band 0.25] [--model-band-lo 0.4] [--model-band-hi 2.2]

@@ -7,6 +7,26 @@
 
 namespace lsl::exp {
 
+const char* to_string(Fidelity fidelity) {
+  switch (fidelity) {
+    case Fidelity::kPacket:
+      return "packet";
+    case Fidelity::kFlow:
+      return "flow";
+  }
+  return "?";
+}
+
+bool parse_fidelity(std::string_view name, Fidelity& out) {
+  for (const Fidelity fidelity : {Fidelity::kPacket, Fidelity::kFlow}) {
+    if (name == to_string(fidelity)) {
+      out = fidelity;
+      return true;
+    }
+  }
+  return false;
+}
+
 SimHarness::SimHarness(std::uint64_t seed, Fidelity fidelity)
     : rng_(seed),
       fidelity_(fidelity),

@@ -7,6 +7,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -27,6 +28,10 @@ namespace lsl::exp {
 /// machinery, so sessions, recovery, rerouting, and fault injection behave
 /// identically at either fidelity. See docs/flow_fidelity.md.
 enum class Fidelity { kPacket, kFlow };
+
+[[nodiscard]] const char* to_string(Fidelity fidelity);
+/// Case-sensitive lowercase names: packet | flow.
+[[nodiscard]] bool parse_fidelity(std::string_view name, Fidelity& out);
 
 class SimHarness {
  public:

@@ -558,15 +558,13 @@ ParseResult parse_scenario(const std::string& text) {
         return {std::nullopt,
                 err_at(line_no, "fidelity needs exactly one of packet|flow")};
       }
-      if (tokens[1] == "packet") {
-        scenario.fidelity = Fidelity::kPacket;
-      } else if (tokens[1] == "flow") {
-        scenario.fidelity = Fidelity::kFlow;
-      } else {
+      Fidelity fidelity = Fidelity::kPacket;
+      if (!parse_fidelity(tokens[1], fidelity)) {
         return {std::nullopt,
                 err_at(line_no,
                        "unknown fidelity '" + tokens[1] + "' (packet|flow)")};
       }
+      scenario.fidelity = fidelity;
       continue;
     }
 

@@ -78,11 +78,9 @@ std::vector<FaultPlan> perturbations(const FaultPlan& plan,
 FaultPlan random_plan(const RandomPlanSpec& spec, Rng& rng) {
   LSL_ASSERT_MSG(!spec.depots.empty() || !spec.links.empty(),
                  "random_plan needs at least one fault candidate");
-  LSL_ASSERT_MSG(spec.min_faults >= 0 && spec.max_faults >= spec.min_faults,
-                 "bad fault count range");
   FaultPlan plan;
   const int count = static_cast<int>(
-      rng.uniform_int(spec.min_faults, spec.max_faults));
+      rng.uniform_int(kMinRandomFaults, kMaxRandomFaults));
   for (int i = 0; i < count; ++i) {
     FaultSpec fault;
     // Depot crashes dominate the draw when both spaces exist: they exercise
@@ -106,7 +104,7 @@ FaultPlan random_plan(const RandomPlanSpec& spec, Rng& rng) {
       }
     }
     fault.at = SimTime::from_seconds(
-        rng.uniform(0.0, spec.horizon.to_seconds()));
+        rng.uniform(0.0, kRandomFaultHorizon.to_seconds()));
     constexpr SimTime kSpan = kMaxFaultDuration - kMinFaultDuration;
     fault.duration =
         kMinFaultDuration +

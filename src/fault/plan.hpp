@@ -92,13 +92,16 @@ inline constexpr SimTime kMinFaultDuration = SimTime::milliseconds(50);
 inline constexpr SimTime kMaxFaultDuration = SimTime::seconds(4);
 static_assert(kMinFaultDuration > SimTime::zero());
 
+/// Every random plan holds between these many faults, inclusive.
+inline constexpr int kMinRandomFaults = 1;
+inline constexpr int kMaxRandomFaults = 4;
+/// Random fault times are drawn in [0, kRandomFaultHorizon).
+inline constexpr SimTime kRandomFaultHorizon = SimTime::seconds(20);
+
 /// Candidate space for seeded random fault plans (the fault fuzzer).
 struct RandomPlanSpec {
   std::vector<net::NodeId> depots;  ///< depot-crash candidates
   std::vector<std::pair<net::NodeId, net::NodeId>> links;  ///< link faults
-  int min_faults = 1;
-  int max_faults = 4;
-  SimTime horizon = SimTime::seconds(20);  ///< fault times drawn in [0, horizon)
 };
 
 /// Draw a random fault plan from `spec` using `rng`; identical (spec, rng

@@ -31,8 +31,8 @@ SimTime relay_transfer_time(const RelayPathParams& path, std::uint64_t bytes) {
 
   // Data phase: every hop must individually move all the bytes; hops run
   // concurrently (pipelined), so the slowest hop's data time dominates.
-  // Depot buffering lets an upstream hop bank at most pipeline_bytes of
-  // head start, which is already captured by taking the max.
+  // Depot buffering bounds an upstream hop's head start, which taking the
+  // max already captures.
   SimTime data = SimTime::zero();
   for (const auto& hop : path.hops) {
     data = std::max(data, data_time(hop, bytes));

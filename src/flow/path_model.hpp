@@ -16,10 +16,6 @@ namespace lsl::flow {
 
 struct RelayPathParams {
   std::span<const ConnectionParams> hops;
-  /// Per-depot pipeline storage (kernel + user buffers); bounds how far a
-  /// fast upstream leg can run ahead. Only shapes transient behaviour; the
-  /// completion-time model uses it to cap the head start.
-  std::uint64_t depot_pipeline_bytes = 32 * kMiB;
 };
 
 /// End-to-end time to move `bytes` from source through every hop to the

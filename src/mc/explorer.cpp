@@ -228,9 +228,9 @@ RunRecord Explorer::replay(const std::vector<std::size_t>& picks) {
 void Explorer::record_counterexample(RunRecord record) {
   std::vector<std::size_t> picks = picks_of(record);
   // Greedy minimization: reset non-default picks to 0 from the tail; keep a
-  // change whenever the violation survives. Bounded by minimize_budget
+  // change whenever the violation survives. Bounded by kMinimizeBudget
   // extra executions.
-  std::uint64_t budget = options_.minimize_budget;
+  std::uint64_t budget = kMinimizeBudget;
   for (std::size_t i = picks.size(); i-- > 0 && budget > 0;) {
     if (picks[i] == 0) {
       continue;

@@ -34,6 +34,9 @@
 
 namespace lsl::mc {
 
+/// Extra runs spent shrinking each violating trace.
+inline constexpr std::uint64_t kMinimizeBudget = 32;
+
 struct ExplorerOptions {
   std::uint64_t max_runs = 64;    ///< total scenario executions
   std::size_t max_depth = 32;     ///< choice points branched per run
@@ -41,7 +44,6 @@ struct ExplorerOptions {
   /// reorders events this close together (models timing perturbations).
   SimTime slack = SimTime::zero();
   bool sleep_sets = true;         ///< prune commutative reorderings
-  std::uint64_t minimize_budget = 32;  ///< extra runs spent shrinking a trace
 };
 
 /// One recorded branching step: the candidate events that were ready (sleep

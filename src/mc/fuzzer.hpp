@@ -32,7 +32,7 @@ struct FuzzResult {
 /// seed base_seed + i for each of `runs` iterations, run it, and check every
 /// mc::Invariants observation plus per-transfer outcomes. Plans take their
 /// candidate depots and links from the scenario and the rest of their shape
-/// from fault::RandomPlanSpec's defaults. A scenario without a `recovery`
+/// from fault/plan.hpp's random-plan constants. A scenario without a `recovery`
 /// directive gets a default recovery loop, so injected faults exercise
 /// resume instead of failing terminally.
 [[nodiscard]] FuzzResult fuzz_fault_schedules(const exp::Scenario& scenario,

@@ -10,6 +10,30 @@
 
 namespace lsl::testbed {
 
+const char* to_string(SweepFidelity fidelity) {
+  switch (fidelity) {
+    case SweepFidelity::kAnalytic:
+      return "analytic";
+    case SweepFidelity::kFlow:
+      return "flow";
+    case SweepFidelity::kPacket:
+      return "packet";
+  }
+  return "?";
+}
+
+bool parse_sweep_fidelity(std::string_view name, SweepFidelity& out) {
+  for (const SweepFidelity fidelity :
+       {SweepFidelity::kAnalytic, SweepFidelity::kFlow,
+        SweepFidelity::kPacket}) {
+    if (name == to_string(fidelity)) {
+      out = fidelity;
+      return true;
+    }
+  }
+  return false;
+}
+
 std::vector<double> SweepResult::all_speedups() const {
   std::vector<double> out;
   for (const auto& [size, xs] : speedups_by_size) {
@@ -152,6 +176,35 @@ SweepResult run_speedup_sweep(const SyntheticGrid& grid,
   // folded into the size-keyed result map in case order afterwards.
   struct CaseResult {
     std::vector<double> speedup_by_size;  ///< parallel to `sizes`
+    std::vector<double> twin_by_size;     ///< simulated sweeps only
+  };
+  // Bandwidth sums (bit/s) of one (case, size) over its iterations.
+  struct BandwidthSums {
+    double direct = 0.0;
+    double sched = 0.0;
+
+    // The closed-form flow model on one realization per mode: the analytic
+    // measurement, and the twin of every simulated one.
+    void add_closed_form(const PairRealization& direct_hop,
+                         const std::vector<PairRealization>& hops,
+                         std::uint64_t size) {
+      const SimTime t_direct =
+          flow::transfer_time(direct_hop.connection_params(), size);
+      direct += static_cast<double>(size) * 8.0 / t_direct.to_seconds();
+      std::vector<flow::ConnectionParams> hop_params;
+      hop_params.reserve(hops.size());
+      for (const PairRealization& hop : hops) {
+        hop_params.push_back(hop.connection_params());
+      }
+      const SimTime t_sched =
+          flow::relay_transfer_time(flow::RelayPathParams{hop_params}, size);
+      sched += static_cast<double>(size) * 8.0 / t_sched.to_seconds();
+    }
+
+    /// Eq. 1.
+    [[nodiscard]] double speedup() const {
+      return direct > 0.0 ? sched / direct : 0.0;
+    }
   };
   const bool simulated = config.fidelity != SweepFidelity::kAnalytic;
   const exp::Fidelity sim_fidelity = config.fidelity == SweepFidelity::kFlow
@@ -189,8 +242,8 @@ SweepResult run_speedup_sweep(const SyntheticGrid& grid,
         CaseResult out;
         out.speedup_by_size.reserve(sizes.size());
         for (const std::uint64_t size : sizes) {
-          double direct_bw_sum = 0.0;
-          double sched_bw_sum = 0.0;
+          BandwidthSums sums;
+          BandwidthSums twin;
           for (std::size_t it = 0; it < config.iterations; ++it) {
             // One realization per mode, shared verbatim by every fidelity:
             // the analytic model consumes it as ConnectionParams, the
@@ -199,38 +252,33 @@ SweepResult run_speedup_sweep(const SyntheticGrid& grid,
                 grid.realize_direct(c.src, c.dst, size, case_rng);
             const auto hops =
                 grid.realize_relay_hops(c.path, size, case_rng);
-            if (simulated) {
-              const std::uint64_t sim_seed = case_rng.next_u64();
-              direct_bw_sum += simulate_chain({c.src, c.dst}, {direct},
-                                              size, sim_seed);
-              sched_bw_sum +=
-                  simulate_chain(c.path, hops, size, sim_seed ^ 0x5C5C);
-            } else {
-              const SimTime t_direct =
-                  flow::transfer_time(direct.connection_params(), size);
-              direct_bw_sum +=
-                  static_cast<double>(size) * 8.0 / t_direct.to_seconds();
-              std::vector<flow::ConnectionParams> hop_params;
-              hop_params.reserve(hops.size());
-              for (const PairRealization& hop : hops) {
-                hop_params.push_back(hop.connection_params());
-              }
-              flow::RelayPathParams path_params;
-              path_params.hops = hop_params;
-              const SimTime t_sched =
-                  flow::relay_transfer_time(path_params, size);
-              sched_bw_sum +=
-                  static_cast<double>(size) * 8.0 / t_sched.to_seconds();
+            if (!simulated) {
+              sums.add_closed_form(direct, hops, size);
+              continue;
             }
+            const std::uint64_t sim_seed = case_rng.next_u64();
+            sums.direct +=
+                simulate_chain({c.src, c.dst}, {direct}, size, sim_seed);
+            sums.sched +=
+                simulate_chain(c.path, hops, size, sim_seed ^ 0x5C5C);
+            // The twin is taken here, on the networks just simulated: an
+            // analytic sweep draws no simulation seeds, so from a case's
+            // second draw on it would realize other networks.
+            twin.add_closed_form(direct, hops, size);
           }
-          out.speedup_by_size.push_back(
-              direct_bw_sum > 0.0 ? sched_bw_sum / direct_bw_sum : 0.0);
+          out.speedup_by_size.push_back(sums.speedup());
+          if (simulated) {
+            out.twin_by_size.push_back(twin.speedup());
+          }
         }
         return out;
       });
   for (const CaseResult& cr : measured) {
     for (std::size_t s = 0; s < sizes.size(); ++s) {
       result.speedups_by_size[sizes[s]].push_back(cr.speedup_by_size[s]);
+    }
+    for (std::size_t s = 0; s < cr.twin_by_size.size(); ++s) {
+      result.analytic_twins_by_size[sizes[s]].push_back(cr.twin_by_size[s]);
     }
   }
   result.total_measurements +=

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <map>
+#include <string_view>
 #include <vector>
 
 #include "flow/path_model.hpp"
@@ -24,6 +25,11 @@ namespace lsl::testbed {
 /// fidelity -- orders of magnitude slower, but cross-validates the
 /// analytic numbers end to end (see docs/flow_fidelity.md).
 enum class SweepFidelity { kAnalytic, kFlow, kPacket };
+
+[[nodiscard]] const char* to_string(SweepFidelity fidelity);
+/// Case-sensitive lowercase names: analytic | flow | packet.
+[[nodiscard]] bool parse_sweep_fidelity(std::string_view name,
+                                        SweepFidelity& out);
 
 struct SweepConfig {
   /// Transfer sizes: 2^n MB for n in [0, max_size_exp).
@@ -60,6 +66,10 @@ struct SweepResult {
   /// Per transfer size: the per-case speedups (one entry per scheduled
   /// (src, dst) pair).
   std::map<std::uint64_t, std::vector<double>> speedups_by_size;
+  /// kFlow and kPacket only (empty at kAnalytic): per transfer size, each
+  /// case's Eq. 1 speedup under the closed-form model on the very
+  /// realizations the simulator ran, parallel to speedups_by_size.
+  std::map<std::uint64_t, std::vector<double>> analytic_twins_by_size;
   /// Fraction of eligible ordered pairs the scheduler routed via depots.
   double fraction_scheduled = 0.0;
   std::size_t scheduled_cases = 0;

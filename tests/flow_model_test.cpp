@@ -116,8 +116,8 @@ TEST(RelayModelTest, SetupCostGrowsWithHopCount) {
   hop.bottleneck = Bandwidth::mbps(100);
   const std::vector<ConnectionParams> two{hop, hop};
   const std::vector<ConnectionParams> four{hop, hop, hop, hop};
-  RelayPathParams p2{two, 32 * kMiB};
-  RelayPathParams p4{four, 32 * kMiB};
+  RelayPathParams p2{two};
+  RelayPathParams p4{four};
   // Tiny transfer: the serial setup dominates, so more hops is slower.
   EXPECT_LT(relay_transfer_time(p2, kib(4)), relay_transfer_time(p4, kib(4)));
 }
@@ -132,7 +132,7 @@ TEST(RelayModelTest, SplitBeatsDirectWhenWindowLimited) {
   ConnectionParams half = direct;
   half.rtt = 40_ms;
   const std::vector<ConnectionParams> hops{half, half};
-  RelayPathParams path{hops, 32 * kMiB};
+  RelayPathParams path{hops};
   const SimTime t_direct = transfer_time(direct, mib(64));
   const SimTime t_relay = relay_transfer_time(path, mib(64));
   const double speedup = t_direct.to_seconds() / t_relay.to_seconds();
@@ -150,7 +150,7 @@ TEST(RelayModelTest, SplitLosesOnSmallTransfersWhenPathDoglegs) {
   ConnectionParams leg = direct;
   leg.rtt = 60_ms;
   const std::vector<ConnectionParams> hops{leg, leg};
-  RelayPathParams path{hops, 32 * kMiB};
+  RelayPathParams path{hops};
   EXPECT_GT(relay_transfer_time(path, kib(16)),
             transfer_time(direct, kib(16)));
 }
@@ -166,7 +166,7 @@ TEST(RelayModelTest, PerfectlyHalvedPathHelpsEvenSmallTransfers) {
   ConnectionParams half = direct;
   half.rtt = 40_ms;
   const std::vector<ConnectionParams> hops{half, half};
-  RelayPathParams path{hops, 32 * kMiB};
+  RelayPathParams path{hops};
   EXPECT_LT(relay_transfer_time(path, mib(1)), transfer_time(direct, mib(1)));
 }
 

@@ -178,7 +178,7 @@ TEST(MaterializeTest, FlowModelAgreesWithPacketExecutionOnScheduledCases) {
     for (const auto& hop : grid.realize_relay_hops(c.path, size, trial)) {
       hops.push_back(hop.connection_params());
     }
-    const SimTime t_relay = flow::relay_transfer_time({hops, 32 * kMiB}, size);
+    const SimTime t_relay = flow::relay_transfer_time({hops}, size);
 
     const double packet_speedup = r_relayed.goodput.bits_per_second() /
                                   r_direct.goodput.bits_per_second();

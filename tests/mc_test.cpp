@@ -325,9 +325,6 @@ TEST(FaultRandomPlanTest, DeterministicAndBounded) {
   fault::RandomPlanSpec spec;
   spec.depots = {1};
   spec.links = {{0, 1}, {1, 2}, {0, 2}};
-  spec.min_faults = 2;
-  spec.max_faults = 5;
-  spec.horizon = 10_s;
 
   Rng r1(7);
   Rng r2(7);
@@ -335,10 +332,10 @@ TEST(FaultRandomPlanTest, DeterministicAndBounded) {
   const fault::FaultPlan p2 = fault::random_plan(spec, r2);
   EXPECT_EQ(p1.faults, p2.faults);
 
-  ASSERT_GE(p1.faults.size(), 2u);
-  ASSERT_LE(p1.faults.size(), 5u);
+  ASSERT_GE(p1.faults.size(), std::size_t{fault::kMinRandomFaults});
+  ASSERT_LE(p1.faults.size(), std::size_t{fault::kMaxRandomFaults});
   for (const fault::FaultSpec& f : p1.faults) {
-    EXPECT_LT(f.at, 10_s);
+    EXPECT_LT(f.at, fault::kRandomFaultHorizon);
     EXPECT_GE(f.at, SimTime::zero());
     // Never permanent: a stranded fault would leave depot relays holding
     // buffer grants forever, a false buffer-balance violation.
@@ -405,7 +402,6 @@ TEST(McMutationSmokeTest, ExplorerCatchesRevertedBlacklistGuard) {
 
   mc::ExplorerOptions opts;
   opts.max_runs = 3;
-  opts.minimize_budget = 2;
   {
     // skip_blacklist_filter reverts recovery.cpp's relaunch_with() to the
     // pre-fix behavior: retries re-select the crashed depot instead of
@@ -469,7 +465,6 @@ TEST(McRegressionTest, StaleOffsetProbeRaceDoubleDelivery) {
 
   mc::ExplorerOptions opts;
   opts.max_runs = 4;
-  opts.minimize_budget = 2;
   {
     mc::ScopedMutation revert("skip_delivery_dedup");
     mc::Explorer explorer(mc::scenario_fn(*parsed.scenario, 5), opts);

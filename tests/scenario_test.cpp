@@ -108,6 +108,10 @@ TEST(ScenarioParserTest, RejectsBadFidelity) {
   EXPECT_FALSE(parse_scenario(std::string(kValid) + "fidelity\n").ok());
   EXPECT_FALSE(
       parse_scenario(std::string(kValid) + "fidelity flow packet\n").ok());
+  // Names are lowercase, and analytic is a pool-sweep fidelity only.
+  EXPECT_FALSE(parse_scenario(std::string(kValid) + "fidelity FLOW\n").ok());
+  EXPECT_FALSE(
+      parse_scenario(std::string(kValid) + "fidelity analytic\n").ok());
 }
 
 TEST(ScenarioParserTest, ParsesCcaDirective) {

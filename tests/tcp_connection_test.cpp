@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "exp/packet_log.hpp"
@@ -23,6 +24,22 @@ net::LinkConfig wan(double mbit, SimTime one_way, double loss = 0.0) {
   cfg.queue_capacity_bytes = mib(2);
   cfg.loss_rate = loss;
   return cfg;
+}
+
+/// Loses the first transmission of each data segment whose payload starts
+/// at one of the stream offsets `lost`, at `link`'s far end.
+void lose_first_transmissions(net::Link& link,
+                              std::vector<std::uint64_t> lost) {
+  link.set_deliver([deliver = link.take_deliver(),
+                    lost = std::move(lost)](net::Packet p) mutable {
+    // Wire sequence 0 is the SYN, so payload offset k travels as k + 1.
+    const auto it = std::find(lost.begin(), lost.end(), p.tcp.seq - 1);
+    if (p.payload_bytes > 0 && it != lost.end()) {
+      lost.erase(it);
+      return;
+    }
+    deliver(std::move(p));
+  });
 }
 
 TEST(TcpConnectionTest, HandshakeEstablishes) {
@@ -122,6 +139,62 @@ TEST(TcpConnectionTest, FastRetransmitUsedBeforeTimeout) {
   EXPECT_GT(r.sender_stats.fast_retransmits, 0u);
   // With plentiful dupacks most recoveries avoid the RTO path.
   EXPECT_LT(r.sender_stats.timeouts, r.sender_stats.fast_retransmits);
+}
+
+TEST(TcpConnectionTest, RenoLeavesRecoveryOnTheFirstPartialAck) {
+  // Two segments of one slow-start window are lost. The fast retransmit of
+  // the first draws a partial ACK that stops at the second hole. Classic
+  // Reno ends recovery there, so the second hole needs a fresh dup-ACK
+  // round and a second fast retransmit; NewReno repairs it inside the
+  // first episode.
+  const auto run = [](Cca cca) {
+    TwoNodeNet net(wan(100, 10_ms));
+    lose_first_transmissions(net.topo->link(0), {40 * kMss, 44 * kMss});
+    TcpOptions opts = TcpOptions{}.with_buffers(mib(1)).with_cca(cca);
+    opts.sack_enabled = false;
+    return run_raw_transfer(net.sim, *net.stack_a, *net.stack_b, mib(1),
+                            opts);
+  };
+  const auto reno = run(Cca::kReno);
+  ASSERT_TRUE(reno.completed);
+  EXPECT_EQ(reno.bytes_delivered, mib(1));
+  EXPECT_EQ(reno.sender_stats.retransmits, 2u);
+  EXPECT_EQ(reno.sender_stats.fast_retransmits, 2u);
+  EXPECT_EQ(reno.sender_stats.timeouts, 0u);
+
+  const auto newreno = run(Cca::kNewReno);
+  ASSERT_TRUE(newreno.completed);
+  EXPECT_EQ(newreno.bytes_delivered, mib(1));
+  EXPECT_EQ(newreno.sender_stats.retransmits, 2u);
+  EXPECT_EQ(newreno.sender_stats.fast_retransmits, 1u);
+  EXPECT_EQ(newreno.sender_stats.timeouts, 0u);
+}
+
+TEST(TcpConnectionTest, DarkPathGivesUpAfterMaxDataRetries) {
+  // The path goes dark once the handshake completes: no data, ACK or RST
+  // crosses it again. Each timeout without ACK progress counts against
+  // kMaxDataRetries; the one past it kills the connection.
+  TwoNodeNet net(wan(100, 10_ms));
+  net.stack_b->listen(80, [](Connection::Ptr) {});
+  auto c = net.stack_a->connect(net.b, 80);
+  c->on_connected = [&net, conn = c.get()] {
+    net.topo->link(0).set_loss_rate(1.0);
+    net.topo->link(1).set_loss_rate(1.0);
+    conn->write_synthetic(mib(1));
+  };
+  ConnectionError error = ConnectionError::kNone;
+  bool closed = false;
+  c->on_error = [&](ConnectionError e) { error = e; };
+  c->on_closed = [&] { closed = true; };
+  net.sim.run(3600_s);
+  EXPECT_TRUE(closed);
+  EXPECT_EQ(error, ConnectionError::kRetransmitTimeout);
+  EXPECT_EQ(c->state(), TcpState::kDead);
+  EXPECT_EQ(c->acked_payload(), 0u);
+  EXPECT_EQ(c->stats().timeouts,
+            static_cast<std::uint64_t>(kMaxDataRetries) + 1);
+  EXPECT_EQ(c->stats().retransmits,
+            static_cast<std::uint64_t>(kMaxDataRetries));
 }
 
 TEST(TcpConnectionTest, ContentPrefixDeliveredIntact) {

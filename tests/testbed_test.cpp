@@ -4,6 +4,9 @@
 #include <numeric>
 #include <set>
 
+#include "flow/path_model.hpp"
+#include "nws/monitor.hpp"
+#include "sched/scheduler.hpp"
 #include "testbed/abilene_paths.hpp"
 #include "testbed/grid.hpp"
 #include "testbed/sweep.hpp"
@@ -206,6 +209,95 @@ TEST(SweepTest, ExplicitSizesRespected) {
   EXPECT_EQ(result.speedups_by_size.size(), 2u);
   EXPECT_TRUE(result.speedups_by_size.contains(mib(16)));
   EXPECT_TRUE(result.speedups_by_size.contains(mib(128)));
+}
+
+TEST(SweepTest, SimulatedSweepTwinsAreTheClosedFormOnItsOwnRealizations) {
+  PlanetLabConfig pool;
+  pool.sites = 14;
+  const auto grid = SyntheticGrid::planetlab(pool, 2004);
+  SweepConfig config;
+  config.max_size_exp = 2;
+  config.iterations = 2;
+  config.max_cases = 4;
+  config.monitor_epochs = 5;
+  config.fidelity = SweepFidelity::kFlow;
+  const SweepResult result = run_speedup_sweep(grid, config, 42);
+  ASSERT_EQ(result.scheduled_cases, 4u);
+  ASSERT_EQ(result.analytic_twins_by_size.size(), 2u);
+
+  // Replay the sweep's monitor, scheduler, discovery and max_cases cut.
+  Rng rng(42);
+  nws::PerformanceMonitor monitor(grid.sites(), nws::NoiseModel{},
+                                  rng.fork(1).next_u64());
+  for (std::size_t epoch = 0; epoch < config.monitor_epochs; ++epoch) {
+    monitor.observe_epoch(grid.truth());
+  }
+  sched::SchedulerOptions options;
+  options.epsilon = config.epsilon;
+  const sched::Scheduler scheduler(monitor.build_matrix(), options);
+  std::vector<std::vector<std::size_t>> paths;
+  for (std::size_t src = 0; src < grid.size(); ++src) {
+    for (std::size_t dst = 0; dst < grid.size(); ++dst) {
+      if (src == dst || grid.host(src).site == grid.host(dst).site) {
+        continue;
+      }
+      auto decision = scheduler.route(src, dst);
+      if (decision.uses_depots()) {
+        paths.push_back(std::move(decision.path));
+      }
+    }
+  }
+  rng.shuffle(paths);
+  paths.resize(config.max_cases);
+
+  // Each case's draws in the simulated order -- direct, relay hops, then
+  // the simulation seed -- with the closed form evaluated on each.
+  for (std::size_t c = 0; c < paths.size(); ++c) {
+    const std::vector<std::size_t>& path = paths[c];
+    Rng case_rng = rng.fork(Rng::hash(grid.host(path.front()).name) ^
+                            Rng::hash(grid.host(path.back()).name));
+    for (const auto& [size, twins] : result.analytic_twins_by_size) {
+      ASSERT_EQ(twins.size(), paths.size());
+      double direct_bw = 0.0;
+      double sched_bw = 0.0;
+      for (std::size_t it = 0; it < config.iterations; ++it) {
+        const auto direct =
+            grid.realize_direct(path.front(), path.back(), size, case_rng);
+        const auto hops = grid.realize_relay_hops(path, size, case_rng);
+        (void)case_rng.next_u64();
+        const SimTime t_direct =
+            flow::transfer_time(direct.connection_params(), size);
+        std::vector<flow::ConnectionParams> hop_params;
+        for (const PairRealization& hop : hops) {
+          hop_params.push_back(hop.connection_params());
+        }
+        const SimTime t_sched = flow::relay_transfer_time({hop_params}, size);
+        direct_bw += static_cast<double>(size) * 8.0 / t_direct.to_seconds();
+        sched_bw += static_cast<double>(size) * 8.0 / t_sched.to_seconds();
+      }
+      EXPECT_EQ(twins[c], sched_bw / direct_bw) << "case " << c << " size "
+                                                << size;
+    }
+  }
+
+  // An analytic sweep measures the closed form itself and has no twins.
+  config.fidelity = SweepFidelity::kAnalytic;
+  EXPECT_TRUE(run_speedup_sweep(grid, config, 42).analytic_twins_by_size
+                  .empty());
+}
+
+TEST(SweepTest, FidelityNamesRoundTrip) {
+  for (const SweepFidelity fidelity :
+       {SweepFidelity::kAnalytic, SweepFidelity::kFlow,
+        SweepFidelity::kPacket}) {
+    SweepFidelity parsed = SweepFidelity::kAnalytic;
+    ASSERT_TRUE(parse_sweep_fidelity(to_string(fidelity), parsed));
+    EXPECT_EQ(parsed, fidelity);
+  }
+  SweepFidelity untouched = SweepFidelity::kFlow;
+  EXPECT_FALSE(parse_sweep_fidelity("flwo", untouched));
+  EXPECT_FALSE(parse_sweep_fidelity("Flow", untouched));
+  EXPECT_EQ(untouched, SweepFidelity::kFlow);
 }
 
 TEST(PathScenarioTest, RttsMatchPaperTable) {

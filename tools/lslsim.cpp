@@ -179,7 +179,7 @@ int main(int argc, char** argv) {
   bool profile = false;
   std::size_t jobs = 1;
   std::size_t pool_size = 0;
-  const char* fidelity_arg = nullptr;
+  std::optional<lsl::exp::Fidelity> fidelity_flag;
   const char* cca_arg = nullptr;
   const char* metrics_path = nullptr;
   const char* trace_path = nullptr;
@@ -203,13 +203,13 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--pool-size") == 0 && i + 1 < argc) {
       pool_size = parse_number<std::size_t>("--pool-size", argv[++i]);
     } else if (std::strncmp(argv[i], "--fidelity=", 11) == 0) {
-      fidelity_arg = argv[i] + 11;
-      if (std::strcmp(fidelity_arg, "packet") != 0 &&
-          std::strcmp(fidelity_arg, "flow") != 0) {
+      lsl::exp::Fidelity parsed = lsl::exp::Fidelity::kPacket;
+      if (!lsl::exp::parse_fidelity(argv[i] + 11, parsed)) {
         std::fprintf(stderr, "lslsim: unknown fidelity '%s' (packet|flow)\n",
-                     fidelity_arg);
+                     argv[i] + 11);
         return 2;
       }
+      fidelity_flag = parsed;
     } else if (std::strncmp(argv[i], "--cca=", 6) == 0) {
       cca_arg = argv[i] + 6;
       lsl::flow::Cca parsed;
@@ -304,10 +304,8 @@ int main(int argc, char** argv) {
     }
     scenario.pool->size = pool_size;
   }
-  if (fidelity_arg != nullptr) {
-    scenario.fidelity = std::strcmp(fidelity_arg, "flow") == 0
-                            ? lsl::exp::Fidelity::kFlow
-                            : lsl::exp::Fidelity::kPacket;
+  if (fidelity_flag.has_value()) {
+    scenario.fidelity = fidelity_flag;
   }
   if (cca_arg != nullptr) {
     lsl::flow::Cca cca = lsl::flow::Cca::kNewReno;
@@ -475,16 +473,10 @@ int main(int argc, char** argv) {
       unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
       sites = unique.size();
     }
-    const char* measurement =
-        sweep_config.fidelity == lsl::testbed::SweepFidelity::kAnalytic
-            ? "analytic"
-            : (sweep_config.fidelity == lsl::testbed::SweepFidelity::kFlow
-                   ? "flow"
-                   : "packet");
     std::printf("pool sweep: %zu hosts over %zu sites (seed %llu, jobs %zu, "
                 "%s measurement)\n\n",
-                grid.size(), sites,
-                static_cast<unsigned long long>(seed), jobs, measurement);
+                grid.size(), sites, static_cast<unsigned long long>(seed),
+                jobs, lsl::testbed::to_string(sweep_config.fidelity));
     const auto t0 = std::chrono::steady_clock::now();
     const auto result = lsl::testbed::run_speedup_sweep(grid, sweep_config,
                                                         seed);
