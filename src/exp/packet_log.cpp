@@ -4,6 +4,8 @@
 #include <set>
 #include <utility>
 
+#include "util/assert.hpp"
+
 namespace lsl::exp {
 
 std::string PacketLogEntry::str() const {
@@ -34,25 +36,25 @@ std::string PacketLogEntry::str() const {
 }
 
 void PacketLog::attach(net::Link& link, sim::Simulator& simulator) {
-  // Note: Link::set_deliver replaces the receiver, so we capture the
-  // current one and forward after recording.
-  auto forward = link.take_deliver();
-  link.set_deliver([this, &simulator,
-                    forward = std::move(forward)](net::Packet packet) {
-    PacketLogEntry entry;
-    entry.at = simulator.now();
-    entry.src = packet.src;
-    entry.dst = packet.dst;
-    entry.src_port = packet.tcp.src_port;
-    entry.dst_port = packet.tcp.dst_port;
-    entry.seq = packet.tcp.seq;
-    entry.ack = packet.tcp.ack;
-    entry.wnd = packet.tcp.wnd;
-    entry.flags = packet.tcp.flags;
-    entry.payload = packet.payload_bytes;
-    entries_.push_back(entry);
-    forward(std::move(packet));
-  });
+  LSL_ASSERT_MSG(link.receiver() != nullptr, "tapped link has no receiver");
+  taps_.push_back(std::make_unique<Tap>(*this, simulator, link.receiver()));
+  link.set_receiver(taps_.back().get());
+}
+
+void PacketLog::Tap::deliver(net::Packet&& packet) {
+  PacketLogEntry entry;
+  entry.at = sim_.now();
+  entry.src = packet.src;
+  entry.dst = packet.dst;
+  entry.src_port = packet.tcp.src_port;
+  entry.dst_port = packet.tcp.dst_port;
+  entry.seq = packet.tcp.seq;
+  entry.ack = packet.tcp.ack;
+  entry.wnd = packet.tcp.wnd;
+  entry.flags = packet.tcp.flags;
+  entry.payload = packet.payload_bytes;
+  log_.entries_.push_back(entry);
+  next_->deliver(std::move(packet));
 }
 
 std::vector<PacketLogEntry> PacketLog::filter(

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -42,7 +43,8 @@ class PacketLog {
 
   /// Tap `link`: every delivered packet is recorded, then handed to the
   /// link's original receiver. Call before traffic starts; multiple links
-  /// can feed one log (entries interleave by delivery time).
+  /// can feed one log (entries interleave by delivery time). The log must
+  /// outlive the link's traffic.
   void attach(net::Link& link, sim::Simulator& simulator);
 
   [[nodiscard]] const std::vector<PacketLogEntry>& entries() const {
@@ -65,7 +67,21 @@ class PacketLog {
   void print(std::ostream& os) const;
 
  private:
+  /// Sits in one link's delivery seam: records, then forwards.
+  class Tap final : public net::PacketSink {
+   public:
+    Tap(PacketLog& log, sim::Simulator& simulator, net::PacketSink* next)
+        : log_(log), sim_(simulator), next_(next) {}
+    void deliver(net::Packet&& packet) override;
+
+   private:
+    PacketLog& log_;
+    sim::Simulator& sim_;
+    net::PacketSink* next_;
+  };
+
   std::vector<PacketLogEntry> entries_;
+  std::vector<std::unique_ptr<Tap>> taps_;
 };
 
 }  // namespace lsl::exp

@@ -7,6 +7,13 @@
 
 namespace lsl::fault {
 
+namespace {
+
+const sim::Tag kApplyTag{"fault.apply", sim::Layer::kFault};
+const sim::Tag kHealTag{"fault.heal", sim::Layer::kFault};
+
+}  // namespace
+
 FaultInjector::FaultInjector(sim::Simulator& sim, net::Topology& topology)
     : sim_(sim), topo_(topology), metrics_(obs::bundle<FaultMetrics>()) {}
 
@@ -17,11 +24,11 @@ void FaultInjector::schedule(const FaultPlan& plan) {
     // never wastes runs reordering them against each other. +1 keeps node 0
     // distinct from the "unknown" actor.
     const std::uint32_t actor = actor_of(fault);
-    sim_.schedule_at(fault.at, [this, fault] { apply(fault); }, "fault.apply",
+    sim_.schedule_at(fault.at, [this, fault] { apply(fault); }, kApplyTag,
                      actor);
     if (!fault.permanent()) {
       sim_.schedule_at(fault.at + fault.duration,
-                       [this, fault] { heal(fault); }, "fault.heal", actor);
+                       [this, fault] { heal(fault); }, kHealTag, actor);
     }
   }
 }

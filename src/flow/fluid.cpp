@@ -16,6 +16,9 @@ namespace {
 /// steady_rate: link capacities are the solver's job, the cap only carries
 /// the window/RTT and Mathis terms.
 constexpr double kUncappedBps = 1e18;
+
+const sim::Tag kMarkerTag{"fluid.marker", sim::Layer::kFlow};
+const sim::Tag kRampTag{"fluid.ramp", sim::Layer::kFlow};
 }  // namespace
 
 FluidNetwork::FluidNetwork(sim::Simulator& simulator) : sim_(simulator) {}
@@ -427,7 +430,7 @@ void FluidNetwork::schedule_marker(FluidFlowId id, FlowState& f) {
       static_cast<double>(f.markers.front().offset) - f.transmitted;
   if (remaining <= 0.0) {
     f.marker_event = sim_.schedule_after(
-        SimTime::zero(), [this, id] { on_marker(id); }, "fluid.marker");
+        SimTime::zero(), [this, id] { on_marker(id); }, kMarkerTag);
     return;
   }
   if (!f.active || f.rate <= 0.0) {
@@ -435,7 +438,7 @@ void FluidNetwork::schedule_marker(FluidFlowId id, FlowState& f) {
   }
   const SimTime eta = SimTime::from_seconds(remaining * 8.0 / f.rate);
   f.marker_event = sim_.schedule_after(
-      eta, [this, id] { on_marker(id); }, "fluid.marker");
+      eta, [this, id] { on_marker(id); }, kMarkerTag);
 }
 
 void FluidNetwork::on_marker(FluidFlowId id) {
@@ -472,7 +475,7 @@ void FluidNetwork::on_marker(FluidFlowId id) {
 
 void FluidNetwork::arm_ramp(FluidFlowId id, FlowState& f) {
   f.ramp_event = sim_.schedule_after(
-      f.spec.rtt, [this, id] { on_ramp(id); }, "fluid.ramp");
+      f.spec.rtt, [this, id] { on_ramp(id); }, kRampTag);
 }
 
 void FluidNetwork::on_ramp(FluidFlowId id) {

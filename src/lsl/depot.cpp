@@ -10,6 +10,13 @@
 
 namespace lsl::session {
 
+namespace {
+
+const sim::Tag kDepotTag{"lsl.depot", sim::Layer::kLsl};
+const sim::Tag kStoreTag{"depot.store", sim::Layer::kLsl};
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Relay: one accepted session flowing through this depot.
 
@@ -682,7 +689,7 @@ void Depot::relay_done(Relay* relay) {
           }
         }
       },
-      "lsl.depot");
+      kDepotTag);
 }
 
 void Depot::session_delivered(const SessionHeader& header,
@@ -761,7 +768,7 @@ void Depot::schedule_store(const SessionHeader& header, std::uint64_t bytes) {
         std::erase(pending_stores_, *slot);
         store_session(header, bytes);
       },
-      "depot.store", actor);
+      kStoreTag, actor);
   pending_stores_.push_back(*slot);
 }
 

@@ -22,6 +22,8 @@ std::uint64_t id_salt(const SessionId& id) {
   return salt;
 }
 
+const sim::Tag kRecoveryTag{"lsl.recovery", sim::Layer::kLsl};
+
 }  // namespace
 
 ReliableTransfer::ReliableTransfer(tcp::TcpStack& stack, TransferSpec spec,
@@ -35,14 +37,14 @@ ReliableTransfer::ReliableTransfer(tcp::TcpStack& stack, TransferSpec spec,
       provider_(std::move(provider)),
       total_bytes_(spec_.payload_bytes),
       current_via_(spec_.via),
-      stall_timer_(sim_, [this] { on_stall_tick(); }, "lsl.recovery"),
+      stall_timer_(sim_, [this] { on_stall_tick(); }, kRecoveryTag),
       backoff_timer_(
           sim_,
           [this] {
             end_backoff_span();
             start_probe(ProbePurpose::kRelaunch);
           },
-          "lsl.recovery"),
+          kRecoveryTag),
       metrics_(obs::bundle<RecoveryMetrics>()) {}
 
 ReliableTransfer::Ptr ReliableTransfer::start(tcp::TcpStack& stack,

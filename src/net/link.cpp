@@ -1,7 +1,6 @@
 #include "net/link.hpp"
 
 #include <algorithm>
-
 #include <utility>
 
 #include "flow/fluid.hpp"
@@ -9,8 +8,15 @@
 
 namespace lsl::net {
 
-Link::Link(sim::Simulator& simulator, LinkConfig config, Rng rng)
-    : sim_(simulator), config_(config), rng_(rng) {}
+namespace {
+
+const sim::Tag kPropagateTag{"net.link.propagate", sim::Layer::kNet};
+
+}  // namespace
+
+Link::Link(sim::Simulator& simulator, PacketSlab& packets, LinkConfig config,
+           Rng rng)
+    : sim_(simulator), config_(config), rng_(rng), slab_(packets) {}
 
 const LinkStats& Link::stats() {
   settle(sim_.now(), /*inclusive=*/false);
@@ -26,7 +32,20 @@ void Link::set_loss_rate(double p) {
 void Link::set_rate(Bandwidth rate) {
   settle(sim_.now(), /*inclusive=*/false);
   config_.rate = rate;
+  transmit_cache_[0] = transmit_cache_[1] = TransmitTime{};
   sync_fluid();
+}
+
+SimTime Link::transmit_time(std::uint32_t wire_bytes) {
+  for (const TransmitTime& cached : transmit_cache_) {
+    if (cached.wire_bytes == wire_bytes) {
+      return cached.time;
+    }
+  }
+  const SimTime time = config_.rate.transmit_time(wire_bytes);
+  transmit_cache_[transmit_cache_next_] = TransmitTime{wire_bytes, time};
+  transmit_cache_next_ ^= 1U;
+  return time;
 }
 
 double Link::fluid_capacity_bps() const {
@@ -51,10 +70,10 @@ void Link::sync_fluid() {
   }
 }
 
-void Link::enqueue(Packet packet) {
+void Link::enqueue(Packet&& packet) {
   const SimTime now = sim_.now();
   settle(now, /*inclusive=*/false);
-  const std::uint64_t size = packet.wire_bytes();
+  const std::uint32_t size = packet.wire_bytes();
   if (queued_bytes_ + size > config_.queue_capacity_bytes) {
     ++stats_.packets_dropped_queue;
     LSL_TRACE("link: queue drop uid=%llu seq=%llu",
@@ -65,9 +84,9 @@ void Link::enqueue(Packet packet) {
   stats_.queue_bytes_observed += queued_bytes_;  // depth found on arrival
   queued_bytes_ += size;
   stats_.max_queue_bytes = std::max(stats_.max_queue_bytes, queued_bytes_);
-  queue_.push_back(std::move(packet));
-  if (queue_.size() == 1) {
-    busy_until_ = now + config_.rate.transmit_time(size);
+  slab_.push_back(queue_, slab_.put(std::move(packet)));
+  if (queue_.size == 1) {
+    busy_until_ = now + transmit_time(size);
     arm();
   }
 }
@@ -76,14 +95,14 @@ void Link::settle(SimTime t, bool inclusive) {
   while (!queue_.empty() &&
          (busy_until_ < t || (inclusive && busy_until_ == t))) {
     const SimTime done = busy_until_;
-    Packet packet = std::move(queue_.front());
-    queue_.pop_front();
+    const Handle sent = slab_.pop_front(queue_);
+    const Packet& packet = slab_.packet(sent);
     queued_bytes_ -= packet.wire_bytes();
     ++stats_.packets_sent;
     stats_.bytes_sent += packet.wire_bytes();
     if (!queue_.empty()) {
       busy_until_ =
-          done + config_.rate.transmit_time(queue_.front().wire_bytes());
+          done + transmit_time(slab_.packet(queue_.head).wire_bytes());
     }
 
     if (rng_.chance(config_.loss_rate)) {
@@ -91,6 +110,7 @@ void Link::settle(SimTime t, bool inclusive) {
       LSL_TRACE("link: loss drop uid=%llu seq=%llu",
                 static_cast<unsigned long long>(packet.uid),
                 static_cast<unsigned long long>(packet.tcp.seq));
+      slab_.release(sent);
       continue;
     }
     SimTime delay = config_.propagation_delay;
@@ -98,14 +118,8 @@ void Link::settle(SimTime t, bool inclusive) {
       delay += SimTime::nanoseconds(static_cast<std::int64_t>(
           rng_.next_below(static_cast<std::uint64_t>(config_.jitter.ns()))));
     }
-    const SimTime arrival = done + delay;
-    auto pos = in_flight_.end();
-    if (!in_flight_.empty() && arrival < in_flight_.back().arrival) {
-      pos = std::upper_bound(
-          in_flight_.begin(), in_flight_.end(), arrival,
-          [](SimTime a, const InFlight& f) { return a < f.arrival; });
-    }
-    in_flight_.insert(pos, InFlight{arrival, std::move(packet)});
+    slab_.arrival(sent) = done + delay;
+    slab_.insert_by_arrival(in_flight_, sent);
   }
 }
 
@@ -113,11 +127,13 @@ void Link::on_arrival() {
   event_ = sim::EventId{};
   const SimTime now = sim_.now();
   settle(now, /*inclusive=*/true);
-  while (!in_flight_.empty() && in_flight_.front().arrival <= now) {
-    Packet packet = std::move(in_flight_.front().packet);
-    in_flight_.pop_front();
-    LSL_ASSERT_MSG(static_cast<bool>(deliver_), "link has no receiver");
-    deliver_(std::move(packet));
+  while (!in_flight_.empty() && slab_.arrival(in_flight_.head) <= now) {
+    const Handle packet = slab_.pop_front(in_flight_);
+    LSL_ASSERT_MSG(receiver_ != nullptr, "link has no receiver");
+    // The slot stays taken until the receiver returns: slots never move,
+    // so the packet stays put while the call stores packets of its own.
+    receiver_->deliver(std::move(slab_.packet(packet)));
+    slab_.release(packet);
   }
   arm();
 }
@@ -129,7 +145,7 @@ void Link::arm() {
   // armed on that bound may fire early and re-arm.
   SimTime head = SimTime::max();
   if (!in_flight_.empty()) {
-    head = in_flight_.front().arrival;
+    head = slab_.arrival(in_flight_.head);
   }
   if (!queue_.empty()) {
     head = std::min(head, busy_until_ + config_.propagation_delay);
@@ -142,7 +158,7 @@ void Link::arm() {
   }
   event_at_ = head;
   event_ =
-      sim_.schedule_at(head, [this] { on_arrival(); }, "net.link.propagate");
+      sim_.schedule_at(head, [this] { on_arrival(); }, kPropagateTag);
 }
 
 }  // namespace lsl::net

@@ -9,13 +9,17 @@
 // they are settled lazily and in order whenever the link is touched (an
 // enqueue, a rate or loss change, a stats read, its own event), each with
 // the rate and loss rate that were in force when it completed.
+//
+// Packets live in the simulation's packet slab (packet_slab.hpp) from
+// enqueue to delivery; both FIFOs are lists of handles through its slots.
+// A delivered packet goes to the link's receiver, a PacketSink: the
+// destination node, or a tap in front of it.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 
 #include "net/packet.hpp"
+#include "net/packet_slab.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -57,24 +61,30 @@ struct LinkStats {
   }
 };
 
+/// What a link delivers to: the destination Node, or a tap that records
+/// or filters packets on their way to it (exp::PacketLog, tests). The
+/// packet is the receiver's to move from; it is gone after the call.
+class PacketSink {
+ public:
+  virtual ~PacketSink() = default;
+  virtual void deliver(Packet&& packet) = 0;
+};
+
 class Link {
  public:
-  using DeliverFn = std::function<void(Packet)>;
-
-  Link(sim::Simulator& simulator, LinkConfig config, Rng rng);
+  /// `packets` stores the packets the link holds; it must outlive the link.
+  Link(sim::Simulator& simulator, PacketSlab& packets, LinkConfig config,
+       Rng rng);
 
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
 
-  /// Install the receiver-side delivery callback (the destination node).
-  void set_deliver(DeliverFn deliver) { deliver_ = std::move(deliver); }
-
-  /// Remove and return the current delivery callback (for taps that wrap
-  /// it, e.g. exp::PacketLog).
-  [[nodiscard]] DeliverFn take_deliver() { return std::move(deliver_); }
+  /// Install the receiver (the destination node, or a tap in front of it).
+  void set_receiver(PacketSink* receiver) { receiver_ = receiver; }
+  [[nodiscard]] PacketSink* receiver() const { return receiver_; }
 
   /// Offer a packet to the link; drops silently if the queue is full.
-  void enqueue(Packet packet);
+  void enqueue(Packet&& packet);
 
   [[nodiscard]] const LinkConfig& config() const { return config_; }
 
@@ -99,11 +109,13 @@ class Link {
   /// fluid engine shares among flows.
   [[nodiscard]] double fluid_capacity_bps() const;
 
+  /// Packets queued or in flight right now.
+  [[nodiscard]] std::size_t packets_held() const {
+    return queue_.size + in_flight_.size;
+  }
+
  private:
-  struct InFlight {
-    SimTime arrival;
-    Packet packet;
-  };
+  using Handle = PacketSlab::Handle;
 
   /// Complete, in FIFO order, every serialization that ends before `t` (or
   /// at `t` too when `inclusive`): count it, draw its loss, and move it to
@@ -115,18 +127,29 @@ class Link {
   /// Keep one kernel event pending at (or before) the head packet's arrival.
   void arm();
   void sync_fluid();
+  /// config_.rate.transmit_time(wire_bytes), cached for the last two sizes
+  /// (a bulk flow's segments and its ACKs).
+  SimTime transmit_time(std::uint32_t wire_bytes);
+
+  struct TransmitTime {
+    std::uint32_t wire_bytes = 0;  ///< 0: empty (no packet is that small)
+    SimTime time;
+  };
 
   sim::Simulator& sim_;
   LinkConfig config_;
   Rng rng_;
-  DeliverFn deliver_;
+  PacketSink* receiver_ = nullptr;
+  PacketSlab& slab_;
   /// Drop-tail queue; its front is being serialized until busy_until_.
-  std::deque<Packet> queue_;
+  PacketSlab::List queue_;
   std::uint64_t queued_bytes_ = 0;
   SimTime busy_until_ = SimTime::zero();
   /// Serialized, not lost, not yet delivered; sorted by arrival (ties keep
   /// completion order). Without jitter every insert is a push_back.
-  std::deque<InFlight> in_flight_;
+  PacketSlab::List in_flight_;
+  TransmitTime transmit_cache_[2];
+  std::uint8_t transmit_cache_next_ = 0;
   sim::EventId event_{};
   SimTime event_at_ = SimTime::zero();
   LinkStats stats_;

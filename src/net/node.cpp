@@ -19,7 +19,7 @@ Link* Node::route_for(NodeId dst) const {
   return dst < routes_.size() ? routes_[dst] : nullptr;
 }
 
-void Node::handle_packet(Packet packet) {
+void Node::deliver(Packet&& packet) {
   if (packet.dst == id_) {
     LSL_ASSERT_MSG(stack_ != nullptr,
                    "packet addressed to node without a protocol stack");

@@ -4,7 +4,9 @@
 // the Topology's route computation (or by explicit policy routes). The table
 // is a dense vector indexed by destination id: every packet-hop reads it.
 // Packets addressed to the node are handed to its protocol stack (the TCP
-// stack); everything else is forwarded.
+// stack); everything else is forwarded. A node is the PacketSink its
+// incoming links deliver to, so each hop is one call, and a packet keeps
+// moving by rvalue reference from link to node to stack.
 #pragma once
 
 #include <string>
@@ -26,13 +28,13 @@ class ProtocolStack {
   ProtocolStack& operator=(const ProtocolStack&) = delete;
 
   /// A packet addressed to this node arrived.
-  virtual void receive(Packet packet) = 0;
+  virtual void receive(Packet&& packet) = 0;
 
  protected:
   ProtocolStack() = default;
 };
 
-class Node {
+class Node final : public PacketSink {
  public:
   Node(NodeId id, std::string name, std::string site)
       : id_(id), name_(std::move(name)), site_(std::move(site)) {}
@@ -56,7 +58,7 @@ class Node {
   [[nodiscard]] Link* route_for(NodeId dst) const;
 
   /// Entry point for packets arriving at or originating from this node.
-  void handle_packet(Packet packet);
+  void deliver(Packet&& packet) override;
 
   [[nodiscard]] std::uint64_t packets_forwarded() const {
     return packets_forwarded_;

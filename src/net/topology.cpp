@@ -10,6 +10,12 @@
 
 namespace lsl::net {
 
+namespace {
+
+const sim::Tag kLoopbackTag{"net.loopback", sim::Layer::kNet};
+
+}  // namespace
+
 Topology::Topology(sim::Simulator& simulator, std::uint64_t seed)
     : sim_(simulator), link_rng_(seed) {}
 
@@ -25,11 +31,10 @@ NodeId Topology::add_node(std::string name, std::string site) {
 std::size_t Topology::add_link(NodeId a, NodeId b, const LinkConfig& config) {
   LSL_ASSERT(a < nodes_.size() && b < nodes_.size() && a != b);
   const std::size_t index = links_.size();
-  links_.push_back(
-      std::make_unique<Link>(sim_, config, link_rng_.fork(index + 1)));
+  links_.push_back(std::make_unique<Link>(sim_, packets_, config,
+                                          link_rng_.fork(index + 1)));
   Link* link = links_.back().get();
-  Node* receiver = nodes_[b].get();
-  link->set_deliver([receiver](Packet p) { receiver->handle_packet(std::move(p)); });
+  link->set_receiver(nodes_[b].get());
   adjacency_[a].push_back(Edge{b, link});
   if (fluid_ != nullptr) {
     const auto fid =
@@ -144,7 +149,7 @@ std::optional<std::vector<Link*>> Topology::routed_path(NodeId src,
   return path;
 }
 
-void Topology::send(Packet packet) {
+void Topology::send(Packet&& packet) {
   LSL_ASSERT(packet.src < nodes_.size() && packet.dst < nodes_.size());
   if (packet.dst == packet.src) {
     // Loopback: deliver through the event loop, never synchronously --
@@ -154,12 +159,12 @@ void Topology::send(Packet packet) {
     sim_.schedule_after(
         SimTime::zero(),
         [node, p = std::move(packet)]() mutable {
-          node->handle_packet(std::move(p));
+          node->deliver(std::move(p));
         },
-        "net.loopback");
+        kLoopbackTag);
     return;
   }
-  nodes_[packet.src]->handle_packet(std::move(packet));
+  nodes_[packet.src]->deliver(std::move(packet));
 }
 
 }  // namespace lsl::net

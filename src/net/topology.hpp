@@ -16,6 +16,7 @@
 #include "net/link.hpp"
 #include "net/node.hpp"
 #include "net/packet.hpp"
+#include "net/packet_slab.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
@@ -69,7 +70,10 @@ class Topology {
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
 
   /// Inject a packet at its source node (entry point used by TCP stacks).
-  void send(Packet packet);
+  void send(Packet&& packet);
+
+  /// Storage of every packet queued or in flight on the topology's links.
+  [[nodiscard]] const PacketSlab& packets() const { return packets_; }
 
   // ---- fluid (flow-level) fidelity ------------------------------------
   /// Switch the data plane to the fluid engine: every link (existing and
@@ -89,6 +93,7 @@ class Topology {
 
   sim::Simulator& sim_;
   Rng link_rng_;
+  PacketSlab packets_;  ///< declared before links_, so it outlives them
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Link>> links_;
   std::vector<std::vector<Edge>> adjacency_;

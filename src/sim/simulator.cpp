@@ -50,6 +50,33 @@ std::string KernelProfile::str() const {
                   static_cast<double>(events_executed) / wall_seconds);
     out += buf;
   }
+  std::uint64_t tagged = 0;
+  for (const std::uint64_t count : layer_counts) {
+    tagged += count;
+  }
+  const std::uint64_t untagged = events_scheduled - tagged;
+  const double untagged_wall = layer_wall_seconds[kLayerCount];
+  if (tagged > 0 || wall_seconds > 0.0) {
+    out += "  events by layer:\n";
+    const auto row = [&](const char* name, std::uint64_t count, double wall) {
+      if (count == 0 && wall == 0.0) {
+        return;
+      }
+      std::snprintf(buf, sizeof buf, "    %-8s %12llu", name,
+                    static_cast<unsigned long long>(count));
+      out += buf;
+      if (wall_seconds > 0.0) {
+        std::snprintf(buf, sizeof buf, "  %8.3fs", wall);
+        out += buf;
+      }
+      out += '\n';
+    };
+    for (std::size_t i = 0; i < kLayerCount; ++i) {
+      row(to_string(static_cast<Layer>(i)), layer_counts[i],
+          layer_wall_seconds[i]);
+    }
+    row("untagged", untagged, untagged_wall);
+  }
   if (!category_counts.empty()) {
     out += "  events by category:\n";
     for (const auto& [category, count] : category_counts) {
@@ -82,6 +109,12 @@ void KernelProfile::merge_from(const KernelProfile& other) {
   queue_high_water = std::max(queue_high_water, other.queue_high_water);
   sim_time += other.sim_time;
   wall_seconds += other.wall_seconds;
+  for (std::size_t i = 0; i < kLayerCount; ++i) {
+    layer_counts[i] += other.layer_counts[i];
+  }
+  for (std::size_t i = 0; i <= kLayerCount; ++i) {
+    layer_wall_seconds[i] += other.layer_wall_seconds[i];
+  }
   std::map<std::string, std::uint64_t> merged;
   for (const auto& [category, count] : category_counts) {
     merged[category] += count;
@@ -198,8 +231,8 @@ void Simulator::compact_heap() {
 
 // ---------------------------------------------------------------------------
 
-EventId Simulator::schedule_at(SimTime when, Action action,
-                               const char* category, std::uint32_t actor) {
+EventId Simulator::schedule_at(SimTime when, Action action, Tag tag,
+                               std::uint32_t actor) {
   if (choice_hook_ != nullptr && when < now_) {
     // Slack dispatch may have advanced the clock past a time this caller
     // captured before yielding; the event is simply due immediately.
@@ -223,6 +256,7 @@ EventId Simulator::schedule_at(SimTime when, Action action,
   LSL_ASSERT_MSG(next_seq_ < (1ULL << 40U), "event sequence overflow");
   const std::uint64_t key = (next_seq_++ << kSlotBits) | slot;
   slots_[slot].key = key;
+  slots_[slot].tag = tag.id();
   action_of(slot) = std::move(action);
   heap_push(Entry{when, key});
   ++events_scheduled_;
@@ -230,22 +264,20 @@ EventId Simulator::schedule_at(SimTime when, Action action,
   if (live_events_ > queue_high_water_) {
     queue_high_water_ = live_events_;
   }
-  if (category != nullptr) {
-    ++category_counts_[category];
-  }
+  ++tag_counts_[tag.id()];
   if (choice_hook_ != nullptr) {
     if (slot_meta_.size() < slots_.size()) {
       slot_meta_.resize(slots_.size());
     }
-    slot_meta_[slot] = SlotMeta{category, actor};
+    slot_meta_[slot] = SlotMeta{tag.name(), actor};
   }
   return id;
 }
 
-EventId Simulator::schedule_after(SimTime delay, Action action,
-                                  const char* category, std::uint32_t actor) {
+EventId Simulator::schedule_after(SimTime delay, Action action, Tag tag,
+                                  std::uint32_t actor) {
   LSL_ASSERT_MSG(delay >= SimTime::zero(), "negative delay");
-  return schedule_at(now_ + delay, std::move(action), category, actor);
+  return schedule_at(now_ + delay, std::move(action), tag, actor);
 }
 
 bool Simulator::cancel(EventId id) {
@@ -299,9 +331,12 @@ bool Simulator::step() {
     return true;
   }
   if (profiling_) {
+    const std::uint8_t tag = slots_[heap_.front().key & kSlotMask].tag;
     const double start = wall_now();
     dispatch_top();
-    wall_seconds_ += wall_now() - start;
+    const double elapsed = wall_now() - start;
+    wall_seconds_ += elapsed;
+    layer_wall(tag) += elapsed;
     return true;
   }
   dispatch_top();
@@ -452,6 +487,9 @@ void Simulator::dispatch_entry(const Entry& e) {
 std::uint64_t Simulator::run(SimTime limit) {
   stop_requested_ = false;
   const double wall_start = profiling_ ? wall_now() : 0.0;
+  // Profiling charges the wall time from one dispatch's end to the next's
+  // to the later event's layer: one clock read per event.
+  double mark = wall_start;
   std::uint64_t executed = 0;
   while (!stop_requested_ && settle_top()) {
     if (heap_.front().when > limit) {
@@ -461,6 +499,12 @@ std::uint64_t Simulator::run(SimTime limit) {
     }
     if (choice_hook_ != nullptr) {
       dispatch_choice(limit);
+    } else if (profiling_) {
+      const std::uint8_t tag = slots_[heap_.front().key & kSlotMask].tag;
+      dispatch_top();
+      const double t = wall_now();
+      layer_wall(tag) += t - mark;
+      mark = t;
     } else {
       dispatch_top();
     }
@@ -480,13 +524,19 @@ KernelProfile Simulator::profile() const {
   p.queue_high_water = queue_high_water_;
   p.sim_time = now_;
   p.wall_seconds = wall_seconds_;
-  // Merge by content: identical category literals may alias as distinct
-  // pointers across translation units.
-  std::map<std::string, std::uint64_t> merged;
-  for (const auto& [category, count] : category_counts_) {
-    merged[category] += count;
+  p.layer_wall_seconds = layer_wall_;
+  // Name order first, then a sort by count: the listing's tie order does
+  // not depend on the order tags were interned in.
+  std::map<std::string, std::uint64_t> by_name;
+  for (std::size_t id = 1; id < Tag::id_count(); ++id) {
+    if (tag_counts_[id] == 0) {
+      continue;
+    }
+    const Tag tag = Tag::from_id(static_cast<std::uint8_t>(id));
+    by_name.emplace(tag.name(), tag_counts_[id]);
+    p.layer_counts[static_cast<std::size_t>(tag.layer())] += tag_counts_[id];
   }
-  p.category_counts.assign(merged.begin(), merged.end());
+  p.category_counts.assign(by_name.begin(), by_name.end());
   std::sort(p.category_counts.begin(), p.category_counts.end(),
             [](const auto& a, const auto& b) { return a.second > b.second; });
   return p;

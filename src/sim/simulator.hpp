@@ -16,18 +16,20 @@
 // them for free.
 //
 // Observability: the kernel always keeps cheap counters (events scheduled /
-// executed / cancelled, live-queue-depth high water, per-category schedule
-// counts); set_profiling(true) additionally samples wall-clock time around
-// event dispatch so profile() can report the simulated-vs-wall ratio.
+// executed / cancelled, live-queue-depth high water, schedules per interned
+// category tag in a fixed array); set_profiling(true) additionally samples
+// wall-clock time around event dispatch so profile() can report the
+// simulated-vs-wall ratio and the dispatch time spent in each layer.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/action.hpp"
+#include "sim/tag.hpp"
 #include "util/assert.hpp"
 #include "util/time.hpp"
 
@@ -58,6 +60,12 @@ struct KernelProfile {
   /// Events scheduled per category tag, descending by count. Untagged
   /// events are not listed (their total is events_scheduled minus the sum).
   std::vector<std::pair<std::string, std::uint64_t>> category_counts;
+  /// Tagged events scheduled per layer, indexed by sim::Layer; they sum to
+  /// the category counts.
+  std::array<std::uint64_t, kLayerCount> layer_counts{};
+  /// Dispatch wall seconds per layer (profiling on), indexed by sim::Layer;
+  /// the last slot holds untagged events' time.
+  std::array<double, kLayerCount + 1> layer_wall_seconds{};
 
   /// Simulated seconds advanced per wall second (0 when not profiled).
   [[nodiscard]] double time_ratio() const {
@@ -79,7 +87,7 @@ struct KernelProfile {
 struct ReadyEvent {
   std::uint64_t seq = 0;  ///< global schedule order, unique per event
   SimTime when = SimTime::zero();
-  const char* category = nullptr;  ///< static tag passed to schedule_at
+  const char* category = nullptr;  ///< name of the tag passed to schedule_at
   /// Commutativity tag: two events with different nonzero actors are
   /// independent (their dispatch order cannot matter); actor 0 means
   /// "unknown", which is conservatively dependent on everything.
@@ -119,16 +127,15 @@ class Simulator {
   /// Current simulated time.
   [[nodiscard]] SimTime now() const { return now_; }
 
-  /// Schedule `action` to run at absolute time `when` (>= now). `category`
-  /// is an optional static-string tag counted in the kernel profile.
-  /// `actor` is the ChoiceHook commutativity tag (ignored without a hook).
-  EventId schedule_at(SimTime when, Action action,
-                      const char* category = nullptr,
+  /// Schedule `action` to run at absolute time `when` (>= now). `tag` is
+  /// the event's category, counted in the kernel profile (default:
+  /// untagged). `actor` is the ChoiceHook commutativity tag (ignored
+  /// without a hook).
+  EventId schedule_at(SimTime when, Action action, Tag tag = {},
                       std::uint32_t actor = 0);
 
   /// Schedule `action` to run `delay` from now (delay >= 0).
-  EventId schedule_after(SimTime delay, Action action,
-                         const char* category = nullptr,
+  EventId schedule_after(SimTime delay, Action action, Tag tag = {},
                          std::uint32_t actor = 0);
 
   /// Cancel a pending event. Returns false if it already ran or was
@@ -201,6 +208,7 @@ class Simulator {
   struct SlotState {
     std::uint64_t key = 0;  ///< packed key while live (cancel zeroes it)
     std::uint32_t gen = 0;  ///< validates public EventIds
+    std::uint8_t tag = 0;   ///< Tag id of the event in the slot
   };
 
   /// A heap key is live iff its slot still holds the same packed key: seq
@@ -241,6 +249,12 @@ class Simulator {
   /// Pop the live top (settle_top() must have returned true), advance the
   /// clock, and run its action.
   void dispatch_top();
+  /// Where dispatch wall time of an event tagged `tag` is charged.
+  [[nodiscard]] double& layer_wall(std::uint8_t tag) {
+    return layer_wall_[tag == 0 ? kLayerCount
+                                : static_cast<std::size_t>(
+                                      Tag::from_id(tag).layer())];
+  }
 
   // ---- choice-hook (model checking) slow path ----------------------------
   /// Collect every live entry in heap_[i]'s subtree with when <= window_end
@@ -293,10 +307,10 @@ class Simulator {
   std::uint64_t events_cancelled_ = 0;
   std::size_t queue_high_water_ = 0;
   double wall_seconds_ = 0.0;
-  /// Keys are the static strings passed as schedule categories; identical
-  /// literals from different translation units may alias as distinct
-  /// pointers, so profile() merges by content.
-  std::unordered_map<const char*, std::uint64_t> category_counts_;
+  /// Schedules per Tag id (index 0 counts untagged events).
+  std::array<std::uint64_t, Tag::kMaxTags> tag_counts_{};
+  /// Dispatch wall seconds per layer; the last slot is untagged events'.
+  std::array<double, kLayerCount + 1> layer_wall_{};
 };
 
 }  // namespace lsl::sim

@@ -21,11 +21,10 @@ namespace lsl::sim {
 
 class Timer {
  public:
-  /// `category` is an optional static-string tag for the kernel profile's
-  /// per-category event counts (e.g. "tcp.rto").
-  Timer(Simulator& simulator, std::function<void()> on_fire,
-        const char* category = nullptr)
-      : sim_(simulator), on_fire_(std::move(on_fire)), category_(category) {}
+  /// `tag` is the category the timer's kernel events are counted under in
+  /// the kernel profile (e.g. "tcp.rto"); default untagged.
+  Timer(Simulator& simulator, std::function<void()> on_fire, Tag tag = {})
+      : sim_(simulator), on_fire_(std::move(on_fire)), tag_(tag) {}
 
   Timer(const Timer&) = delete;
   Timer& operator=(const Timer&) = delete;
@@ -65,7 +64,7 @@ class Timer {
  private:
   void schedule() {
     event_at_ = deadline_;
-    pending_ = sim_.schedule_at(event_at_, [this] { on_event(); }, category_);
+    pending_ = sim_.schedule_at(event_at_, [this] { on_event(); }, tag_);
   }
 
   void on_event() {
@@ -79,7 +78,7 @@ class Timer {
 
   Simulator& sim_;
   std::function<void()> on_fire_;
-  const char* category_ = nullptr;
+  Tag tag_;
   EventId pending_{};
   SimTime deadline_ = SimTime::zero();
   /// When the pending kernel event fires (<= deadline_ while armed).

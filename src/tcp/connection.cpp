@@ -10,6 +10,19 @@
 
 namespace lsl::tcp {
 
+namespace {
+
+const sim::Tag kRtoTag{"tcp.rto", sim::Layer::kTcp};
+const sim::Tag kPersistTag{"tcp.persist", sim::Layer::kTcp};
+const sim::Tag kTimeWaitTag{"tcp.time_wait", sim::Layer::kTcp};
+const sim::Tag kDelackTag{"tcp.delack", sim::Layer::kTcp};
+const sim::Tag kEofTag{"tcp.eof", sim::Layer::kTcp};
+// The fluid data plane's stand-ins for segment delivery and ACKs.
+const sim::Tag kFluidDeliverTag{"net.fluid.deliver", sim::Layer::kFlow};
+const sim::Tag kFluidAckTag{"net.fluid.ack", sim::Layer::kFlow};
+
+}  // namespace
+
 const char* to_string(ConnectionError e) {
   switch (e) {
     case ConnectionError::kNone:
@@ -65,16 +78,16 @@ Connection::Connection(TcpStack& stack, net::NodeId local, net::NodeId remote,
       send_buf_(opts.send_buffer_bytes),
       recv_buf_(opts.recv_buffer_bytes),
       cc_(make_congestion_control(opts)),
-      rto_timer_(sim_, [this] { on_rto(); }, "tcp.rto"),
-      persist_timer_(sim_, [this] { on_persist(); }, "tcp.persist"),
-      time_wait_timer_(sim_, [this] { become_dead(); }, "tcp.time_wait"),
+      rto_timer_(sim_, [this] { on_rto(); }, kRtoTag),
+      persist_timer_(sim_, [this] { on_persist(); }, kPersistTag),
+      time_wait_timer_(sim_, [this] { become_dead(); }, kTimeWaitTag),
       delack_timer_(
           sim_,
           [this] {
             unacked_segments_ = 0;
             send_pure_ack();
           },
-          "tcp.delack") {
+          kDelackTag) {
   LSL_ASSERT_MSG(opts_.recv_buffer_bytes >= kMss,
                  "receive buffer smaller than one segment");
   metrics_ = obs::bundle<TcpMetrics>();
@@ -195,7 +208,7 @@ RecvBuffer::ReadResult Connection::read(std::uint64_t max) {
               self->on_readable();
             }
           },
-          "net.fluid.deliver");
+          kFluidDeliverTag);
     }
     maybe_send_window_update();
   }
@@ -213,7 +226,7 @@ RecvBuffer::ReadResult Connection::read(std::uint64_t max) {
             self->on_eof();
           }
         },
-        "tcp.eof");
+        kEofTag);
   }
   return r;
 }
@@ -306,9 +319,12 @@ void Connection::attach_sack_blocks(net::TcpHeader& header) {
   if (!opts_.sack_enabled || recv_buf_.ooo_bytes() == 0) {
     return;
   }
-  for (const auto& [begin, end] : recv_buf_.ooo_ranges(4)) {
+  std::pair<std::uint64_t, std::uint64_t> ranges[net::SackList::kMaxBlocks];
+  const std::size_t n = recv_buf_.ooo_ranges(ranges);
+  for (std::size_t i = 0; i < n; ++i) {
     // Data offsets -> wire sequence (+1 for the SYN).
-    header.sack.push_back(net::SackBlock{begin + 1, end + 1});
+    header.sack.push_back(
+        net::SackBlock{ranges[i].first + 1, ranges[i].second + 1});
   }
 }
 
@@ -1211,7 +1227,7 @@ void Connection::on_fluid_transmitted(std::uint64_t end_offset) {
         [self, peer, begin, end_offset, c = std::move(content)]() mutable {
           peer->fluid_deliver(begin, end_offset - begin, std::move(c), self);
         },
-        "net.fluid.deliver");
+        kFluidDeliverTag);
   }
   // The engine is lossless and the delivery closure owns the bytes now, so
   // the send buffer reopens at transmit-complete. Releasing only on acks
@@ -1275,7 +1291,7 @@ bool Connection::fluid_admit_pending() {
     sim_.schedule_after(
         acker->fluid_rev_latency_,
         [acker, ack_data] { acker->fluid_handle_ack(ack_data); },
-        "net.fluid.ack");
+        kFluidAckTag);
   }
   return advanced;
 }

@@ -50,11 +50,7 @@ RecvBuffer::AcceptResult RecvBuffer::on_segment(
     result.advanced = true;
     merge_ooo();
   } else {
-    // Remember where this piece landed for SACK block recency ordering.
-    recent_ooo_.push_front(begin);
-    if (recent_ooo_.size() > 8) {
-      recent_ooo_.pop_back();
-    }
+    const std::uint64_t offset = begin;
     // Insert [begin, end) into the disjoint OOO set, clipping overlaps.
     auto it = ooo_.lower_bound(begin);
     if (it != ooo_.begin()) {
@@ -69,7 +65,7 @@ RecvBuffer::AcceptResult RecvBuffer::on_segment(
         piece_end = std::min(piece_end, it->first);
       }
       if (begin < piece_end) {
-        ooo_.emplace(begin, piece_end - begin);
+        ooo_.emplace_hint(it, begin, piece_end - begin);
         ooo_bytes_ += piece_end - begin;
         result.accepted += piece_end - begin;
       }
@@ -78,6 +74,13 @@ RecvBuffer::AcceptResult RecvBuffer::on_segment(
       }
       begin = std::max(begin, it->first + it->second);
     }
+    // Remember the held block this piece landed in, for SACK recency
+    // ordering. The piece is covered now, and held blocks are never split
+    // or merged, so the block stays as it is while held.
+    const auto held = std::prev(ooo_.upper_bound(offset));
+    recent_head_ = (recent_head_ + kRecentOoo - 1) % kRecentOoo;
+    recent_ooo_[recent_head_] = {held->first, held->first + held->second};
+    recent_count_ = std::min(recent_count_ + 1, kRecentOoo);
   }
   return result;
 }
@@ -94,41 +97,40 @@ void RecvBuffer::merge_ooo() {
   }
 }
 
-std::vector<std::pair<std::uint64_t, std::uint64_t>> RecvBuffer::ooo_ranges(
-    std::size_t max_blocks) const {
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
+std::size_t RecvBuffer::ooo_ranges(
+    std::span<std::pair<std::uint64_t, std::uint64_t>> out) const {
+  std::size_t n = 0;
   auto push_range = [&](std::uint64_t begin, std::uint64_t end) {
-    for (const auto& r : out) {
-      if (r.first == begin) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (out[i].first == begin) {
         return;
       }
     }
-    if (out.size() < max_blocks) {
-      out.emplace_back(begin, end);
+    if (n < out.size()) {
+      out[n++] = {begin, end};
     }
   };
-  // Most recently changed blocks first (real SACK option ordering).
-  for (const std::uint64_t offset : recent_ooo_) {
-    if (out.size() == max_blocks) {
+  // Most recently changed blocks first (real SACK option ordering). Every
+  // held block starts above rcv_nxt_, and merge_ooo() drops a block as soon
+  // as rcv_nxt_ reaches its start, so a recent block is still held iff it
+  // starts above rcv_nxt_.
+  for (std::size_t i = 0; i < recent_count_; ++i) {
+    if (n == out.size()) {
       break;
     }
-    auto it = ooo_.upper_bound(offset);
-    if (it == ooo_.begin()) {
-      continue;  // stale: piece was merged into the in-order stream
-    }
-    --it;
-    if (offset >= it->first && offset < it->first + it->second) {
-      push_range(it->first, it->first + it->second);
-    }
+    const auto& block = recent_ooo_[(recent_head_ + i) % kRecentOoo];
+    if (block.first > rcv_nxt_) {
+      push_range(block.first, block.second);
+    }  // else stale: merged into the in-order stream
   }
   // Fill any remaining slots lowest-first.
   for (const auto& [start, len] : ooo_) {
-    if (out.size() == max_blocks) {
+    if (n == out.size()) {
       break;
     }
     push_range(start, start + len);
   }
-  return out;
+  return n;
 }
 
 RecvBuffer::ReadResult RecvBuffer::read(std::uint64_t max) {

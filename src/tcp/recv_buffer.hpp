@@ -8,11 +8,12 @@
 // in-order data or held out-of-order data.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace lsl::tcp {
@@ -51,14 +52,17 @@ class RecvBuffer {
 
   [[nodiscard]] std::uint64_t ooo_bytes() const { return ooo_bytes_; }
 
-  /// Up to `max_blocks` held out-of-order ranges, as (begin, end) data
-  /// offsets -- the receiver's SACK report. Ordered like the real option:
-  /// the block containing the most recently arrived segment first, then
-  /// other recently changed blocks, then lowest-first fill.
-  [[nodiscard]] std::vector<std::pair<std::uint64_t, std::uint64_t>>
-  ooo_ranges(std::size_t max_blocks) const;
+  /// The receiver's SACK report: up to out.size() held out-of-order
+  /// ranges, as (begin, end) data offsets, written to the front of `out`;
+  /// returns how many. Ordered like the real option: the block containing
+  /// the most recently arrived segment first, then other recently changed
+  /// blocks, then lowest-first fill.
+  std::size_t ooo_ranges(
+      std::span<std::pair<std::uint64_t, std::uint64_t>> out) const;
 
  private:
+  static constexpr std::size_t kRecentOoo = 8;
+
   void merge_ooo();
 
   std::uint64_t capacity_;
@@ -66,9 +70,13 @@ class RecvBuffer {
   std::uint64_t rcv_nxt_ = 0;
   std::map<std::uint64_t, std::uint64_t> ooo_;  ///< start -> length, disjoint
   std::uint64_t ooo_bytes_ = 0;
-  /// Offsets of recently arrived OOO pieces, most recent first (for SACK
-  /// block ordering). Stale entries are filtered lazily.
-  std::deque<std::uint64_t> recent_ooo_;
+  /// The held blocks the last kRecentOoo OOO pieces landed in, as (begin,
+  /// end), a ring read most recent first from recent_head_ (for SACK block
+  /// ordering). Stale entries are filtered lazily.
+  std::array<std::pair<std::uint64_t, std::uint64_t>, kRecentOoo>
+      recent_ooo_{};
+  std::size_t recent_head_ = 0;
+  std::size_t recent_count_ = 0;
   std::vector<std::byte> prefix_store_;  ///< real bytes for offsets [0, size())
 };
 

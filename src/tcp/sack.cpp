@@ -1,6 +1,7 @@
 #include "tcp/sack.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace lsl::tcp {
 
@@ -15,6 +16,9 @@ void SackScoreboard::add(std::uint64_t begin, std::uint64_t end) {
     if (prev->second >= begin) {
       it = prev;
     }
+  }
+  if (it != ranges_.end() && it->first <= begin && end <= it->second) {
+    return;  // already held: most blocks repeat what earlier ACKs reported
   }
   while (it != ranges_.end() && it->first <= end) {
     begin = std::min(begin, it->first);
@@ -33,11 +37,11 @@ void SackScoreboard::prune_below(std::uint64_t seq) {
       bytes_ -= it->second - it->first;
       it = ranges_.erase(it);
     } else {
-      const std::uint64_t new_begin = seq;
-      const std::uint64_t end = it->second;
-      bytes_ -= new_begin - it->first;
-      ranges_.erase(it);
-      ranges_.emplace(new_begin, end);
+      // Re-key the straddling range in its own node: no allocation.
+      bytes_ -= seq - it->first;
+      auto node = ranges_.extract(it);
+      node.key() = seq;
+      ranges_.insert(std::move(node));
       break;
     }
   }

@@ -1,5 +1,6 @@
 #include "tcp/stack.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -25,12 +26,26 @@ void TcpStack::listen(net::Port port, AcceptFn on_accept, TcpOptions options) {
 
 void TcpStack::stop_listening(net::Port port) { listeners_.erase(port); }
 
+TcpStack::ConnTable::iterator TcpStack::lower_bound(const ConnKey& key) {
+  return std::lower_bound(
+      conns_.begin(), conns_.end(), key,
+      [](const auto& entry, const ConnKey& k) { return entry.first < k; });
+}
+
+void TcpStack::add(const ConnKey& key, Connection::Ptr conn) {
+  // Like std::map::emplace, an existing entry wins.
+  const auto it = lower_bound(key);
+  if (it == conns_.end() || it->first != key) {
+    conns_.emplace(it, key, std::move(conn));
+  }
+}
+
 Connection::Ptr TcpStack::connect(net::NodeId dst, net::Port dst_port,
                                   TcpOptions options) {
   // Find an ephemeral port free for this (dst, dst_port) pair.
   net::Port port = next_ephemeral_;
   for (int attempts = 0; attempts < 16384; ++attempts) {
-    if (!conns_.contains(ConnKey{dst, port, dst_port})) {
+    if (find_connection(ConnKey{dst, port, dst_port}) == nullptr) {
       break;
     }
     port = (port >= 65535) ? net::Port{49152} : static_cast<net::Port>(port + 1);
@@ -40,16 +55,16 @@ Connection::Ptr TcpStack::connect(net::NodeId dst, net::Port dst_port,
 
   auto conn = Connection::Ptr(
       new Connection(*this, node_, dst, port, dst_port, options));
-  conns_.emplace(ConnKey{dst, port, dst_port}, conn);
+  add(ConnKey{dst, port, dst_port}, conn);
   conn->start_active_open();
   return conn;
 }
 
-void TcpStack::receive(net::Packet packet) {
+void TcpStack::receive(net::Packet&& packet) {
   const ConnKey key{packet.src, packet.tcp.dst_port, packet.tcp.src_port};
-  if (const auto it = conns_.find(key); it != conns_.end()) {
-    // Hold a local ref: handle_packet may trigger reap of this connection.
-    const Connection::Ptr conn = it->second;
+  // A local ref: handle_packet may trigger reap of this connection, and a
+  // connect() from one of its callbacks may grow the table.
+  if (const Connection::Ptr conn = find_connection(key)) {
     conn->handle_packet(packet);
     return;
   }
@@ -59,7 +74,7 @@ void TcpStack::receive(net::Packet packet) {
       auto conn = Connection::Ptr(
           new Connection(*this, node_, packet.src, packet.tcp.dst_port,
                          packet.tcp.src_port, lit->second.options));
-      conns_.emplace(key, conn);
+      add(key, conn);
       conn->start_passive_open();
       conn->handle_packet(packet);
       return;
@@ -88,13 +103,13 @@ void TcpStack::receive(net::Packet packet) {
 }
 
 void TcpStack::deliver_accept(const ConnKey& key) {
-  const auto it = conns_.find(key);
-  if (it == conns_.end()) {
+  const Connection::Ptr conn = find_connection(key);
+  if (conn == nullptr) {
     return;
   }
   if (const auto lit = listeners_.find(key.local_port);
       lit != listeners_.end() && lit->second.on_accept) {
-    lit->second.on_accept(it->second);
+    lit->second.on_accept(conn);
   }
 }
 
@@ -103,12 +118,17 @@ void TcpStack::reap(const ConnKey& key) {
   // processing, often from one of its callbacks, and erasing it or
   // dropping that callback's owner could destroy either mid-method.
   simulator().schedule_after(SimTime::zero(), [this, key] {
-    if (auto node = conns_.extract(key)) {
-      node.mapped()->release_callbacks();
+    if (const auto it = lower_bound(key);
+        it != conns_.end() && it->first == key) {
+      const Connection::Ptr conn = std::move(it->second);
+      conns_.erase(it);
+      conn->release_callbacks();
     }
   });
 }
 
-void TcpStack::emit(net::Packet packet) { topology_.send(std::move(packet)); }
+void TcpStack::emit(net::Packet&& packet) {
+  topology_.send(std::move(packet));
+}
 
 }  // namespace lsl::tcp

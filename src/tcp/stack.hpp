@@ -1,11 +1,17 @@
 // Per-node TCP stack: demultiplexes packets to connections, handles passive
 // opens via listeners, allocates ephemeral ports, and reaps dead connections.
+//
+// The demux table is a vector sorted by ConnKey: a node holds a handful of
+// connections, so a binary search over contiguous keys beats a tree walk,
+// and iteration keeps the key order leak post-mortems print in.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "net/packet.hpp"
 #include "net/topology.hpp"
@@ -43,7 +49,7 @@ class TcpStack : public net::ProtocolStack {
   void stop_listening(net::Port port);
 
   /// Demultiplex a packet addressed to this node.
-  void receive(net::Packet packet) override;
+  void receive(net::Packet&& packet) override;
 
   /// Active open to (dst, dst_port). The returned socket is connecting;
   /// install callbacks immediately (on_connected fires later).
@@ -61,11 +67,12 @@ class TcpStack : public net::ProtocolStack {
 
   /// Endpoint lookup for the fluid data plane's peer rendezvous.
   [[nodiscard]] Connection::Ptr find_connection(const ConnKey& key) {
-    const auto it = conns_.find(key);
-    return it != conns_.end() ? it->second : nullptr;
+    const auto it = lower_bound(key);
+    return it != conns_.end() && it->first == key ? it->second : nullptr;
   }
 
-  /// Diagnostics: visit every tracked connection (leak post-mortems).
+  /// Diagnostics: visit every tracked connection (leak post-mortems), in
+  /// ConnKey order.
   template <typename Fn>
   void for_each_connection(Fn&& fn) {
     for (auto& [key, conn] : conns_) {
@@ -76,11 +83,18 @@ class TcpStack : public net::ProtocolStack {
  private:
   friend class Connection;
 
+  using ConnTable = std::vector<std::pair<ConnKey, Connection::Ptr>>;
+
+  /// First entry whose key is not below `key`.
+  [[nodiscard]] ConnTable::iterator lower_bound(const ConnKey& key);
+  /// Track `conn` under `key`, unless the key is taken.
+  void add(const ConnKey& key, Connection::Ptr conn);
+
   /// Deferred erase, which also releases the connection's callbacks; safe
   /// to call from within the connection's own packet/timer processing and
   /// its callbacks.
   void reap(const ConnKey& key);
-  void emit(net::Packet packet);
+  void emit(net::Packet&& packet);
   void deliver_accept(const ConnKey& key);
 
   struct Listener {
@@ -90,7 +104,7 @@ class TcpStack : public net::ProtocolStack {
 
   net::Topology& topology_;
   net::NodeId node_;
-  std::map<ConnKey, Connection::Ptr> conns_;
+  ConnTable conns_;  ///< sorted by key
   std::map<net::Port, Listener> listeners_;
   net::Port next_ephemeral_ = 49152;
 };

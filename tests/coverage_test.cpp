@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "exp/harness.hpp"
+#include "fixtures.hpp"
 #include "lsl/route_table.hpp"
 #include "sched/scheduler.hpp"
 #include "net/link.hpp"
@@ -59,8 +60,10 @@ TEST(CoverageTest, LinkQueueHighWaterMark) {
   net::LinkConfig cfg;
   cfg.rate = Bandwidth::mbps(1);  // slow: the queue backs up
   cfg.queue_capacity_bytes = 10'000;
-  net::Link link(sim, cfg, Rng(1));
-  link.set_deliver([](net::Packet) {});
+  net::PacketSlab packets;
+  net::Link link(sim, packets, cfg, Rng(1));
+  testing::SinkFn sink([](net::Packet&) {});
+  link.set_receiver(&sink);
   for (int i = 0; i < 5; ++i) {
     net::Packet p;
     p.src = 0;

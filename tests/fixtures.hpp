@@ -3,13 +3,27 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <utility>
 
+#include "net/link.hpp"
 #include "net/topology.hpp"
 #include "sim/simulator.hpp"
 #include "tcp/stack.hpp"
 
 namespace lsl::testing {
+
+/// A link receiver for tests: hands each delivered packet to `fn`, which
+/// may pass it on by moving from it. Keep it alive while the link runs.
+class SinkFn final : public net::PacketSink {
+ public:
+  explicit SinkFn(std::function<void(net::Packet&)> fn) : fn_(std::move(fn)) {}
+  void deliver(net::Packet&& packet) override { fn_(packet); }
+
+ private:
+  std::function<void(net::Packet&)> fn_;
+};
 
 /// Two hosts joined by one duplex link.
 struct TwoNodeNet {

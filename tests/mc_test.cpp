@@ -33,14 +33,18 @@ using namespace lsl::time_literals;
 // six orders, BAP is a pure commutation of ABP (A and B swap with nothing
 // dependent between them), so a sound sleep-set search covers five classes.
 
+const sim::Tag kToyA{"toy.A", sim::Layer::kSim};
+const sim::Tag kToyB{"toy.B", sim::Layer::kSim};
+const sim::Tag kToyP{"toy.P", sim::Layer::kSim};
+
 mc::ScenarioFn toy_scenario(std::vector<std::string>* orders) {
   return [orders](mc::RunContext& ctx) {
     sim::Simulator sim;
     ctx.attach(sim);
     auto order = std::make_shared<std::string>();
-    sim.schedule_at(1_ms, [order] { *order += 'A'; }, "toy.A", 1);
-    sim.schedule_at(1_ms, [order] { *order += 'B'; }, "toy.B", 2);
-    sim.schedule_at(1_ms, [order] { *order += 'P'; }, "toy.P", 0);
+    sim.schedule_at(1_ms, [order] { *order += 'A'; }, kToyA, 1);
+    sim.schedule_at(1_ms, [order] { *order += 'B'; }, kToyB, 2);
+    sim.schedule_at(1_ms, [order] { *order += 'P'; }, kToyP, 0);
     sim.run();
     if (orders != nullptr) {
       orders->push_back(*order);
@@ -122,9 +126,9 @@ TEST(McExplorerTest, SlackWindowWidensChoicePoints) {
       sim::Simulator sim;
       ctx.attach(sim);
       auto order = std::make_shared<std::string>();
-      sim.schedule_at(1_ms, [order] { *order += 'A'; }, "toy.A", 0);
+      sim.schedule_at(1_ms, [order] { *order += 'A'; }, kToyA, 0);
       sim.schedule_at(SimTime::microseconds(1200), [order] { *order += 'B'; },
-                      "toy.B", 0);
+                      kToyB, 0);
       sim.run();
       if (orders != nullptr) {
         orders->push_back(*order);

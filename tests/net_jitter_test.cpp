@@ -20,9 +20,11 @@ TEST(LinkJitterTest, JitterReordersDelivery) {
   cfg.rate = Bandwidth::gbps(10);  // serialization negligible
   cfg.propagation_delay = 1_ms;
   cfg.jitter = 5_ms;
-  Link link(sim, cfg, Rng(7));
+  PacketSlab packets;
+  Link link(sim, packets, cfg, Rng(7));
   std::vector<std::uint64_t> order;
-  link.set_deliver([&](Packet p) { order.push_back(p.uid); });
+  testing::SinkFn sink([&](Packet& p) { order.push_back(p.uid); });
+  link.set_receiver(&sink);
   for (std::uint64_t i = 0; i < 64; ++i) {
     Packet p;
     p.src = 0;
@@ -39,9 +41,11 @@ TEST(LinkJitterTest, JitterReordersDelivery) {
 TEST(LinkJitterTest, ZeroJitterPreservesFifo) {
   sim::Simulator sim;
   LinkConfig cfg;
-  Link link(sim, cfg, Rng(7));
+  PacketSlab packets;
+  Link link(sim, packets, cfg, Rng(7));
   std::vector<std::uint64_t> order;
-  link.set_deliver([&](Packet p) { order.push_back(p.uid); });
+  testing::SinkFn sink([&](Packet& p) { order.push_back(p.uid); });
+  link.set_receiver(&sink);
   for (std::uint64_t i = 0; i < 32; ++i) {
     Packet p;
     p.payload_bytes = 100;

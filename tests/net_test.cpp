@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "fixtures.hpp"
 #include "net/link.hpp"
 #include "net/topology.hpp"
 #include "sim/simulator.hpp"
@@ -13,6 +14,7 @@ namespace lsl::net {
 namespace {
 
 using namespace lsl::time_literals;
+using testing::SinkFn;
 
 Packet make_packet(NodeId src, NodeId dst, std::uint32_t payload,
                    std::uint64_t uid = 0) {
@@ -28,7 +30,7 @@ Packet make_packet(NodeId src, NodeId dst, std::uint32_t payload,
 /// arrives.
 struct SinkStack : ProtocolStack {
   explicit SinkStack(sim::Simulator& simulator) : sim(simulator) {}
-  void receive(Packet) override { arrivals.push_back(sim.now()); }
+  void receive(Packet&&) override { arrivals.push_back(sim.now()); }
 
   sim::Simulator& sim;
   std::vector<SimTime> arrivals;
@@ -44,9 +46,11 @@ TEST(LinkTest, DeliversAfterSerializationPlusPropagation) {
   LinkConfig cfg;
   cfg.rate = Bandwidth::mbps(100);
   cfg.propagation_delay = 10_ms;
-  Link link(sim, cfg, Rng(1));
+  PacketSlab packets;
+  Link link(sim, packets, cfg, Rng(1));
   SimTime arrival = SimTime::zero();
-  link.set_deliver([&](Packet) { arrival = sim.now(); });
+  SinkFn sink([&](Packet&) { arrival = sim.now(); });
+  link.set_receiver(&sink);
   link.enqueue(make_packet(0, 1, 1460));
   sim.run();
   // 1500B at 100Mbit = 120us serialization + 10ms propagation.
@@ -58,9 +62,11 @@ TEST(LinkTest, SerializesBackToBack) {
   LinkConfig cfg;
   cfg.rate = Bandwidth::mbps(100);
   cfg.propagation_delay = SimTime::zero();
-  Link link(sim, cfg, Rng(1));
+  PacketSlab packets;
+  Link link(sim, packets, cfg, Rng(1));
   std::vector<SimTime> arrivals;
-  link.set_deliver([&](Packet) { arrivals.push_back(sim.now()); });
+  SinkFn sink([&](Packet&) { arrivals.push_back(sim.now()); });
+  link.set_receiver(&sink);
   link.enqueue(make_packet(0, 1, 1460));
   link.enqueue(make_packet(0, 1, 1460));
   sim.run();
@@ -74,9 +80,11 @@ TEST(LinkTest, DropTailWhenQueueFull) {
   LinkConfig cfg;
   cfg.rate = Bandwidth::mbps(1);  // slow, so the queue backs up
   cfg.queue_capacity_bytes = 3000;
-  Link link(sim, cfg, Rng(1));
+  PacketSlab packets;
+  Link link(sim, packets, cfg, Rng(1));
   int delivered = 0;
-  link.set_deliver([&](Packet) { ++delivered; });
+  SinkFn sink([&](Packet&) { ++delivered; });
+  link.set_receiver(&sink);
   for (int i = 0; i < 5; ++i) {
     link.enqueue(make_packet(0, 1, 1460));
   }
@@ -92,9 +100,11 @@ TEST(LinkTest, BernoulliLossDropsRoughlyAtRate) {
   cfg.propagation_delay = SimTime::zero();
   cfg.queue_capacity_bytes = 1ULL << 40;
   cfg.loss_rate = 0.1;
-  Link link(sim, cfg, Rng(99));
+  PacketSlab packets;
+  Link link(sim, packets, cfg, Rng(99));
   int delivered = 0;
-  link.set_deliver([&](Packet) { ++delivered; });
+  SinkFn sink([&](Packet&) { ++delivered; });
+  link.set_receiver(&sink);
   constexpr int kPackets = 5000;
   for (int i = 0; i < kPackets; ++i) {
     link.enqueue(make_packet(0, 1, 100));
@@ -110,8 +120,10 @@ TEST(LinkTest, BernoulliLossDropsRoughlyAtRate) {
 TEST(LinkTest, StatsCountBytes) {
   sim::Simulator sim;
   LinkConfig cfg;
-  Link link(sim, cfg, Rng(1));
-  link.set_deliver([](Packet) {});
+  PacketSlab packets;
+  Link link(sim, packets, cfg, Rng(1));
+  SinkFn sink([](Packet&) {});
+  link.set_receiver(&sink);
   link.enqueue(make_packet(0, 1, 960));
   sim.run();
   EXPECT_EQ(link.stats().packets_sent, 1u);
@@ -227,10 +239,12 @@ TEST(TopologyTest, LinkBetweenReturnsNullWhenNotAdjacent) {
 
 class TwoEventLink {
  public:
-  TwoEventLink(sim::Simulator& simulator, LinkConfig config, Rng rng)
+  /// Link's signature; this model keeps packets in its own closures.
+  TwoEventLink(sim::Simulator& simulator, PacketSlab& /*packets*/,
+               LinkConfig config, Rng rng)
       : sim_(simulator), config_(config), rng_(rng) {}
 
-  void set_deliver(Link::DeliverFn deliver) { deliver_ = std::move(deliver); }
+  void set_receiver(PacketSink* receiver) { receiver_ = receiver; }
   void set_loss_rate(double p) { config_.loss_rate = p; }
   void set_rate(Bandwidth rate) { config_.rate = rate; }
   [[nodiscard]] const LinkStats& stats() const { return stats_; }
@@ -272,7 +286,7 @@ class TwoEventLink {
             rng_.next_below(static_cast<std::uint64_t>(config_.jitter.ns()))));
       }
       sim_.schedule_after(delay, [this, p = std::move(packet)]() mutable {
-        deliver_(std::move(p));
+        receiver_->deliver(std::move(p));
       });
     }
     if (!queue_.empty()) {
@@ -285,7 +299,7 @@ class TwoEventLink {
   sim::Simulator& sim_;
   LinkConfig config_;
   Rng rng_;
-  Link::DeliverFn deliver_;
+  PacketSink* receiver_ = nullptr;
   std::deque<Packet> queue_;
   std::uint64_t queued_bytes_ = 0;
   bool transmitting_ = false;
@@ -322,11 +336,13 @@ struct Outcome {
 template <typename L>
 Outcome replay(const Traffic& traffic, std::uint64_t seed) {
   sim::Simulator sim;
-  L link(sim, traffic.config, Rng(seed));
+  PacketSlab packets;
+  L link(sim, packets, traffic.config, Rng(seed));
   Outcome out;
   out.queue_dropped.assign(traffic.steps.size(), 0);
-  link.set_deliver(
-      [&](Packet p) { out.deliveries.emplace_back(p.uid, sim.now()); });
+  SinkFn sink(
+      [&](Packet& p) { out.deliveries.emplace_back(p.uid, sim.now()); });
+  link.set_receiver(&sink);
   for (std::size_t i = 0; i < traffic.steps.size(); ++i) {
     const TrafficStep& step = traffic.steps[i];
     sim.schedule_at(step.at, [&link, &out, &step, i] {
@@ -475,9 +491,11 @@ TEST(LinkTest, OnePendingEventWhateverTheBacklog) {
   cfg.rate = Bandwidth::mbps(100);
   cfg.propagation_delay = 10_ms;
   cfg.queue_capacity_bytes = 1ULL << 30;
-  Link link(sim, cfg, Rng(1));
+  PacketSlab packets;
+  Link link(sim, packets, cfg, Rng(1));
   int delivered = 0;
-  link.set_deliver([&](Packet) { ++delivered; });
+  SinkFn sink([&](Packet&) { ++delivered; });
+  link.set_receiver(&sink);
   for (int i = 0; i < 1000; ++i) {
     link.enqueue(make_packet(0, 1, 1460));
   }

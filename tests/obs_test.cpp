@@ -393,14 +393,16 @@ TEST(ObsTraceTest, ChromeTraceJsonShape) {
 // ---------------------------------------------------------------------------
 // Kernel profile
 
+const sim::Tag kTickTag{"test.tick", sim::Layer::kSim};
+
 TEST(ObsKernelTest, ProfileCountsCategoriesAndHighWater) {
   sim::Simulator simulator;
   simulator.set_profiling(true);
   for (int i = 0; i < 5; ++i) {
-    simulator.schedule_after(SimTime::milliseconds(i + 1), [] {}, "test.tick");
+    simulator.schedule_after(SimTime::milliseconds(i + 1), [] {}, kTickTag);
   }
   const auto cancelled =
-      simulator.schedule_after(SimTime::seconds(1), [] {}, "test.tick");
+      simulator.schedule_after(SimTime::seconds(1), [] {}, kTickTag);
   simulator.schedule_after(SimTime::milliseconds(10), [] {});  // untagged
   ASSERT_TRUE(simulator.cancel(cancelled));
   simulator.run();

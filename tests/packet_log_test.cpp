@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <sstream>
 
+#include "exp/harness.hpp"
 #include "exp/packet_log.hpp"
 #include "exp/raw_tcp.hpp"
 #include "fixtures.hpp"
+#include "net/packet_slab.hpp"
 
 namespace lsl::exp {
 namespace {
@@ -19,6 +23,89 @@ net::LinkConfig wan(double loss = 0.0) {
   cfg.queue_capacity_bytes = mib(1);
   cfg.loss_rate = loss;
   return cfg;
+}
+
+/// src -> depot -> dst over two lossy 100 Mbit legs (1e-3 loss each).
+std::unique_ptr<SimHarness> lossy_depot_path(std::uint64_t seed) {
+  auto h = std::make_unique<SimHarness>(seed);
+  const auto src = h->add_host("src");
+  const auto depot = h->add_host("depot");
+  const auto dst = h->add_host("dst");
+  h->add_link(src, depot, wan(1e-3));
+  h->add_link(depot, dst, wan(1e-3));
+  session::DepotConfig cfg;
+  cfg.tcp = tcp::TcpOptions{}.with_buffers(kib(512));
+  h->deploy(cfg);
+  return h;
+}
+
+session::TransferSpec via_depot(std::uint64_t bytes) {
+  session::TransferSpec spec;
+  spec.dst = 2;
+  spec.via = {1};
+  spec.payload_bytes = bytes;
+  spec.tcp = tcp::TcpOptions{}.with_buffers(kib(512));
+  return spec;
+}
+
+std::uint64_t loss_drops(net::Topology& topo) {
+  std::uint64_t drops = 0;
+  for (std::size_t i = 0; i < topo.link_count(); ++i) {
+    drops += topo.link(i).stats().packets_dropped_loss;
+  }
+  return drops;
+}
+
+TEST(PacketLogTest, TapOnEveryLinkLogsEachDeliveryAndChangesNothing) {
+  const auto plain_net = lossy_depot_path(11);
+  const auto plain = plain_net->run_transfer(0, via_depot(mib(4)));
+
+  const auto net = lossy_depot_path(11);
+  net::Topology& topo = net->topology();
+  PacketLog log;
+  for (std::size_t i = 0; i < topo.link_count(); ++i) {
+    log.attach(topo.link(i), net->simulator());
+  }
+  const auto tapped = net->run_transfer(0, via_depot(mib(4)));
+
+  ASSERT_TRUE(plain.completed);
+  EXPECT_EQ(tapped.completed, plain.completed);
+  EXPECT_EQ(tapped.elapsed.ns(), plain.elapsed.ns());
+  EXPECT_EQ(tapped.bytes, plain.bytes);
+  EXPECT_EQ(tapped.retries, plain.retries);
+  EXPECT_GT(loss_drops(topo), 0u);
+  // Every packet a link delivered is logged once: nothing is left on the
+  // wire, so deliveries are the packets sent minus the ones lost.
+  std::uint64_t delivered = 0;
+  for (std::size_t i = 0; i < topo.link_count(); ++i) {
+    ASSERT_EQ(topo.link(i).packets_held(), 0u);
+    const net::LinkStats& stats = topo.link(i).stats();
+    delivered += stats.packets_sent - stats.packets_dropped_loss;
+  }
+  EXPECT_EQ(log.size(), delivered);
+}
+
+TEST(PacketSlabTest, StorageFollowsThePacketsAlive) {
+  // The slab may not hold more slots than the peak number of packets
+  // queued or in flight on all links at once, plus one chunk: freed slots
+  // are reused across links and nothing is reserved ahead.
+  const auto net = lossy_depot_path(5);
+  net::Topology& topo = net->topology();
+  const auto handle = net->launch(0, via_depot(mib(16)));
+  std::size_t peak = 0;
+  for (auto o = net->outcome(handle); !o.completed && !o.failed;
+       o = net->outcome(handle)) {
+    ASSERT_TRUE(net->simulator().step());
+    std::size_t held = 0;
+    for (std::size_t i = 0; i < topo.link_count(); ++i) {
+      held += topo.link(i).packets_held();
+    }
+    peak = std::max(peak, held);
+  }
+  ASSERT_TRUE(net->outcome(handle).completed);
+  EXPECT_GT(loss_drops(topo), 0u);
+  EXPECT_GT(peak, net::PacketSlab::kChunkSize);  // the bound is not vacuous
+  EXPECT_LE(topo.packets().capacity(), peak + net::PacketSlab::kChunkSize);
 }
 
 TEST(PacketLogTest, CapturesHandshakeShape) {

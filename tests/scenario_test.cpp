@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "exp/scenario.hpp"
 #include "net/topology.hpp"
 #include "sim/simulator.hpp"
+#include "sim/tag.hpp"
 
 namespace lsl::exp {
 namespace {
@@ -349,6 +352,62 @@ TEST(ScenarioRunnerTest, DeterministicForSeed) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].outcome.elapsed, b[i].outcome.elapsed);
   }
+}
+
+/// The layer a tag's name puts it in: its first dotted component, except
+/// that the fluid data plane's tags (fluid.*, net.fluid.*) are flow's and
+/// the depot's store events (depot.*) are lsl's.
+std::string layer_by_name(const std::string& name) {
+  if (name.starts_with("net.fluid.") || name.starts_with("fluid.")) {
+    return "flow";
+  }
+  if (name.starts_with("depot.")) {
+    return "lsl";
+  }
+  return name.substr(0, name.find('.'));
+}
+
+TEST(KernelProfileLayerTest, EveryTagNamesItsLayerAndLayersSumToTagged) {
+  // A depot scenario with a crash, churn and recovery schedules events of
+  // every packet-plane layer; at flow fidelity the fluid engine's join in.
+  const std::string text = std::string(kValid) +
+                           "fault depot-crash d at=0.2 for=0.5\n"
+                           "churn d mtbf=3 mttr=0.5 start=1 horizon=6\n"
+                           "recovery retries=8 stall=1 backoff=100\n";
+  for (const char* fidelity : {"packet", "flow"}) {
+    const auto parsed =
+        parse_scenario(text + "fidelity " + fidelity + "\n");
+    ASSERT_TRUE(parsed.ok()) << parsed.error;
+    sim::KernelProfile profile;
+    (void)run_scenario(*parsed.scenario, 7, SimTime::seconds(600), &profile);
+    std::uint64_t tagged = 0;
+    for (const auto& [name, count] : profile.category_counts) {
+      tagged += count;
+    }
+    std::uint64_t by_layer = 0;
+    for (const std::uint64_t count : profile.layer_counts) {
+      by_layer += count;
+    }
+    EXPECT_EQ(by_layer, tagged) << fidelity;
+    EXPECT_LE(tagged, profile.events_scheduled) << fidelity;
+    EXPECT_GT(profile.layer_counts[static_cast<std::size_t>(sim::Layer::kNet)],
+              0u);
+    EXPECT_GT(profile.layer_counts[static_cast<std::size_t>(sim::Layer::kTcp)],
+              0u);
+    EXPECT_GT(
+        profile.layer_counts[static_cast<std::size_t>(sim::Layer::kFault)],
+        0u);
+    EXPECT_NE(profile.str().find("events by layer:"), std::string::npos);
+  }
+  // Every tag interned in this binary -- each one src/ schedules under,
+  // plus any a test made -- carries one of the seven named layers, and
+  // the one its name says.
+  for (std::size_t id = 1; id < sim::Tag::id_count(); ++id) {
+    const sim::Tag tag = sim::Tag::from_id(static_cast<std::uint8_t>(id));
+    const std::string layer = sim::to_string(tag.layer());
+    EXPECT_EQ(layer, layer_by_name(tag.name())) << tag.name();
+  }
+  EXPECT_GE(sim::Tag::id_count(), 17u);  // the 16 tags src/ declares
 }
 
 TEST(TopologyTruthTest, ReadsTheRoutedLinkAmongParallelOnes) {

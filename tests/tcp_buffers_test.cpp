@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <deque>
+#include <iterator>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "tcp/recv_buffer.hpp"
 #include "tcp/rtt_estimator.hpp"
 #include "tcp/send_buffer.hpp"
+#include "util/rng.hpp"
 
 namespace lsl::tcp {
 namespace {
@@ -143,8 +149,8 @@ TEST(RecvBufferTest, OooRangesRecencyOrdering) {
   buf.on_segment(100, 50, {});
   buf.on_segment(300, 50, {});
   buf.on_segment(500, 50, {});
-  const auto ranges = buf.ooo_ranges(4);
-  ASSERT_EQ(ranges.size(), 3u);
+  std::pair<std::uint64_t, std::uint64_t> ranges[4];
+  ASSERT_EQ(buf.ooo_ranges(ranges), 3u);
   // Most recently arrived block first.
   EXPECT_EQ(ranges[0].first, 500u);
   EXPECT_EQ(ranges[1].first, 300u);
@@ -156,7 +162,146 @@ TEST(RecvBufferTest, OooRangesCapped) {
   for (int i = 0; i < 10; ++i) {
     buf.on_segment(100 + 200 * static_cast<std::uint64_t>(i), 50, {});
   }
-  EXPECT_EQ(buf.ooo_ranges(4).size(), 4u);
+  std::pair<std::uint64_t, std::uint64_t> ranges[4];
+  EXPECT_EQ(buf.ooo_ranges(ranges), 4u);
+}
+
+/// The out-of-order bookkeeping and SACK report of RecvBuffer as they were
+/// when the report came back as a fresh vector per ACK: the reference the
+/// in-place fill must reproduce block for block. Never reads, so the window
+/// limit stays at `capacity`.
+class VectorSackReference {
+ public:
+  explicit VectorSackReference(std::uint64_t capacity) : capacity_(capacity) {}
+
+  void on_segment(std::uint64_t seq, std::uint64_t len) {
+    if (len == 0) {
+      return;
+    }
+    std::uint64_t begin = std::max(seq, rcv_nxt_);
+    const std::uint64_t end = std::min(seq + len, capacity_);
+    if (begin >= end) {
+      return;
+    }
+    if (begin == rcv_nxt_) {
+      rcv_nxt_ = end;
+      auto it = ooo_.begin();
+      while (it != ooo_.end() && it->first <= rcv_nxt_) {
+        rcv_nxt_ = std::max(rcv_nxt_, it->first + it->second);
+        it = ooo_.erase(it);
+      }
+      return;
+    }
+    recent_.push_front(begin);
+    if (recent_.size() > 8) {
+      recent_.pop_back();
+    }
+    auto it = ooo_.lower_bound(begin);
+    if (it != ooo_.begin()) {
+      const auto prev = std::prev(it);
+      begin = std::max(begin, prev->first + prev->second);
+    }
+    while (begin < end) {
+      it = ooo_.lower_bound(begin);
+      std::uint64_t piece_end = end;
+      if (it != ooo_.end()) {
+        piece_end = std::min(piece_end, it->first);
+      }
+      if (begin < piece_end) {
+        ooo_.emplace(begin, piece_end - begin);
+      }
+      if (it == ooo_.end()) {
+        break;
+      }
+      begin = std::max(begin, it->first + it->second);
+    }
+  }
+
+  [[nodiscard]] std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges(
+      std::size_t max_blocks) const {
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
+    auto push_range = [&](std::uint64_t begin, std::uint64_t end) {
+      for (const auto& r : out) {
+        if (r.first == begin) {
+          return;
+        }
+      }
+      if (out.size() < max_blocks) {
+        out.emplace_back(begin, end);
+      }
+    };
+    for (const std::uint64_t offset : recent_) {
+      if (out.size() == max_blocks) {
+        break;
+      }
+      auto it = ooo_.upper_bound(offset);
+      if (it == ooo_.begin()) {
+        continue;
+      }
+      --it;
+      if (offset >= it->first && offset < it->first + it->second) {
+        push_range(it->first, it->first + it->second);
+      }
+    }
+    for (const auto& [start, len] : ooo_) {
+      if (out.size() == max_blocks) {
+        break;
+      }
+      push_range(start, start + len);
+    }
+    return out;
+  }
+
+ private:
+  std::uint64_t capacity_;
+  std::uint64_t rcv_nxt_ = 0;
+  std::map<std::uint64_t, std::uint64_t> ooo_;
+  std::deque<std::uint64_t> recent_;
+};
+
+TEST(RecvBufferTest, InPlaceSackFillMatchesVectorReport) {
+  // Seeded arrival orders with holes: whole segments shuffled, some lost
+  // for good, some resent (duplicates), plus overlapping odd-sized pieces
+  // that exercise the clipping. After every arrival the in-place report
+  // must equal the old per-ACK vector, block for block and in order.
+  constexpr std::uint64_t kSeg = 1000;
+  constexpr std::uint64_t kSegments = 200;
+  std::size_t compared_blocks = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> arrivals;
+    for (std::uint64_t i = 0; i < kSegments; ++i) {
+      if (!rng.chance(0.1)) {  // ~10% never arrive: permanent holes
+        arrivals.emplace_back(i * kSeg, kSeg);
+      }
+      if (rng.chance(0.05)) {
+        arrivals.emplace_back(i * kSeg, kSeg);  // a retransmission
+      }
+      if (rng.chance(0.05)) {
+        arrivals.emplace_back(i * kSeg + rng.next_below(kSeg),
+                              1 + rng.next_below(3 * kSeg));
+      }
+    }
+    for (std::size_t i = arrivals.size(); i > 1; --i) {
+      std::swap(arrivals[i - 1], arrivals[rng.next_below(i)]);
+    }
+    const std::uint64_t capacity = (kSegments - 20) * kSeg;  // clamps some
+    RecvBuffer buf(capacity);
+    VectorSackReference ref(capacity);
+    for (const auto& [seq, len] : arrivals) {
+      buf.on_segment(seq, len, {});
+      ref.on_segment(seq, len);
+      std::pair<std::uint64_t, std::uint64_t> got[4];
+      const std::size_t n = buf.ooo_ranges(got);
+      const auto want = ref.ranges(4);
+      ASSERT_EQ(n, want.size()) << "seed " << seed;
+      for (std::size_t b = 0; b < n; ++b) {
+        ASSERT_EQ(got[b], want[b]) << "seed " << seed << " block " << b;
+      }
+      compared_blocks += n;
+    }
+  }
+  EXPECT_GT(compared_blocks, 1000u);
 }
 
 TEST(RecvBufferTest, ContentPrefixSurvivesReassembly) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 
 #include "exp/packet_log.hpp"
 #include "exp/raw_tcp.hpp"
@@ -27,19 +28,22 @@ net::LinkConfig wan(double mbit, SimTime one_way, double loss = 0.0) {
 }
 
 /// Loses the first transmission of each data segment whose payload starts
-/// at one of the stream offsets `lost`, at `link`'s far end.
-void lose_first_transmissions(net::Link& link,
-                              std::vector<std::uint64_t> lost) {
-  link.set_deliver([deliver = link.take_deliver(),
-                    lost = std::move(lost)](net::Packet p) mutable {
-    // Wire sequence 0 is the SYN, so payload offset k travels as k + 1.
-    const auto it = std::find(lost.begin(), lost.end(), p.tcp.seq - 1);
-    if (p.payload_bytes > 0 && it != lost.end()) {
-      lost.erase(it);
-      return;
-    }
-    deliver(std::move(p));
-  });
+/// at one of the stream offsets `lost`, at `link`'s far end. The returned
+/// tap must outlive the link's traffic.
+std::unique_ptr<testing::SinkFn> lose_first_transmissions(
+    net::Link& link, std::vector<std::uint64_t> lost) {
+  auto tap = std::make_unique<testing::SinkFn>(
+      [next = link.receiver(), lost = std::move(lost)](net::Packet& p) mutable {
+        // Wire sequence 0 is the SYN, so payload offset k travels as k + 1.
+        const auto it = std::find(lost.begin(), lost.end(), p.tcp.seq - 1);
+        if (p.payload_bytes > 0 && it != lost.end()) {
+          lost.erase(it);
+          return;
+        }
+        next->deliver(std::move(p));
+      });
+  link.set_receiver(tap.get());
+  return tap;
 }
 
 TEST(TcpConnectionTest, HandshakeEstablishes) {
@@ -149,7 +153,8 @@ TEST(TcpConnectionTest, RenoLeavesRecoveryOnTheFirstPartialAck) {
   // first episode.
   const auto run = [](Cca cca) {
     TwoNodeNet net(wan(100, 10_ms));
-    lose_first_transmissions(net.topo->link(0), {40 * kMss, 44 * kMss});
+    const auto tap =
+        lose_first_transmissions(net.topo->link(0), {40 * kMss, 44 * kMss});
     TcpOptions opts = TcpOptions{}.with_buffers(mib(1)).with_cca(cca);
     opts.sack_enabled = false;
     return run_raw_transfer(net.sim, *net.stack_a, *net.stack_b, mib(1),

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include "fixtures.hpp"
 #include "tcp/stack.hpp"
 
@@ -223,6 +227,99 @@ TEST(TcpStackTest, ConcurrentConnectionsDoNotInterfere) {
     total += n;
   }
   EXPECT_EQ(total, 10u * 10'000 + 1'000 * (0 + 1 + 2 + 3 + 4 + 5 + 6 + 7 + 8 + 9));
+}
+
+TEST(TcpStackTest, DemuxServesManyConnectionsAndResetsReapedOnes) {
+  // Node a holds 70 connections at once: 40 active opens to b:80 (one peer
+  // port, distinct ephemeral ports) and 30 passive opens b made to a:90.
+  // Each carries its own byte count, so a segment demultiplexed to the
+  // wrong connection shows up as a wrong total.
+  TwoNodeNet net(lan());
+  constexpr int kActive = 40;
+  constexpr int kPassive = 30;
+  std::vector<Connection::Ptr> accepted;
+  std::map<net::Port, std::uint64_t> got_at_b;  // by a's ephemeral port
+  std::map<net::Port, std::uint64_t> got_at_a;  // by b's ephemeral port
+  const auto count_into = [&](std::map<net::Port, std::uint64_t>& got) {
+    return [&](Connection::Ptr conn) {
+      accepted.push_back(conn);
+      conn->on_readable = [&got, c = conn.get()] {
+        got[c->remote_port()] += c->read(c->readable_bytes()).n;
+      };
+    };
+  };
+  net.stack_b->listen(80, count_into(got_at_b));
+  net.stack_a->listen(90, count_into(got_at_a));
+  std::vector<Connection::Ptr> opened;
+  std::map<net::Port, std::uint64_t> sent_by_a;
+  std::map<net::Port, std::uint64_t> sent_by_b;
+  const auto open = [&](TcpStack& from, net::NodeId to, net::Port port,
+                        std::uint64_t bytes,
+                        std::map<net::Port, std::uint64_t>& sent) {
+    auto c = from.connect(to, port);
+    sent[c->local_port()] = bytes;
+    c->on_connected = [cp = c.get(), bytes] { cp->write_synthetic(bytes); };
+    opened.push_back(c);
+  };
+  for (int i = 0; i < kActive; ++i) {
+    open(*net.stack_a, net.b, 80, 1000 + 37 * static_cast<std::uint64_t>(i),
+         sent_by_a);
+  }
+  for (int i = 0; i < kPassive; ++i) {
+    open(*net.stack_b, net.a, 90, 2000 + 53 * static_cast<std::uint64_t>(i),
+         sent_by_b);
+  }
+  net.sim.run(5_s);
+  EXPECT_EQ(got_at_b, sent_by_a);
+  EXPECT_EQ(got_at_a, sent_by_b);
+  ASSERT_EQ(net.stack_a->open_connections(),
+            static_cast<std::size_t>(kActive + kPassive));
+
+  // Leak post-mortems visit in ConnKey order.
+  std::vector<ConnKey> keys;
+  net.stack_a->for_each_connection([&](Connection& c) {
+    keys.push_back(ConnKey{c.remote_node(), c.local_port(), c.remote_port()});
+  });
+  ASSERT_EQ(keys.size(), net.stack_a->open_connections());
+  EXPECT_TRUE(std::adjacent_find(keys.begin(), keys.end(),
+                                 [](const ConnKey& x, const ConnKey& y) {
+                                   return !(x < y);
+                                 }) == keys.end());
+
+  // Reap one of a's active opens: its RST tears down b's end as well.
+  const Connection::Ptr victim = opened[7];
+  const ConnKey victim_key{net.b, victim->local_port(), 80};
+  victim->abort();
+  net.sim.run(net.sim.now() + 1_s);
+  EXPECT_EQ(net.stack_a->find_connection(victim_key), nullptr);
+  EXPECT_EQ(net.stack_a->open_connections(),
+            static_cast<std::size_t>(kActive + kPassive - 1));
+
+  // A late segment for the reaped connection draws exactly one RST.
+  int resets = 0;
+  net::Link& a_to_b = net.topo->link(0);
+  net::PacketSink* node_b = a_to_b.receiver();
+  testing::SinkFn tap([&](net::Packet& p) {
+    if (p.tcp.has(net::kFlagRst) && p.tcp.src_port == victim_key.local_port &&
+        p.tcp.dst_port == 80) {
+      ++resets;
+    }
+    node_b->deliver(std::move(p));
+  });
+  a_to_b.set_receiver(&tap);
+  net::Packet late;
+  late.src = net.b;
+  late.dst = net.a;
+  late.tcp.src_port = 80;
+  late.tcp.dst_port = victim_key.local_port;
+  late.tcp.seq = 1;
+  late.tcp.ack = 1;
+  late.tcp.flags = net::kFlagAck;
+  net.topo->send(std::move(late));
+  net.sim.run(net.sim.now() + 1_s);
+  EXPECT_EQ(resets, 1);
+  EXPECT_EQ(net.stack_a->open_connections(),
+            static_cast<std::size_t>(kActive + kPassive - 1));
 }
 
 }  // namespace

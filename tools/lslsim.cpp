@@ -180,7 +180,7 @@ int main(int argc, char** argv) {
   std::size_t jobs = 1;
   std::size_t pool_size = 0;
   std::optional<lsl::exp::Fidelity> fidelity_flag;
-  const char* cca_arg = nullptr;
+  std::optional<lsl::flow::Cca> cca_flag;
   const char* metrics_path = nullptr;
   const char* trace_path = nullptr;
   bool explain = false;
@@ -211,14 +211,14 @@ int main(int argc, char** argv) {
       }
       fidelity_flag = parsed;
     } else if (std::strncmp(argv[i], "--cca=", 6) == 0) {
-      cca_arg = argv[i] + 6;
-      lsl::flow::Cca parsed;
-      if (!lsl::flow::parse_cca(cca_arg, parsed)) {
+      lsl::flow::Cca parsed = lsl::flow::Cca::kNewReno;
+      if (!lsl::flow::parse_cca(argv[i] + 6, parsed)) {
         std::fprintf(stderr,
                      "lslsim: unknown cca '%s' (reno|newreno|cubic|bbr)\n",
-                     cca_arg);
+                     argv[i] + 6);
         return 2;
       }
+      cca_flag = parsed;
     } else if (std::strcmp(argv[i], "--profile") == 0) {
       profile = true;
     } else if (std::strncmp(argv[i], "--metrics=", 10) == 0) {
@@ -307,11 +307,8 @@ int main(int argc, char** argv) {
   if (fidelity_flag.has_value()) {
     scenario.fidelity = fidelity_flag;
   }
-  if (cca_arg != nullptr) {
-    lsl::flow::Cca cca = lsl::flow::Cca::kNewReno;
-    if (lsl::flow::parse_cca(cca_arg, cca)) {  // validated during getopt
-      scenario.cca = cca;
-    }
+  if (cca_flag.has_value()) {
+    scenario.cca = cca_flag;
   }
 
   if (verify || replay_picks.has_value() || fuzz_runs > 0) {
