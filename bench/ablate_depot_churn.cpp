@@ -11,10 +11,10 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "exp/harness.hpp"
 #include "fault/injector.hpp"
 #include "obs/explain.hpp"
 #include "obs/span.hpp"
+#include "testbed/abilene_paths.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -38,34 +38,9 @@ Trial run_trial(Mode mode, double mtbf_s, std::uint64_t seed,
   // reconnects) rather than just the end-to-end goodput.
   obs::SpanRecorder spans(0);
   obs::ScopedSpanRecorder scope(totals != nullptr ? &spans : nullptr);
-  exp::SimHarness harness(seed);
-  const auto src = harness.add_host("ash.ucsb.edu", "ucsb.edu");
-  const auto depot = harness.add_host("depot.denver", "core");
-  const auto dst = harness.add_host("bell.uiuc.edu", "uiuc.edu");
-
-  const auto wan = [](double delay_ms, double loss) {
-    net::LinkConfig config;
-    config.rate = Bandwidth::mbps(155);
-    config.propagation_delay = SimTime::from_seconds(delay_ms * 1e-3);
-    config.queue_capacity_bytes = mib(8);
-    config.loss_rate = loss;
-    return config;
-  };
-  harness.add_link(src, depot, wan(23.0, 1e-5));
-  harness.add_link(depot, dst, wan(22.5, 5e-4));
-  harness.add_link(src, dst, wan(35.0, 5e-4));
-
-  session::DepotConfig config;
-  config.tcp = config.tcp.with_buffers(mib(8));
-  config.user_buffer_bytes = mib(16);
-  harness.deploy(config);
-
-  // Keep "direct" traffic (including failover) on the direct link.
-  auto& topo = harness.topology();
-  topo.node(src).set_route(dst, topo.link_between(src, dst));
-  topo.node(dst).set_route(src, topo.link_between(dst, src));
-
-  fault::FaultInjector injector(harness.simulator(), topo);
+  testbed::PathTestbed bed(testbed::ucsb_uiuc_via_denver(), seed);
+  exp::SimHarness& harness = bed.harness();
+  fault::FaultInjector injector(harness.simulator(), harness.topology());
   injector.set_depot_control([&harness](net::NodeId node, bool up) {
     if (up) {
       harness.depot(node).restart();
@@ -76,7 +51,7 @@ Trial run_trial(Mode mode, double mtbf_s, std::uint64_t seed,
   if (mode != Mode::kDirect) {
     fault::FaultPlan plan;
     fault::ChurnSpec churn;
-    churn.node = depot;
+    churn.node = bed.depot();
     churn.mtbf = SimTime::from_seconds(mtbf_s);
     churn.mttr = 2_s;
     churn.horizon = 600_s;
@@ -85,20 +60,13 @@ Trial run_trial(Mode mode, double mtbf_s, std::uint64_t seed,
     injector.schedule(plan);
   }
 
-  session::TransferSpec spec;
-  spec.dst = dst;
-  if (mode != Mode::kDirect) {
-    spec.via.push_back(depot);
-  }
-  spec.payload_bytes = mib(64);
-  spec.tcp = tcp::TcpOptions{}.with_buffers(mib(8));
-
   session::RecoveryConfig recovery;
   recovery.enabled = mode == Mode::kRecovery;
   recovery.stall_timeout = 5_s;
   recovery.max_backoff = 5_s;
 
-  const auto handle = harness.launch_reliable(src, spec, recovery);
+  const auto handle = harness.launch_reliable(
+      bed.src(), bed.make_spec(mode != Mode::kDirect, mib(64)), recovery);
   const auto r = harness.wait(handle, 600_s);
   Trial trial;
   trial.completed = r.completed;

@@ -32,11 +32,16 @@ struct Trial {
 
 exp::Scenario make_scenario(bool faulted, bool rerouting) {
   exp::Scenario s;
+  // NodeIds are the hosts' indices here.
+  constexpr net::NodeId kSrc = 0;
+  constexpr net::NodeId kDepotA = 1;
+  constexpr net::NodeId kDepotB = 2;
+  constexpr net::NodeId kSink = 3;
   s.hosts = {{"src", "site-a"},
              {"depot.a", "core-a"},
              {"depot.b", "core-b"},
              {"sink", "site-b"}};
-  const auto link = [&s](const char* a, const char* b, double mbps,
+  const auto link = [&s](net::NodeId a, net::NodeId b, double mbps,
                          double delay_ms) {
     exp::ScenarioLink l;
     l.a = a;
@@ -47,12 +52,12 @@ exp::Scenario make_scenario(bool faulted, bool rerouting) {
     l.config.loss_rate = 1e-5;
     s.links.push_back(std::move(l));
   };
-  link("src", "depot.a", 100, 10);
-  link("depot.a", "sink", 100, 10);
-  link("src", "depot.b", 80, 12);
-  link("depot.b", "sink", 80, 12);
-  link("src", "sink", 20, 40);
-  s.pins.push_back({"src", "sink"});
+  link(kSrc, kDepotA, 100, 10);
+  link(kDepotA, kSink, 100, 10);
+  link(kSrc, kDepotB, 80, 12);
+  link(kDepotB, kSink, 80, 12);
+  link(kSrc, kSink, 20, 40);
+  s.pins.emplace_back(kSrc, kSink);
   s.depot.tcp = s.depot.tcp.with_buffers(mib(4));
   s.depot.user_buffer_bytes = mib(8);
 
@@ -61,15 +66,13 @@ exp::Scenario make_scenario(bool faulted, bool rerouting) {
   s.recovery = recovery;
 
   if (faulted) {
-    exp::ScenarioFault f;
-    f.kind = fault::FaultKind::kLinkBrownout;
-    f.a = "depot.a";
-    f.b = "sink";
-    f.at_s = 2.0;
-    f.for_s = 120.0;
-    f.loss = 0.0;
-    f.rate_factor = 0.05;
-    s.faults.push_back(std::move(f));
+    s.faults.add({.kind = fault::FaultKind::kLinkBrownout,
+                  .at = 2_s,
+                  .duration = 120_s,
+                  .link_a = kDepotA,
+                  .link_b = kSink,
+                  .loss = 0.0,
+                  .rate_factor = 0.05});
   }
   if (rerouting) {
     exp::ScenarioReroute rr;
@@ -82,9 +85,9 @@ exp::Scenario make_scenario(bool faulted, bool rerouting) {
   }
 
   exp::ScenarioTransfer t;
-  t.src = "src";
-  t.dst = "sink";
-  t.via = {"depot.a"};
+  t.src = kSrc;
+  t.dst = kSink;
+  t.via = {kDepotA};
   t.bytes = mib(48);
   t.buffer_bytes = mib(4);
   s.transfers.push_back(std::move(t));

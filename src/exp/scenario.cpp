@@ -196,7 +196,35 @@ bool apply_link_preset(const std::string& name, net::LinkConfig& config) {
 
 ParseResult parse_scenario(const std::string& text) {
   Scenario scenario;
-  std::map<std::string, bool> host_names;
+  // A host's NodeId is its declaration index, the id run_scenario's harness
+  // gives it; every host reference resolves through here.
+  std::map<std::string, net::NodeId> host_ids;
+  /// Resolves `names`, in order, into the NodeIds `ids` point at. Returns
+  /// "unknown <what> '<name>'" for the first undeclared name, else "".
+  const auto resolve = [&host_ids](std::span<const std::string> names,
+                                   std::initializer_list<net::NodeId*> ids,
+                                   const std::string& what = "host") {
+    LSL_ASSERT(names.size() >= ids.size());
+    auto name = names.begin();
+    for (net::NodeId* id : ids) {
+      const auto it = host_ids.find(*name);
+      if (it == host_ids.end()) {
+        return "unknown " + what + " '" + *name + "'";
+      }
+      *id = it->second;
+      ++name;
+    }
+    return std::string();
+  };
+  // Pins and link faults act on a declared link, which may come later in
+  // the file: each is checked once every line is read.
+  struct LinkReference {
+    std::size_t line_no;
+    std::string directive;
+    net::NodeId a;
+    net::NodeId b;
+  };
+  std::vector<LinkReference> link_references;
 
   std::istringstream input(text);
   std::string line;
@@ -219,11 +247,11 @@ ParseResult parse_scenario(const std::string& text) {
       ScenarioHost host;
       host.name = tokens[1];
       host.site = tokens.size() == 3 ? tokens[2] : tokens[1];
-      if (host_names.contains(host.name)) {
+      if (host_ids.contains(host.name)) {
         return {std::nullopt,
                 err_at(line_no, "duplicate host '" + host.name + "'")};
       }
-      host_names[host.name] = true;
+      host_ids[host.name] = static_cast<net::NodeId>(scenario.hosts.size());
       scenario.hosts.push_back(std::move(host));
       continue;
     }
@@ -234,13 +262,10 @@ ParseResult parse_scenario(const std::string& text) {
                 err_at(line_no, "link <a> <b> [key=value...]")};
       }
       ScenarioLink link;
-      link.a = tokens[1];
-      link.b = tokens[2];
-      for (const std::string& host : {link.a, link.b}) {
-        if (!host_names.contains(host)) {
-          return {std::nullopt,
-                  err_at(line_no, "unknown host '" + host + "'")};
-        }
+      if (const std::string error =
+              resolve(std::span(tokens).subspan(1), {&link.a, &link.b});
+          !error.empty()) {
+        return {std::nullopt, err_at(line_no, error)};
       }
       net::LinkConfig& config = link.config;
       const std::string error = apply_attributes(
@@ -299,13 +324,13 @@ ParseResult parse_scenario(const std::string& text) {
       if (tokens.size() != 3) {
         return {std::nullopt, err_at(line_no, "pin <a> <b>")};
       }
-      for (const std::string& host : {tokens[1], tokens[2]}) {
-        if (!host_names.contains(host)) {
-          return {std::nullopt,
-                  err_at(line_no, "unknown host '" + host + "'")};
-        }
+      auto& [a, b] = scenario.pins.emplace_back();
+      if (const std::string error =
+              resolve(std::span(tokens).subspan(1), {&a, &b});
+          !error.empty()) {
+        return {std::nullopt, err_at(line_no, error)};
       }
-      scenario.pins.push_back(ScenarioPin{tokens[1], tokens[2]});
+      link_references.push_back({line_no, "pin", a, b});
       continue;
     }
 
@@ -314,7 +339,7 @@ ParseResult parse_scenario(const std::string& text) {
         return {std::nullopt,
                 err_at(line_no, "fault <kind> [hosts...] at=<s> ...")};
       }
-      ScenarioFault f;
+      fault::FaultSpec f;
       const std::string& kind = tokens[1];
       std::size_t attr_start = 0;
       if (kind == "link-down" || kind == "brownout") {
@@ -324,14 +349,13 @@ ParseResult parse_scenario(const std::string& text) {
           return {std::nullopt,
                   err_at(line_no, "fault " + kind + " <a> <b> at=<s> ...")};
         }
-        f.a = tokens[2];
-        f.b = tokens[3];
-        for (const std::string& host : {f.a, f.b}) {
-          if (!host_names.contains(host)) {
-            return {std::nullopt,
-                    err_at(line_no, "unknown host '" + host + "'")};
-          }
+        if (const std::string error = resolve(std::span(tokens).subspan(2),
+                                              {&f.link_a, &f.link_b});
+            !error.empty()) {
+          return {std::nullopt, err_at(line_no, error)};
         }
+        link_references.push_back(
+            {line_no, "fault " + kind, f.link_a, f.link_b});
         attr_start = 4;
       } else if (kind == "depot-crash") {
         f.kind = fault::FaultKind::kDepotCrash;
@@ -339,10 +363,10 @@ ParseResult parse_scenario(const std::string& text) {
           return {std::nullopt,
                   err_at(line_no, "fault depot-crash <host> at=<s> ...")};
         }
-        f.a = tokens[2];
-        if (!host_names.contains(f.a)) {
-          return {std::nullopt,
-                  err_at(line_no, "unknown host '" + f.a + "'")};
+        if (const std::string error =
+                resolve(std::span(tokens).subspan(2), {&f.node});
+            !error.empty()) {
+          return {std::nullopt, err_at(line_no, error)};
         }
         attr_start = 3;
       } else if (kind == "nws-blackout") {
@@ -356,10 +380,11 @@ ParseResult parse_scenario(const std::string& text) {
       std::vector<Attribute> attributes{
           numeric("at", Range::kNonNegative,
                   [&](double v) {
-                    f.at_s = v;
+                    f.at = SimTime::from_seconds(v);
                     have_at = true;
                   }),
-          numeric("for", Range::kNonNegative, [&](double v) { f.for_s = v; })};
+          numeric("for", Range::kNonNegative,
+                  [&](double v) { f.duration = SimTime::from_seconds(v); })};
       if (f.kind == fault::FaultKind::kLinkBrownout) {
         attributes.push_back(numeric("loss", Range::kProbability,
                                      [&](double v) { f.loss = v; }));
@@ -375,7 +400,7 @@ ParseResult parse_scenario(const std::string& text) {
       if (!have_at) {
         return {std::nullopt, err_at(line_no, "fault needs at=<s>")};
       }
-      scenario.faults.push_back(std::move(f));
+      scenario.faults.add(f);
       continue;
     }
 
@@ -384,27 +409,26 @@ ParseResult parse_scenario(const std::string& text) {
         return {std::nullopt,
                 err_at(line_no, "churn <host> [mtbf=<s> mttr=<s> ...]")};
       }
-      ScenarioChurn churn;
-      churn.node = tokens[1];
-      if (!host_names.contains(churn.node)) {
-        return {std::nullopt,
-                err_at(line_no, "unknown host '" + churn.node + "'")};
+      fault::ChurnSpec churn;
+      if (const std::string error =
+              resolve(std::span(tokens).subspan(1), {&churn.node});
+          !error.empty()) {
+        return {std::nullopt, err_at(line_no, error)};
       }
       const std::string positive = "churn needs positive mtbf and mttr";
+      const auto seconds = [](SimTime& field) {
+        return [&field](double v) { field = SimTime::from_seconds(v); };
+      };
       const std::string error = apply_attributes(
           std::span(tokens).subspan(2), "churn",
-          {numeric("mtbf", Range::kPositive,
-                   [&](double v) { churn.mtbf_s = v; }, positive),
-           numeric("mttr", Range::kPositive,
-                   [&](double v) { churn.mttr_s = v; }, positive),
-           numeric("start", Range::kNonNegative,
-                   [&](double v) { churn.start_s = v; }),
-           numeric("horizon", Range::kNonNegative,
-                   [&](double v) { churn.horizon_s = v; })});
+          {numeric("mtbf", Range::kPositive, seconds(churn.mtbf), positive),
+           numeric("mttr", Range::kPositive, seconds(churn.mttr), positive),
+           numeric("start", Range::kNonNegative, seconds(churn.start)),
+           numeric("horizon", Range::kNonNegative, seconds(churn.horizon))});
       if (!error.empty()) {
         return {std::nullopt, err_at(line_no, error)};
       }
-      scenario.churns.push_back(std::move(churn));
+      scenario.churns.push_back(churn);
       continue;
     }
 
@@ -467,13 +491,10 @@ ParseResult parse_scenario(const std::string& text) {
                 err_at(line_no, "transfer <src> <dst> [key=value...]")};
       }
       ScenarioTransfer transfer;
-      transfer.src = tokens[1];
-      transfer.dst = tokens[2];
-      for (const std::string& host : {transfer.src, transfer.dst}) {
-        if (!host_names.contains(host)) {
-          return {std::nullopt,
-                  err_at(line_no, "unknown host '" + host + "'")};
-        }
+      if (const std::string error = resolve(std::span(tokens).subspan(1),
+                                            {&transfer.src, &transfer.dst});
+          !error.empty()) {
+        return {std::nullopt, err_at(line_no, error)};
       }
       const std::string error = apply_attributes(
           std::span(tokens).subspan(3), "transfer",
@@ -482,10 +503,12 @@ ParseResult parse_scenario(const std::string& text) {
                      std::istringstream hops(v);
                      std::string hop;
                      while (std::getline(hops, hop, ',')) {
-                       if (!host_names.contains(hop)) {
-                         return "unknown via host '" + hop + "'";
+                       net::NodeId& id = transfer.via.emplace_back();
+                       if (std::string error =
+                               resolve(std::span(&hop, 1), {&id}, "via host");
+                           !error.empty()) {
+                         return error;
                        }
-                       transfer.via.push_back(hop);
                      }
                      return {};
                    }),
@@ -581,6 +604,20 @@ ParseResult parse_scenario(const std::string& text) {
       return {std::nullopt, "scenario has no links"};
     }
   }
+  for (const LinkReference& ref : link_references) {
+    const bool linked = std::any_of(
+        scenario.links.begin(), scenario.links.end(),
+        [&ref](const ScenarioLink& l) {
+          return (l.a == ref.a && l.b == ref.b) ||
+                 (l.a == ref.b && l.b == ref.a);
+        });
+    if (!linked) {
+      return {std::nullopt,
+              err_at(ref.line_no, ref.directive + " names no link between '" +
+                                      scenario.hosts[ref.a].name + "' and '" +
+                                      scenario.hosts[ref.b].name + "'")};
+    }
+  }
   return {std::move(scenario), {}};
 }
 
@@ -619,12 +656,13 @@ std::vector<ScenarioOutcome> run_scenario(
   if (profile_out != nullptr) {
     harness.simulator().set_profiling(true);
   }
-  std::map<std::string, net::NodeId> ids;
-  for (const auto& host : scenario.hosts) {
-    ids[host.name] = harness.add_host(host.name, host.site);
+  for (std::size_t i = 0; i < scenario.hosts.size(); ++i) {
+    const ScenarioHost& host = scenario.hosts[i];
+    const net::NodeId id = harness.add_host(host.name, host.site);
+    LSL_ASSERT_MSG(id == i, "a host's NodeId must be its declaration index");
   }
   for (const auto& link : scenario.links) {
-    harness.add_link(ids.at(link.a), ids.at(link.b), link.config);
+    harness.add_link(link.a, link.b, link.config);
   }
   // A `cca` directive applies to every TCP endpoint: transfers below, and
   // the depot relays' store-and-forward hops here.
@@ -634,9 +672,7 @@ std::vector<ScenarioOutcome> run_scenario(
   }
   harness.deploy(depot);
   auto& topo = harness.topology();
-  for (const auto& pin : scenario.pins) {
-    const auto a = ids.at(pin.a);
-    const auto b = ids.at(pin.b);
+  for (const auto& [a, b] : scenario.pins) {
     net::Link* forward = topo.link_between(a, b);
     net::Link* backward = topo.link_between(b, a);
     LSL_ASSERT_MSG(forward != nullptr && backward != nullptr,
@@ -645,8 +681,8 @@ std::vector<ScenarioOutcome> run_scenario(
     topo.node(b).set_route(a, backward);
   }
 
-  // Faults: resolve host names, expand churn processes (seeded from the run
-  // seed so reruns replay bit-for-bit), and schedule the plan.
+  // Faults: the declared plan plus the churn processes' crashes (seeded
+  // from the run seed so reruns replay bit-for-bit).
   const bool faulty = !scenario.faults.empty() || !scenario.churns.empty();
   fault::FaultInjector injector(harness.simulator(), topo);
   if (faulty) {
@@ -657,30 +693,9 @@ std::vector<ScenarioOutcome> run_scenario(
         harness.depot(node).shutdown();
       }
     });
-    fault::FaultPlan plan;
-    for (const auto& f : scenario.faults) {
-      fault::FaultSpec spec;
-      spec.kind = f.kind;
-      spec.at = SimTime::from_seconds(f.at_s);
-      spec.duration = SimTime::from_seconds(f.for_s);
-      spec.loss = f.loss;
-      spec.rate_factor = f.rate_factor;
-      if (f.kind == fault::FaultKind::kDepotCrash) {
-        spec.node = ids.at(f.a);
-      } else if (f.kind != fault::FaultKind::kNwsBlackout) {
-        spec.link_a = ids.at(f.a);
-        spec.link_b = ids.at(f.b);
-      }
-      plan.add(spec);
-    }
+    fault::FaultPlan plan = scenario.faults;
     Rng churn_rng(seed ^ 0x9E3779B97F4A7C15ULL);
-    for (const auto& c : scenario.churns) {
-      fault::ChurnSpec churn;
-      churn.node = ids.at(c.node);
-      churn.mtbf = SimTime::from_seconds(c.mtbf_s);
-      churn.mttr = SimTime::from_seconds(c.mttr_s);
-      churn.start = SimTime::from_seconds(c.start_s);
-      churn.horizon = SimTime::from_seconds(c.horizon_s);
+    for (const fault::ChurnSpec& churn : scenario.churns) {
       plan.add_churn(churn, churn_rng);
     }
     injector.schedule(plan);
@@ -738,10 +753,8 @@ std::vector<ScenarioOutcome> run_scenario(
   std::vector<ScenarioOutcome> outcomes;
   for (const auto& transfer : scenario.transfers) {
     session::TransferSpec spec;
-    spec.dst = ids.at(transfer.dst);
-    for (const auto& hop : transfer.via) {
-      spec.via.push_back(ids.at(hop));
-    }
+    spec.dst = transfer.dst;
+    spec.via = transfer.via;
     spec.payload_bytes = transfer.bytes;
     spec.tcp = tcp::TcpOptions{}.with_buffers(transfer.buffer_bytes);
     if (scenario.cca.has_value()) {
@@ -751,45 +764,38 @@ std::vector<ScenarioOutcome> run_scenario(
     record.transfer = transfer;
     const SimTime deadline =
         harness.simulator().now() + per_transfer_deadline;
-    if (reliably) {
-      const auto handle =
-          harness.launch_reliable(ids.at(transfer.src), spec, recovery);
-      std::uint64_t watch_token = 0;
-      if (advisor != nullptr) {
-        const session::ReliableTransfer::Ptr rt = harness.reliable(handle);
-        const net::NodeId src_id = ids.at(transfer.src);
-        const net::NodeId dst_id = spec.dst;
-        const std::uint64_t total = spec.payload_bytes;
-        watch_token = advisor->watch(
-            harness.simulator().now(),
-            [rt, src_id, dst_id, total] {
-              sched::SessionView view;
-              view.src = src_id;
-              view.dst = dst_id;
-              view.session_tag = session::SessionIdHash{}(rt->session_id());
-              view.current_via = rt->current_via();
-              view.blacklist = rt->blacklist();
-              // Zero remaining bytes = skip this tick: done, draining
-              // elsewhere, or the source already finished sending.
-              view.remaining_bytes =
-                  rt->reroutable() ? total - rt->committed_offset() : 0;
-              return view;
-            },
-            [rt](const sched::RouteAdvice& advice) {
-              return rt->reroute_to(advice.new_via);
-            });
-      }
-      record.outcome = harness.wait(handle, deadline);
-      if (advisor != nullptr) {
-        advisor->unwatch(watch_token);
-      }
-      // Drain connection teardown so back-to-back transfers start clean.
-      harness.simulator().run(harness.simulator().now() +
-                              SimTime::seconds(2));
-    } else {
-      record.outcome =
-          harness.run_transfer(ids.at(transfer.src), spec, deadline);
+    const auto handle =
+        reliably ? harness.launch_reliable(transfer.src, spec, recovery)
+                 : harness.launch(transfer.src, spec);
+    std::uint64_t watch_token = 0;
+    if (advisor != nullptr) {
+      const session::ReliableTransfer::Ptr rt = harness.reliable(handle);
+      const std::uint64_t total = spec.payload_bytes;
+      watch_token = advisor->watch(
+          harness.simulator().now(),
+          [rt, src = transfer.src, dst = transfer.dst, total] {
+            sched::SessionView view;
+            view.src = src;
+            view.dst = dst;
+            view.session_tag = session::SessionIdHash{}(rt->session_id());
+            view.current_via = rt->current_via();
+            view.blacklist = rt->blacklist();
+            // Zero remaining bytes = skip this tick: done, draining
+            // elsewhere, or the source already finished sending.
+            view.remaining_bytes =
+                rt->reroutable() ? total - rt->committed_offset() : 0;
+            return view;
+          },
+          [rt](const sched::RouteAdvice& advice) {
+            return rt->reroute_to(advice.new_via);
+          });
     }
+    record.outcome = harness.wait(handle, deadline);
+    if (advisor != nullptr) {
+      advisor->unwatch(watch_token);
+    }
+    // Drain connection teardown so back-to-back transfers start clean.
+    harness.simulator().run(harness.simulator().now() + SimTime::seconds(2));
     outcomes.push_back(std::move(record));
   }
   if (rescheduler != nullptr) {

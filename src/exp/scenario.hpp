@@ -2,7 +2,7 @@
 // depot configuration, and a list of transfers, so experiments can be run
 // from the command line (tools/lslsim) without writing C++.
 //
-//   # hosts: name and site
+//   # hosts: name and site; each gets the next NodeId (0, 1, 2, ...)
 //   host ash.ucsb.edu ucsb.edu
 //   host depot.denver  core
 //   host bell.uiuc.edu uiuc.edu
@@ -22,7 +22,8 @@
 //   # optional: depot tuning (applies to every host)
 //   depot buffers=8192 user=16384 max_sessions=64
 //
-//   # pin a pair's routing onto their direct link (both directions)
+//   # pin a pair's routing onto their direct link (both directions); the
+//   # pair needs a `link` line, as do link-down and brownout faults
 //   pin ash.ucsb.edu bell.uiuc.edu
 //
 //   # transfers run in order; via is a comma-separated depot list
@@ -87,6 +88,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/harness.hpp"
@@ -102,42 +104,17 @@ struct ScenarioHost {
 };
 
 struct ScenarioLink {
-  std::string a;
-  std::string b;
+  net::NodeId a = net::kInvalidNode;
+  net::NodeId b = net::kInvalidNode;
   net::LinkConfig config;
 };
 
-struct ScenarioPin {
-  std::string a;
-  std::string b;
-};
-
 struct ScenarioTransfer {
-  std::string src;
-  std::string dst;
-  std::vector<std::string> via;
+  net::NodeId src = net::kInvalidNode;
+  net::NodeId dst = net::kInvalidNode;
+  std::vector<net::NodeId> via;
   std::uint64_t bytes = 0;
   std::uint64_t buffer_bytes = 64 * kKiB;
-};
-
-/// One timed fault, with hosts still by name (resolved at run time).
-struct ScenarioFault {
-  fault::FaultKind kind = fault::FaultKind::kLinkDown;
-  double at_s = 0.0;
-  double for_s = 0.0;  ///< 0 = permanent
-  std::string a;       ///< link endpoint, or the depot host
-  std::string b;       ///< second link endpoint (link faults only)
-  double loss = 0.3;   ///< brownout loss probability
-  double rate_factor = 1.0;  ///< brownout residual-rate multiplier
-};
-
-/// Seeded MTBF/MTTR crash process for one depot (see fault::ChurnSpec).
-struct ScenarioChurn {
-  std::string node;
-  double mtbf_s = 60.0;
-  double mttr_s = 5.0;
-  double start_s = 0.0;
-  double horizon_s = 600.0;
 };
 
 /// A `pool` directive: instead of an explicit host/link topology, run a
@@ -166,13 +143,19 @@ struct ScenarioReroute {
 };
 
 struct Scenario {
+  /// In declaration order. A host's NodeId is its index here: the parser
+  /// resolves every host name to it, and run_scenario's harness gives the
+  /// host that id.
   std::vector<ScenarioHost> hosts;
   std::vector<ScenarioLink> links;
-  std::vector<ScenarioPin> pins;
+  /// Pairs whose traffic is routed onto their direct link, both ways.
+  std::vector<std::pair<net::NodeId, net::NodeId>> pins;
   session::DepotConfig depot;
   std::vector<ScenarioTransfer> transfers;
-  std::vector<ScenarioFault> faults;
-  std::vector<ScenarioChurn> churns;
+  /// The `fault` directives, in file order.
+  fault::FaultPlan faults;
+  /// The `churn` directives, expanded by run_scenario from the run seed.
+  std::vector<fault::ChurnSpec> churns;
   /// Present when a `recovery` directive appeared. Transfers run under the
   /// recovery loop whenever this is set or any fault/churn exists; without
   /// a directive the loop runs detection-only (enabled = false).

@@ -52,24 +52,18 @@ std::vector<FaultSpec> FaultPlan::sorted() const {
   return out;
 }
 
-std::vector<FaultPlan> perturbations(const FaultPlan& plan,
-                                     const PerturbSpec& spec) {
-  std::vector<FaultPlan> out;
-  if (spec.include_original) {
-    out.push_back(plan);
-  }
+std::vector<Perturbation> perturbations(const FaultPlan& plan,
+                                        const std::vector<SimTime>& offsets) {
+  std::vector<Perturbation> out;
   for (std::size_t i = 0; i < plan.faults.size(); ++i) {
-    for (const SimTime offset : spec.offsets) {
-      SimTime shifted = plan.faults[i].at + offset;
-      if (shifted < SimTime::zero()) {
-        shifted = SimTime::zero();
-      }
+    for (const SimTime offset : offsets) {
+      const SimTime shifted =
+          std::max(plan.faults[i].at + offset, SimTime::zero());
       if (shifted == plan.faults[i].at) {
-        continue;  // a no-op variant (zero offset, or clamped onto original)
+        continue;
       }
-      FaultPlan variant = plan;
-      variant.faults[i].at = shifted;
-      out.push_back(std::move(variant));
+      Perturbation& p = out.emplace_back(Perturbation{i, offset, plan});
+      p.plan.faults[i].at = shifted;
     }
   }
   return out;

@@ -71,20 +71,22 @@ struct FaultPlan {
 
 // ---- schedule perturbation (model checking / fuzzing) ----------------------
 
-/// Systematic single-fault time shifts: each variant moves exactly one fault
-/// by one offset, which is how the explorer probes "what if this fault had
-/// landed during the offset query / the handover drain / the backoff".
-struct PerturbSpec {
-  std::vector<SimTime> offsets;   ///< shifts applied to one fault at a time
-  bool include_original = true;   ///< variant 0 is the unmodified plan
+/// One single-fault time shift of a plan: `plan` is the original with
+/// fault number `fault` moved by `offset` (its `at` clamped at zero). This
+/// is how the explorer probes "what if this fault had landed during the
+/// offset query / the handover drain / the backoff".
+struct Perturbation {
+  std::size_t fault = 0;
+  SimTime offset = SimTime::zero();
+  FaultPlan plan;
 };
 
-/// Expand `plan` into perturbed variants: the original (optionally), then
-/// one plan per (fault, offset) pair with that fault's `at` shifted and
-/// clamped at zero. Shifts that land exactly on the original time are
-/// dropped. Deterministic; no rng involved.
-[[nodiscard]] std::vector<FaultPlan> perturbations(const FaultPlan& plan,
-                                                   const PerturbSpec& spec);
+/// One variant per (fault, offset) pair, faults outer and offsets inner,
+/// never the original plan itself: a shift that lands exactly on the
+/// fault's own time (a zero offset, or one clamped onto a fault at zero)
+/// is dropped. Deterministic; no rng involved.
+[[nodiscard]] std::vector<Perturbation> perturbations(
+    const FaultPlan& plan, const std::vector<SimTime>& offsets);
 
 /// Every random fault lasts between these two. Never permanent: a stranded
 /// fault would leave depot relays holding buffer grants forever.

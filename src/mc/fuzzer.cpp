@@ -2,24 +2,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
 #include <utility>
 
-#include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace lsl::mc {
 
 namespace {
-
-std::map<std::string, net::NodeId> host_ids(const exp::Scenario& scenario) {
-  // run_scenario adds hosts in declaration order, so NodeId == index.
-  std::map<std::string, net::NodeId> ids;
-  for (std::size_t i = 0; i < scenario.hosts.size(); ++i) {
-    ids[scenario.hosts[i].name] = static_cast<net::NodeId>(i);
-  }
-  return ids;
-}
 
 /// Each transfer of a checked run must finish within this much simulated
 /// time.
@@ -32,65 +21,6 @@ std::string seconds_str(double s) {
 }
 
 }  // namespace
-
-fault::FaultPlan declared_plan(const exp::Scenario& scenario) {
-  const auto ids = host_ids(scenario);
-  fault::FaultPlan plan;
-  for (const exp::ScenarioFault& f : scenario.faults) {
-    fault::FaultSpec spec;
-    spec.kind = f.kind;
-    spec.at = SimTime::from_seconds(f.at_s);
-    spec.duration = SimTime::from_seconds(f.for_s);
-    spec.loss = f.loss;
-    spec.rate_factor = f.rate_factor;
-    switch (f.kind) {
-      case fault::FaultKind::kDepotCrash:
-        spec.node = ids.at(f.a);
-        break;
-      case fault::FaultKind::kLinkDown:
-      case fault::FaultKind::kLinkBrownout:
-        spec.link_a = ids.at(f.a);
-        spec.link_b = ids.at(f.b);
-        break;
-      case fault::FaultKind::kNwsBlackout:
-        break;
-    }
-    plan.add(spec);
-  }
-  return plan;
-}
-
-exp::Scenario with_fault_plan(const exp::Scenario& scenario,
-                              const fault::FaultPlan& plan,
-                              bool clear_churns) {
-  exp::Scenario out = scenario;
-  out.faults.clear();
-  if (clear_churns) {
-    out.churns.clear();
-  }
-  for (const fault::FaultSpec& spec : plan.faults) {
-    exp::ScenarioFault f;
-    f.kind = spec.kind;
-    f.at_s = spec.at.to_seconds();
-    f.for_s = spec.duration.to_seconds();
-    f.loss = spec.loss;
-    f.rate_factor = spec.rate_factor;
-    switch (spec.kind) {
-      case fault::FaultKind::kDepotCrash:
-        f.a = scenario.hosts.at(spec.node).name;
-        break;
-      case fault::FaultKind::kLinkDown:
-      case fault::FaultKind::kLinkBrownout:
-        f.a = scenario.hosts.at(spec.link_a).name;
-        f.b = scenario.hosts.at(spec.link_b).name;
-        break;
-      case fault::FaultKind::kNwsBlackout:
-        break;
-    }
-    out.faults.push_back(std::move(f));
-  }
-  return out;
-}
 
 std::string FuzzResult::str() const {
   std::string out = "fault fuzz: " + std::to_string(runs) + " runs, " +
@@ -105,21 +35,19 @@ std::string FuzzResult::str() const {
 
 FuzzResult fuzz_fault_schedules(const exp::Scenario& scenario,
                                 std::uint64_t base_seed, std::uint64_t runs) {
-  const auto ids = host_ids(scenario);
   fault::RandomPlanSpec space;
   // Depot-crash candidates: every host a transfer routes via. Link faults
   // draw from the declared topology.
   for (const exp::ScenarioTransfer& t : scenario.transfers) {
-    for (const std::string& hop : t.via) {
-      const net::NodeId id = ids.at(hop);
-      if (std::find(space.depots.begin(), space.depots.end(), id) ==
+    for (const net::NodeId hop : t.via) {
+      if (std::find(space.depots.begin(), space.depots.end(), hop) ==
           space.depots.end()) {
-        space.depots.push_back(id);
+        space.depots.push_back(hop);
       }
     }
   }
   for (const exp::ScenarioLink& link : scenario.links) {
-    space.links.emplace_back(ids.at(link.a), ids.at(link.b));
+    space.links.emplace_back(link.a, link.b);
   }
 
   FuzzResult out;
@@ -128,9 +56,9 @@ FuzzResult fuzz_fault_schedules(const exp::Scenario& scenario,
     // The plan stream is salted so it stays decoupled from the harness rng,
     // which also consumes `seed`.
     Rng rng(seed ^ Rng::hash("mc.fuzz.plan"));
-    const fault::FaultPlan plan = fault::random_plan(space, rng);
-    exp::Scenario variant =
-        with_fault_plan(scenario, plan, /*clear_churns=*/true);
+    exp::Scenario variant = scenario;
+    variant.faults = fault::random_plan(space, rng);
+    variant.churns.clear();
     if (!variant.recovery.has_value()) {
       variant.recovery = session::RecoveryConfig{};
     }
@@ -186,38 +114,18 @@ void merge_stats(ExploreStats& into, const ExploreStats& from) {
 VerifyResult verify_scenario(const exp::Scenario& scenario, std::uint64_t seed,
                              const VerifyOptions& options) {
   VerifyResult out;
-  // Variant 0 is the scenario exactly as written; the rest shift one fault's
-  // time per variant (fault::perturbations). Labels mirror its skip rule
-  // (zero-offset and clamped-onto-original shifts produce no variant).
+  // Variant 0 is the scenario exactly as written; the rest shift one
+  // declared fault's time each (fault::perturbations).
   std::vector<exp::Scenario> variants{scenario};
   out.variant_labels.push_back("original");
-  const fault::FaultPlan base = declared_plan(scenario);
-  if (!options.perturb_offsets.empty() && !base.empty()) {
-    fault::PerturbSpec pspec;
-    pspec.offsets = options.perturb_offsets;
-    pspec.include_original = false;
-    const std::vector<fault::FaultPlan> shifted =
-        fault::perturbations(base, pspec);
-    for (const fault::FaultPlan& plan : shifted) {
-      variants.push_back(with_fault_plan(scenario, plan));
-    }
-    for (std::size_t i = 0; i < base.faults.size(); ++i) {
-      for (const SimTime offset : pspec.offsets) {
-        SimTime at = base.faults[i].at + offset;
-        if (at < SimTime::zero()) {
-          at = SimTime::zero();
-        }
-        if (at == base.faults[i].at) {
-          continue;
-        }
-        out.variant_labels.push_back(
-            std::string("fault ") + std::to_string(i) + " (" +
-            fault::to_string(base.faults[i].kind) + ") shifted " +
-            seconds_str(offset.to_seconds()));
-      }
-    }
-    LSL_ASSERT_MSG(out.variant_labels.size() == variants.size(),
-                   "perturbation labels diverged from fault::perturbations");
+  for (fault::Perturbation& p :
+       fault::perturbations(scenario.faults, options.perturb_offsets)) {
+    out.variant_labels.push_back(
+        std::string("fault ") + std::to_string(p.fault) + " (" +
+        fault::to_string(scenario.faults.faults[p.fault].kind) +
+        ") shifted " + seconds_str(p.offset.to_seconds()));
+    exp::Scenario& variant = variants.emplace_back(scenario);
+    variant.faults = std::move(p.plan);
   }
 
   const std::uint64_t per_variant = std::max<std::uint64_t>(

@@ -77,17 +77,4 @@ struct VerifyResult {
 [[nodiscard]] ScenarioFn scenario_fn(const exp::Scenario& scenario,
                                      std::uint64_t seed);
 
-// ---- plan <-> scenario conversion (exposed for tests) -----------------------
-
-/// The scenario's declared `fault` directives as a FaultPlan, host names
-/// resolved to NodeIds by declaration order (exactly how run_scenario
-/// assigns them). Churn directives are not expanded.
-[[nodiscard]] fault::FaultPlan declared_plan(const exp::Scenario& scenario);
-
-/// Copy of `scenario` with its faults replaced by `plan` (NodeIds mapped
-/// back to host names); clear_churns also drops churn directives.
-[[nodiscard]] exp::Scenario with_fault_plan(const exp::Scenario& scenario,
-                                            const fault::FaultPlan& plan,
-                                            bool clear_churns = false);
-
 }  // namespace lsl::mc

@@ -87,10 +87,8 @@ exp::SimHarness::Handle PathTestbed::launch(bool via_depot,
 
 exp::SimHarness::TransferOutcome PathTestbed::run(bool via_depot,
                                                   std::uint64_t bytes) {
-  const auto handle = launch(via_depot, bytes);
-  auto outcome = harness_->wait(handle, SimTime::seconds(3600));
-  harness_->simulator().run(harness_->simulator().now() + 2_s);
-  return outcome;
+  return harness_->run_transfer(src_, make_spec(via_depot, bytes),
+                                SimTime::seconds(3600));
 }
 
 }  // namespace lsl::testbed

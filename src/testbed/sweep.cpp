@@ -177,6 +177,7 @@ SweepResult run_speedup_sweep(const SyntheticGrid& grid,
   struct CaseResult {
     std::vector<double> speedup_by_size;  ///< parallel to `sizes`
     std::vector<double> twin_by_size;     ///< simulated sweeps only
+    sim::KernelProfile kernel;            ///< simulated sweeps only
   };
   // Bandwidth sums (bit/s) of one (case, size) over its iterations.
   struct BandwidthSums {
@@ -210,13 +211,14 @@ SweepResult run_speedup_sweep(const SyntheticGrid& grid,
   const exp::Fidelity sim_fidelity = config.fidelity == SweepFidelity::kFlow
                                          ? exp::Fidelity::kFlow
                                          : exp::Fidelity::kPacket;
-  // Run one transfer of `size` bytes along a materialized chain; returns
-  // achieved bandwidth in bit/s (0 on a deadline miss, which only a
-  // pathological realization can produce at this deadline).
+  // Run one transfer of `size` bytes along a materialized chain and fold
+  // its kernel profile into `kernel`; returns achieved bandwidth in bit/s
+  // (0 on a deadline miss, which only a pathological realization can
+  // produce at this deadline).
   const auto simulate_chain =
       [&](const std::vector<std::size_t>& path,
           const std::vector<PairRealization>& hops, std::uint64_t size,
-          std::uint64_t sim_seed) -> double {
+          std::uint64_t sim_seed, sim::KernelProfile& kernel) -> double {
     Materialized m =
         materialize_path(grid, path, hops, sim_seed, sim_fidelity);
     session::TransferSpec spec;
@@ -229,6 +231,7 @@ SweepResult run_speedup_sweep(const SyntheticGrid& grid,
         tcp::TcpOptions{}.with_buffers(grid.host(path.front()).tcp_buffer);
     const auto outcome = m.harness->run_transfer(m.nodes.front(), spec,
                                                  SimTime::seconds(86400));
+    kernel.merge_from(m.harness->simulator().profile());
     if (!outcome.completed || outcome.elapsed <= SimTime::zero()) {
       return 0.0;
     }
@@ -257,10 +260,10 @@ SweepResult run_speedup_sweep(const SyntheticGrid& grid,
               continue;
             }
             const std::uint64_t sim_seed = case_rng.next_u64();
-            sums.direct +=
-                simulate_chain({c.src, c.dst}, {direct}, size, sim_seed);
-            sums.sched +=
-                simulate_chain(c.path, hops, size, sim_seed ^ 0x5C5C);
+            sums.direct += simulate_chain({c.src, c.dst}, {direct}, size,
+                                          sim_seed, out.kernel);
+            sums.sched += simulate_chain(c.path, hops, size,
+                                         sim_seed ^ 0x5C5C, out.kernel);
             // The twin is taken here, on the networks just simulated: an
             // analytic sweep draws no simulation seeds, so from a case's
             // second draw on it would realize other networks.
@@ -280,6 +283,7 @@ SweepResult run_speedup_sweep(const SyntheticGrid& grid,
     for (std::size_t s = 0; s < cr.twin_by_size.size(); ++s) {
       result.analytic_twins_by_size[sizes[s]].push_back(cr.twin_by_size[s]);
     }
+    result.kernel.merge_from(cr.kernel);
   }
   result.total_measurements +=
       cases.size() * sizes.size() * config.iterations * 2;

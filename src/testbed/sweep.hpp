@@ -13,6 +13,7 @@
 
 #include "flow/path_model.hpp"
 #include "sched/scheduler.hpp"
+#include "sim/simulator.hpp"
 #include "testbed/grid.hpp"
 
 namespace lsl::testbed {
@@ -76,6 +77,10 @@ struct SweepResult {
   std::size_t total_measurements = 0;
   /// Mean depot-path hop count among scheduled cases.
   double mean_path_hops = 0.0;
+  /// kFlow and kPacket only (empty at kAnalytic): the kernel profiles of
+  /// every simulated transfer, merged in case order. The kernels run
+  /// without wall-clock sampling, so the profile is the same for any jobs.
+  sim::KernelProfile kernel;
 
   [[nodiscard]] std::vector<double> all_speedups() const;
 };

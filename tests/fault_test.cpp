@@ -284,21 +284,22 @@ TEST(FaultScenarioTest, ParsesFaultChurnAndRecoveryDirectives) {
   ASSERT_TRUE(parsed.ok()) << parsed.error;
   const auto& s = *parsed.scenario;
 
-  ASSERT_EQ(s.faults.size(), 4u);
-  EXPECT_EQ(s.faults[0].kind, fault::FaultKind::kDepotCrash);
-  EXPECT_EQ(s.faults[0].a, "d");
-  EXPECT_DOUBLE_EQ(s.faults[0].at_s, 2.0);
-  EXPECT_DOUBLE_EQ(s.faults[0].for_s, 3.0);
-  EXPECT_EQ(s.faults[1].kind, fault::FaultKind::kLinkDown);
-  EXPECT_DOUBLE_EQ(s.faults[1].for_s, 0.0);  // permanent
-  EXPECT_EQ(s.faults[2].kind, fault::FaultKind::kLinkBrownout);
-  EXPECT_DOUBLE_EQ(s.faults[2].loss, 0.5);
-  EXPECT_EQ(s.faults[3].kind, fault::FaultKind::kNwsBlackout);
+  const std::vector<fault::FaultSpec>& faults = s.faults.faults;
+  ASSERT_EQ(faults.size(), 4u);
+  EXPECT_EQ(faults[0].kind, fault::FaultKind::kDepotCrash);
+  EXPECT_EQ(faults[0].node, 1u);  // d
+  EXPECT_EQ(faults[0].at, 2_s);
+  EXPECT_EQ(faults[0].duration, 3_s);
+  EXPECT_EQ(faults[1].kind, fault::FaultKind::kLinkDown);
+  EXPECT_TRUE(faults[1].permanent());
+  EXPECT_EQ(faults[2].kind, fault::FaultKind::kLinkBrownout);
+  EXPECT_DOUBLE_EQ(faults[2].loss, 0.5);
+  EXPECT_EQ(faults[3].kind, fault::FaultKind::kNwsBlackout);
 
   ASSERT_EQ(s.churns.size(), 1u);
-  EXPECT_EQ(s.churns[0].node, "d");
-  EXPECT_DOUBLE_EQ(s.churns[0].mtbf_s, 30.0);
-  EXPECT_DOUBLE_EQ(s.churns[0].mttr_s, 2.0);
+  EXPECT_EQ(s.churns[0].node, 1u);  // d
+  EXPECT_EQ(s.churns[0].mtbf, 30_s);
+  EXPECT_EQ(s.churns[0].mttr, 2_s);
 
   ASSERT_TRUE(s.recovery.has_value());
   EXPECT_TRUE(s.recovery->enabled);

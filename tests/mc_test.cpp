@@ -17,6 +17,7 @@
 #include "mc/fuzzer.hpp"
 #include "mc/hooks.hpp"
 #include "mc/invariants.hpp"
+#include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
@@ -297,32 +298,38 @@ TEST(FaultPerturbationsTest, ShiftsOneFaultPerVariant) {
             .at = 5_s,
             .link_a = 0,
             .link_b = 2});
+  plan.add({.kind = fault::FaultKind::kNwsBlackout, .at = SimTime::zero()});
 
-  fault::PerturbSpec spec;
-  spec.offsets = {SimTime::seconds(-2), SimTime::zero(), 1_s};
-  spec.include_original = true;
-  const std::vector<fault::FaultPlan> variants =
-      fault::perturbations(plan, spec);
+  const std::vector<fault::Perturbation> variants = fault::perturbations(
+      plan, {SimTime::seconds(-2), SimTime::zero(), 1_s});
 
-  // Original + (per fault: -2s and +1s; the zero offset is a no-op and is
-  // dropped). Fault 0's -2s shift clamps to t=0.
-  ASSERT_EQ(variants.size(), 5u);
-  EXPECT_EQ(variants[0].faults, plan.faults);
-  EXPECT_EQ(variants[1].faults[0].at, SimTime::zero());
-  EXPECT_EQ(variants[1].faults[1].at, 5_s);
-  EXPECT_EQ(variants[2].faults[0].at, 2_s);
-  EXPECT_EQ(variants[3].faults[1].at, 3_s);
-  EXPECT_EQ(variants[3].faults[0].at, 1_s);
-  EXPECT_EQ(variants[4].faults[1].at, 6_s);
+  // Per fault: -2s and +1s; the zero offset is a no-op and is dropped, and
+  // the original is never a variant. Fault 0's -2s shift clamps to t=0;
+  // fault 2 sits at zero, so its -2s shift clamps onto it and is dropped.
+  const std::vector<std::pair<std::size_t, SimTime>> labels = {
+      {0, SimTime::seconds(-2)}, {0, 1_s}, {1, SimTime::seconds(-2)},
+      {1, 1_s}, {2, 1_s}};
+  const std::vector<SimTime> shifted_to = {SimTime::zero(), 2_s, 3_s, 6_s,
+                                           1_s};
+  ASSERT_EQ(variants.size(), labels.size());
+  for (std::size_t v = 0; v < variants.size(); ++v) {
+    // Each variant names the fault it moved and the offset, and its plan
+    // differs from the original in that fault's time alone.
+    const fault::Perturbation& p = variants[v];
+    EXPECT_EQ(p.fault, labels[v].first) << v;
+    EXPECT_EQ(p.offset, labels[v].second) << v;
+    fault::FaultPlan expected = plan;
+    expected.faults[p.fault].at = shifted_to[v];
+    EXPECT_EQ(p.plan.faults, expected.faults) << v;
+  }
 
   // A shift that clamps exactly onto the original time produces no variant.
   fault::FaultPlan at_zero;
   at_zero.add({.kind = fault::FaultKind::kDepotCrash, .at = SimTime::zero(),
                .node = 1});
-  fault::PerturbSpec clamp;
-  clamp.offsets = {SimTime::seconds(-2)};
-  clamp.include_original = false;
-  EXPECT_TRUE(fault::perturbations(at_zero, clamp).empty());
+  EXPECT_TRUE(fault::perturbations(at_zero, {SimTime::seconds(-2)}).empty());
+  EXPECT_TRUE(fault::perturbations(plan, {}).empty());
+  EXPECT_TRUE(fault::perturbations(fault::FaultPlan{}, {1_s}).empty());
 }
 
 TEST(FaultRandomPlanTest, DeterministicAndBounded) {
@@ -356,33 +363,6 @@ TEST(FaultRandomPlanTest, DeterministicAndBounded) {
   Rng r3(8);
   const fault::FaultPlan p3 = fault::random_plan(spec, r3);
   EXPECT_NE(p1.faults, p3.faults);
-}
-
-TEST(McPlanConversionTest, DeclaredPlanRoundTrips) {
-  const auto parsed = exp::parse_scenario(
-      "host a\nhost d\nhost b\n"
-      "link a d rate=100 delay=5\n"
-      "link d b rate=100 delay=5\n"
-      "fault depot-crash d at=1.5 for=2\n"
-      "fault link-down a d at=3 for=1\n"
-      "transfer a b size=1 via=d\n");
-  ASSERT_TRUE(parsed.ok()) << parsed.error;
-
-  const fault::FaultPlan plan = mc::declared_plan(*parsed.scenario);
-  ASSERT_EQ(plan.faults.size(), 2u);
-  EXPECT_EQ(plan.faults[0].kind, fault::FaultKind::kDepotCrash);
-  EXPECT_EQ(plan.faults[0].node, 1u);  // hosts get NodeIds in order: a=0, d=1
-  EXPECT_EQ(plan.faults[0].at, SimTime::from_seconds(1.5));
-  EXPECT_EQ(plan.faults[1].kind, fault::FaultKind::kLinkDown);
-  EXPECT_EQ(plan.faults[1].link_a, 0u);
-  EXPECT_EQ(plan.faults[1].link_b, 1u);
-
-  const exp::Scenario back = mc::with_fault_plan(*parsed.scenario, plan);
-  ASSERT_EQ(back.faults.size(), 2u);
-  EXPECT_EQ(back.faults[0].a, "d");
-  EXPECT_EQ(back.faults[1].a, "a");
-  EXPECT_EQ(back.faults[1].b, "d");
-  EXPECT_EQ(mc::declared_plan(back).faults, plan.faults);
 }
 
 // ---- mutation smoke -------------------------------------------------------
@@ -510,6 +490,31 @@ TEST(McVerifyTest, PerturbedVariantsShareTheRunBudget) {
   EXPECT_GE(result.stats.runs, 2u);
 }
 
+TEST(McVerifyTest, VariantLabelsComeFromThePerturbations) {
+  // Two declared faults, three offsets: the crash at 0.2s takes every
+  // nonzero shift (-0.5s clamps to zero), the link fault at zero cannot
+  // move earlier, and the zero offset moves nothing.
+  const auto parsed = exp::parse_scenario(
+      std::string(kBlacklistScenario) + "fault link-down a b at=0 for=0.1\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+
+  mc::VerifyOptions vopts;
+  vopts.explorer.max_runs = 4;
+  vopts.perturb_offsets = {SimTime::from_seconds(-0.5), SimTime::zero(),
+                           SimTime::from_seconds(0.3)};
+  const mc::VerifyResult result =
+      mc::verify_scenario(*parsed.scenario, 11, vopts);
+  EXPECT_EQ(result.variant_labels,
+            (std::vector<std::string>{
+                "original",
+                "fault 0 (depot-crash) shifted -0.5s",
+                "fault 0 (depot-crash) shifted +0.3s",
+                "fault 1 (link-down) shifted +0.3s",
+            }));
+  EXPECT_TRUE(result.ok());
+  EXPECT_GE(result.stats.runs, result.variant_labels.size());
+}
+
 TEST(McFuzzTest, SixtyFourRandomFaultSchedulesHoldInvariants) {
   const auto parsed = exp::parse_scenario(
       "host a\nhost d\nhost b\n"
@@ -525,6 +530,43 @@ TEST(McFuzzTest, SixtyFourRandomFaultSchedulesHoldInvariants) {
   EXPECT_EQ(result.runs, 64u);
   EXPECT_TRUE(result.ok()) << result.str();
   EXPECT_TRUE(result.bad_seeds.empty());
+}
+
+TEST(McFuzzTest, ScenarioWithoutRecoveryDirectiveGetsTheDefaultLoop) {
+  // No `recovery` directive: every fuzzed plan runs under a default
+  // recovery loop, so a crashed depot ends in a resume, not a failed
+  // session (without the loop, run_scenario only detects failures).
+  const auto parsed = exp::parse_scenario(
+      "host a\nhost d\nhost b\n"
+      "link a d rate=10 delay=5\n"
+      "link d b rate=10 delay=10\n"
+      "link a b rate=10 delay=20\n"
+      "transfer a b size=8 via=d\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  ASSERT_FALSE(parsed.scenario->recovery.has_value());
+
+  obs::Registry registry;
+  const obs::ScopedRegistry scope(registry);
+  const mc::FuzzResult result =
+      mc::fuzz_fault_schedules(*parsed.scenario, 31, 8);
+  EXPECT_EQ(result.runs, 8u);
+  EXPECT_TRUE(result.ok()) << result.str();
+  EXPECT_EQ(result.str(), "fault fuzz: 8 runs, 0 bad seeds, 0 violations");
+  EXPECT_GT(registry.counter("lsl.recovery.sessions_recovered").value(), 0u);
+  EXPECT_EQ(registry.counter("lsl.recovery.sessions_failed").value(), 0u);
+}
+
+TEST(McFuzzTest, ResultListsEveryViolationUnderItsSeed) {
+  mc::FuzzResult result;
+  result.runs = 3;
+  result.bad_seeds = {12};
+  result.violations = {"seed 12: byte delivered twice",
+                       "seed 12: session never terminated"};
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(result.str(),
+            "fault fuzz: 3 runs, 1 bad seeds, 2 violations\n"
+            "  seed 12: byte delivered twice\n"
+            "  seed 12: session never terminated");
 }
 
 // ---- depot store eviction interleavings -----------------------------------

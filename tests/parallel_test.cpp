@@ -230,5 +230,42 @@ TEST(ParallelSweepTest, FlowSweepMetricsAreIdenticalForAnyJobsValue) {
   EXPECT_EQ(serial_registry.to_json(), parallel_registry.to_json());
 }
 
+TEST(ParallelSweepTest, FlowSweepKernelProfileIsIdenticalForAnyJobsValue) {
+  // A simulated sweep merges every transfer's kernel profile in case order;
+  // its kernels sample no wall clock, so the merge is the same for any jobs.
+  testbed::PlanetLabConfig pool;
+  pool.sites = 14;
+  const auto grid = testbed::SyntheticGrid::planetlab(pool, 2004);
+  testbed::SweepConfig config;
+  config.max_size_exp = 1;
+  config.iterations = 1;
+  config.max_cases = 12;
+  config.monitor_epochs = 5;
+  config.fidelity = testbed::SweepFidelity::kFlow;
+
+  config.jobs = 1;
+  const sim::KernelProfile serial =
+      testbed::run_speedup_sweep(grid, config, 42).kernel;
+  config.jobs = 2;
+  const sim::KernelProfile parallel =
+      testbed::run_speedup_sweep(grid, config, 42).kernel;
+  EXPECT_GT(serial.events_executed, 0u);
+  EXPECT_FALSE(serial.category_counts.empty());
+  EXPECT_EQ(serial.wall_seconds, 0.0);
+  EXPECT_EQ(serial.events_scheduled, parallel.events_scheduled);
+  EXPECT_EQ(serial.queue_high_water, parallel.queue_high_water);
+  EXPECT_EQ(serial.sim_time, parallel.sim_time);
+  EXPECT_EQ(serial.category_counts, parallel.category_counts);
+  EXPECT_EQ(serial.layer_counts, parallel.layer_counts);
+  EXPECT_EQ(serial.str(), parallel.str());
+
+  // The analytic model simulates nothing.
+  config.fidelity = testbed::SweepFidelity::kAnalytic;
+  const auto analytic = testbed::run_speedup_sweep(grid, config, 42);
+  ASSERT_GT(analytic.scheduled_cases, 0u);
+  EXPECT_EQ(analytic.kernel.events_scheduled, 0u);
+  EXPECT_TRUE(analytic.kernel.category_counts.empty());
+}
+
 }  // namespace
 }  // namespace lsl

@@ -44,7 +44,80 @@ TEST(ScenarioParserTest, ParsesValidScenario) {
   EXPECT_EQ(s.depot.max_sessions, 8u);
   EXPECT_EQ(s.transfers[0].bytes, 2 * kMiB);
   EXPECT_TRUE(s.transfers[0].via.empty());
-  EXPECT_EQ(s.transfers[1].via, (std::vector<std::string>{"d"}));
+  EXPECT_EQ(s.transfers[1].via, (std::vector<net::NodeId>{1}));
+}
+
+TEST(ScenarioParserTest, HostsBecomeNodeIdsInDeclarationOrder) {
+  // Every host reference resolves to its host's declaration index -- the
+  // NodeId run_scenario's harness gives it -- and times become SimTime.
+  // References may name hosts in any order; links come after the pin and
+  // the fault that use them.
+  const auto result = parse_scenario(
+      "host a\nhost d site-d\nhost b\nhost e\n"
+      "pin b a\n"
+      "fault brownout d b at=1.5 for=2 loss=0.1 factor=0.5\n"
+      "fault depot-crash e at=3\n"
+      "fault link-down e d at=0.25 for=1\n"
+      "fault nws-blackout at=4 for=60\n"
+      "churn e mtbf=30 mttr=2 start=1 horizon=120\n"
+      "churn d\n"
+      "link b a rate=10\nlink d b rate=10\nlink a d rate=10\n"
+      "link e d rate=10\n"
+      "transfer b a size=1 via=e,d\n"
+      "transfer e a size=1\n");
+  ASSERT_TRUE(result.ok()) << result.error;
+  const Scenario& s = *result.scenario;
+  ASSERT_EQ(s.hosts.size(), 4u);
+  EXPECT_EQ(s.hosts[1].name, "d");
+  EXPECT_EQ(s.hosts[1].site, "site-d");
+  EXPECT_EQ(s.hosts[3].name, "e");
+
+  ASSERT_EQ(s.links.size(), 4u);
+  EXPECT_EQ(std::pair(s.links[0].a, s.links[0].b), std::pair(2u, 0u));
+  EXPECT_EQ(std::pair(s.links[1].a, s.links[1].b), std::pair(1u, 2u));
+  EXPECT_EQ(std::pair(s.links[3].a, s.links[3].b), std::pair(3u, 1u));
+  ASSERT_EQ(s.pins.size(), 1u);
+  EXPECT_EQ(s.pins[0], std::pair(2u, 0u));
+
+  ASSERT_EQ(s.faults.faults.size(), 4u);
+  const fault::FaultSpec& brownout = s.faults.faults[0];
+  EXPECT_EQ(brownout.kind, fault::FaultKind::kLinkBrownout);
+  EXPECT_EQ(brownout.link_a, 1u);
+  EXPECT_EQ(brownout.link_b, 2u);
+  EXPECT_EQ(brownout.node, net::kInvalidNode);
+  EXPECT_EQ(brownout.at, 1500_ms);
+  EXPECT_EQ(brownout.duration, 2_s);
+  EXPECT_DOUBLE_EQ(brownout.loss, 0.1);
+  EXPECT_DOUBLE_EQ(brownout.rate_factor, 0.5);
+  const fault::FaultSpec& crash = s.faults.faults[1];
+  EXPECT_EQ(crash.kind, fault::FaultKind::kDepotCrash);
+  EXPECT_EQ(crash.node, 3u);
+  EXPECT_EQ(crash.link_a, net::kInvalidNode);
+  EXPECT_TRUE(crash.permanent());
+  EXPECT_EQ(s.faults.faults[2].link_a, 3u);
+  EXPECT_EQ(s.faults.faults[2].link_b, 1u);
+  EXPECT_EQ(s.faults.faults[2].at, 250_ms);
+  EXPECT_EQ(s.faults.faults[3].kind, fault::FaultKind::kNwsBlackout);
+  EXPECT_EQ(s.faults.faults[3].node, net::kInvalidNode);
+  EXPECT_EQ(s.faults.faults[3].link_a, net::kInvalidNode);
+
+  ASSERT_EQ(s.churns.size(), 2u);
+  EXPECT_EQ(s.churns[0].node, 3u);
+  EXPECT_EQ(s.churns[0].mtbf, 30_s);
+  EXPECT_EQ(s.churns[0].mttr, 2_s);
+  EXPECT_EQ(s.churns[0].start, 1_s);
+  EXPECT_EQ(s.churns[0].horizon, 120_s);
+  // Unset attributes keep fault::ChurnSpec's defaults.
+  EXPECT_EQ(s.churns[1].node, 1u);
+  EXPECT_EQ(s.churns[1].mtbf, fault::ChurnSpec{}.mtbf);
+  EXPECT_EQ(s.churns[1].horizon, fault::ChurnSpec{}.horizon);
+
+  ASSERT_EQ(s.transfers.size(), 2u);
+  EXPECT_EQ(s.transfers[0].src, 2u);
+  EXPECT_EQ(s.transfers[0].dst, 0u);
+  EXPECT_EQ(s.transfers[0].via, (std::vector<net::NodeId>{3, 1}));
+  EXPECT_EQ(s.transfers[1].src, 3u);
+  EXPECT_TRUE(s.transfers[1].via.empty());
 }
 
 TEST(ScenarioParserTest, SiteDefaultsToHostName) {
@@ -266,6 +339,35 @@ TEST(ScenarioRangeTest, RejectsNonPositiveSizesRatesAndCounts) {
   expect_rejected("depot max_sessions=0\n", "max_sessions");
   expect_rejected("pool cases=0\n", "cases");
   expect_rejected("recovery retries=-1\n", "retries");
+}
+
+TEST(ScenarioParserTest, PinsAndLinkFaultsMustNameADeclaredLink) {
+  // kPair declares hosts a and b and the link a-b only.
+  const std::string kTriple = std::string(kPair) + "host c\n";
+  const auto expect_unlinked = [&kTriple](const std::string& line) {
+    const auto result = parse_scenario(kTriple + line);
+    ASSERT_FALSE(result.ok()) << line;
+    EXPECT_NE(result.error.find("line 5"), std::string::npos) << result.error;
+    EXPECT_NE(result.error.find("no link between 'a' and 'c'"),
+              std::string::npos)
+        << result.error;
+  };
+  expect_unlinked("pin a c\n");
+  expect_unlinked("fault link-down a c at=1\n");
+  expect_unlinked("fault brownout a c at=1 loss=0.1\n");
+  // A host has no link to itself.
+  expect_rejected("pin a a\n", "pin names no link between 'a' and 'a'");
+  expect_rejected("fault link-down b b at=1\n",
+                  "fault link-down names no link between 'b' and 'b'");
+  // Either order of the pair names the same link, and a link declared on a
+  // later line counts.
+  EXPECT_TRUE(parse_scenario(kTriple + "pin b a\nfault link-down c a at=1\n"
+                                       "link a c rate=10\n")
+                  .ok());
+  // Crashes and blackouts name no link.
+  EXPECT_TRUE(parse_scenario(kTriple + "fault depot-crash c at=1\n"
+                                       "fault nws-blackout at=1\n")
+                  .ok());
 }
 
 TEST(ScenarioRangeTest, RejectsProbabilitiesOutsideTheUnitInterval) {

@@ -128,11 +128,16 @@ FailoverRun run_failover(obs::SpanRecorder& spans, std::uint64_t seed,
 /// hands the live session over to depot.b, producing kHandover/kResume.
 exp::Scenario reroute_scenario() {
   exp::Scenario s;
+  // NodeIds are the hosts' indices here.
+  constexpr net::NodeId kSrc = 0;
+  constexpr net::NodeId kDepotA = 1;
+  constexpr net::NodeId kDepotB = 2;
+  constexpr net::NodeId kSink = 3;
   s.hosts = {{"src", "site-a"},
              {"depot.a", "core-a"},
              {"depot.b", "core-b"},
              {"sink", "site-b"}};
-  const auto link = [&s](const char* a, const char* b, double mbps,
+  const auto link = [&s](net::NodeId a, net::NodeId b, double mbps,
                          double delay_ms) {
     exp::ScenarioLink l;
     l.a = a;
@@ -143,25 +148,23 @@ exp::Scenario reroute_scenario() {
     l.config.loss_rate = 1e-5;
     s.links.push_back(std::move(l));
   };
-  link("src", "depot.a", 100, 10);
-  link("depot.a", "sink", 100, 10);
-  link("src", "depot.b", 80, 12);
-  link("depot.b", "sink", 80, 12);
-  link("src", "sink", 20, 40);
-  s.pins.push_back({"src", "sink"});
+  link(kSrc, kDepotA, 100, 10);
+  link(kDepotA, kSink, 100, 10);
+  link(kSrc, kDepotB, 80, 12);
+  link(kDepotB, kSink, 80, 12);
+  link(kSrc, kSink, 20, 40);
+  s.pins.emplace_back(kSrc, kSink);
   s.depot.tcp = s.depot.tcp.with_buffers(mib(4));
   s.depot.user_buffer_bytes = mib(8);
   s.recovery = session::RecoveryConfig{};
 
-  exp::ScenarioFault f;
-  f.kind = fault::FaultKind::kLinkBrownout;
-  f.a = "depot.a";
-  f.b = "sink";
-  f.at_s = 2.0;
-  f.for_s = 120.0;
-  f.loss = 0.0;
-  f.rate_factor = 0.05;
-  s.faults.push_back(std::move(f));
+  s.faults.add({.kind = fault::FaultKind::kLinkBrownout,
+                .at = 2_s,
+                .duration = 120_s,
+                .link_a = kDepotA,
+                .link_b = kSink,
+                .loss = 0.0,
+                .rate_factor = 0.05});
 
   exp::ScenarioReroute rr;
   rr.interval_s = 1.0;
@@ -172,9 +175,9 @@ exp::Scenario reroute_scenario() {
   s.reroute = rr;
 
   exp::ScenarioTransfer t;
-  t.src = "src";
-  t.dst = "sink";
-  t.via = {"depot.a"};
+  t.src = kSrc;
+  t.dst = kSink;
+  t.via = {kDepotA};
   t.bytes = mib(48);
   t.buffer_bytes = mib(4);
   s.transfers.push_back(std::move(t));

@@ -390,6 +390,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  const auto host_name = [&scenario](lsl::net::NodeId id) {
+    return scenario.hosts[id].name.c_str();
+  };
   if (!scenario.pool.has_value()) {
     std::printf("%zu hosts, %zu links, %zu transfers (seed %llu)\n\n",
                 scenario.hosts.size(), scenario.links.size(),
@@ -477,6 +480,7 @@ int main(int argc, char** argv) {
     const auto t0 = std::chrono::steady_clock::now();
     const auto result = lsl::testbed::run_speedup_sweep(grid, sweep_config,
                                                         seed);
+    total_profile = result.kernel;
     const double wall_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -540,7 +544,7 @@ int main(int argc, char** argv) {
     std::size_t cursor = 0;
     for (std::size_t t = 0; t < scenario.transfers.size(); ++t) {
       const auto& base = scenario.transfers[t];
-      std::printf("# %s -> %s%s\n", base.src.c_str(), base.dst.c_str(),
+      std::printf("# %s -> %s%s\n", host_name(base.src), host_name(base.dst),
                   base.via.empty() ? "" : " (via depots)");
       lsl::Table table({"size", "time", "Mbit/s"});
       for (; cursor < points.size() && points[cursor].transfer == t;
@@ -581,11 +585,11 @@ int main(int argc, char** argv) {
     if (!transfer.via.empty()) {
       via.clear();
       for (std::size_t i = 0; i < transfer.via.size(); ++i) {
-        via += (i > 0 ? "," : "") + transfer.via[i];
+        via += std::string(i > 0 ? "," : "") + host_name(transfer.via[i]);
       }
     }
     all_ok &= outcome.completed;
-    table.add_row({transfer.src, transfer.dst, via,
+    table.add_row({host_name(transfer.src), host_name(transfer.dst), via,
                    lsl::format_bytes(transfer.bytes), status_of(outcome),
                    outcome.completed ? outcome.elapsed.str() : "-",
                    outcome.completed
