@@ -43,8 +43,7 @@ Bandwidth steady_rate(const ConnectionParams& params) {
   rate = std::min(rate,
                   static_cast<double>(params.window_bytes) * 8.0 / rtt_s);
   if (params.loss_rate > 0.0 && params.cca != Cca::kBbr) {
-    const double mathis = kMathisConstant *
-                          static_cast<double>(params.mss) * 8.0 /
+    const double mathis = kMathisConstant * static_cast<double>(kMss) * 8.0 /
                           (rtt_s * std::sqrt(params.loss_rate));
     double loss_limited = mathis;
     if (params.cca == Cca::kCubic) {
@@ -53,7 +52,7 @@ Bandwidth steady_rate(const ConnectionParams& params) {
       // worse than Reno -- below the crossover RTT it operates in the
       // TCP-friendly region, so the Mathis term is a floor, not replaced.
       const double cubic = kCubicRateConstant *
-                           static_cast<double>(params.mss) * 8.0 /
+                           static_cast<double>(kMss) * 8.0 /
                            (std::pow(rtt_s, 0.25) *
                             std::pow(params.loss_rate, 0.75));
       loss_limited = std::max(mathis, cubic);
@@ -76,8 +75,7 @@ SimTime data_time(const ConnectionParams& params, std::uint64_t bytes) {
 
   // Slow-start ramp: one window per RTT, doubling, until the window that
   // sustains the steady rate is reached.
-  double cwnd = static_cast<double>(params.initial_cwnd_segments) *
-                params.mss;
+  double cwnd = static_cast<double>(kInitialCwndSegments) * kMss;
   double sent = 0.0;
   double elapsed_s = 0.0;
   const double rtt_s = params.rtt.to_seconds();

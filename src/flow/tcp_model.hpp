@@ -53,6 +53,13 @@ constexpr double kCubicRateConstant = 1.17;
 constexpr double kCubicC = 0.4;     ///< window growth scale (segments/s^3)
 constexpr double kCubicBeta = 0.7;  ///< multiplicative-decrease factor
 
+/// Maximum segment size (payload bytes per packet), shared by the packet
+/// stack (tcp::kMss), the fluid engine and this model.
+inline constexpr std::uint32_t kMss = 1460;
+
+/// Initial congestion window, in segments (RFC 2581 allowed 2).
+inline constexpr std::uint32_t kInitialCwndSegments = 2;
+
 struct ConnectionParams {
   SimTime rtt = SimTime::milliseconds(50);
   /// Path capacity: min of link rates and host throughput caps.
@@ -60,8 +67,6 @@ struct ConnectionParams {
   /// Effective window: min(send buffer, receive buffer).
   std::uint64_t window_bytes = 64 * kKiB;
   double loss_rate = 0.0;
-  std::uint32_t mss = 1460;
-  std::uint32_t initial_cwnd_segments = 2;
   /// Steady-state model dispatch: Reno/NewReno use the Mathis term, CUBIC
   /// the RFC 8312 response function (with its TCP-friendly floor), BBR is
   /// loss-agnostic (window/RTT and bottleneck caps only).

@@ -49,13 +49,12 @@ SimTime Link::transmit_time(std::uint32_t wire_bytes) {
 }
 
 double Link::fluid_capacity_bps() const {
-  // Headers ride every packet: at the default MSS a 1500-byte frame carries
-  // 1460 payload bytes, so goodput is rate * mss / (mss + overhead). The
-  // fluid engine shares this payload capacity directly (it never sees
-  // headers), matching what a saturating TCP flow achieves in packet mode.
-  constexpr double kDefaultMss = 1460.0;
-  return config_.rate.bits_per_second() * kDefaultMss /
-         (kDefaultMss + kPacketOverheadBytes);
+  // Headers ride every packet: a 1500-byte frame carries 1460 payload
+  // bytes, so goodput is rate * mss / (mss + overhead). The fluid engine
+  // shares this payload capacity directly (it never sees headers), matching
+  // what a saturating TCP flow achieves in packet mode.
+  return config_.rate.bits_per_second() * flow::kMss /
+         (flow::kMss + kPacketOverheadBytes);
 }
 
 void Link::bind_fluid(flow::FluidNetwork* net, std::uint32_t fluid_id) {

@@ -1151,7 +1151,7 @@ bool Connection::ensure_fluid_channel() {
   // One-way timing as a data segment experiences it: each forward hop's
   // propagation plus one full-MTU store-and-forward serialization; the
   // ACK's return leg is propagation only.
-  constexpr std::uint64_t kMtuBytes = 1500;
+  constexpr std::uint64_t kMtuBytes = flow::kMss + net::kPacketOverheadBytes;
   flow::FluidFlowSpec spec;
   for (const net::Link* link : *fwd) {
     spec.path.push_back(link->fluid_link_id());
@@ -1164,8 +1164,6 @@ bool Connection::ensure_fluid_channel() {
   spec.rtt = std::max(fluid_fwd_latency_ + fluid_rev_latency_,
                       SimTime::microseconds(1));
   spec.window_bytes = fluid_window_;
-  spec.mss = kMss;
-  spec.initial_cwnd_segments = kInitialCwndSegments;
   spec.cca = opts_.cca;
   fluid_flow_ = fnet->start_flow(std::move(spec));
   return fluid_data_plane();

@@ -20,10 +20,11 @@ namespace lsl::tcp {
 using Cca = flow::Cca;
 
 /// Maximum segment size (payload bytes per packet).
-inline constexpr std::uint32_t kMss = 1460;
+inline constexpr std::uint32_t kMss = flow::kMss;
 
 /// Initial congestion window, in segments (RFC 2581 allowed 2).
-inline constexpr std::uint32_t kInitialCwndSegments = 2;
+inline constexpr std::uint32_t kInitialCwndSegments =
+    flow::kInitialCwndSegments;
 
 /// With TcpOptions::delayed_ack, the longest an ACK is held back.
 inline constexpr SimTime kDelayedAckTimeout = SimTime::milliseconds(40);

@@ -278,8 +278,9 @@ TEST(RecvBufferTest, InPlaceSackFillMatchesVectorReport) {
         arrivals.emplace_back(i * kSeg, kSeg);  // a retransmission
       }
       if (rng.chance(0.05)) {
-        arrivals.emplace_back(i * kSeg + rng.next_below(kSeg),
-                              1 + rng.next_below(3 * kSeg));
+        const std::uint64_t start = i * kSeg + rng.next_below(kSeg);
+        const std::uint64_t len = 1 + rng.next_below(3 * kSeg);
+        arrivals.emplace_back(start, len);
       }
     }
     for (std::size_t i = arrivals.size(); i > 1; --i) {
