@@ -125,6 +125,11 @@ void FluidNetwork::notify_at(FluidFlowId id, std::uint64_t offset,
   LSL_ASSERT(f != nullptr);
   LSL_ASSERT(f->markers.empty() || f->markers.back().offset <= offset);
   LSL_ASSERT(offset <= f->offered);
+  if (static_cast<double>(offset) <= progress(*f)) {
+    // Already passed: the marker fires at once, and its snap to `offset`
+    // must not drop what the flow sent since the last anchor.
+    reanchor(*f);
+  }
   f->markers.push_back(Marker{offset, std::move(cb)});
   if (f->markers.size() == 1) {
     schedule_marker(id, *f);

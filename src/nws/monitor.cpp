@@ -1,10 +1,12 @@
 #include "nws/monitor.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <optional>
 
 #include "util/assert.hpp"
+#include "util/threads.hpp"
 
 namespace lsl::nws {
 
@@ -14,6 +16,12 @@ double NoiseModel::sample(double truth, Rng& rng) const {
     value *= outlier_factor;
   }
   return value;
+}
+
+std::uint64_t NoiseModel::draws() const {
+  const bool outlier_trial =
+      !(outlier_probability <= 0.0 || outlier_probability >= 1.0);
+  return outlier_trial ? 3 : 2;
 }
 
 PerformanceMonitor::PerformanceMonitor(std::vector<std::string> sites,
@@ -41,7 +49,29 @@ PerformanceMonitor::PerformanceMonitor(std::vector<std::string> sites,
   banks_.resize(site_names_.size() * site_names_.size());
 }
 
+std::vector<double> PerformanceMonitor::truth_table(
+    const TruthFn& truth) const {
+  const std::size_t s = site_names_.size();
+  std::vector<double> table(s * s, 0.0);
+  for (std::size_t a = 0; a < s; ++a) {
+    for (std::size_t b = 0; b < s; ++b) {
+      if (a != b) {
+        table[a * s + b] =
+            truth(site_representative_[a], site_representative_[b])
+                .megabits_per_second();
+      }
+    }
+  }
+  return table;
+}
+
 void PerformanceMonitor::observe_epoch(const TruthFn& truth) {
+  // A blackout epoch reads no truth.
+  observe_epoch(blackout_ ? std::vector<double>{} : truth_table(truth), 1);
+}
+
+void PerformanceMonitor::observe_epoch(std::span<const double> truth_mbps,
+                                       std::size_t jobs) {
   ++epochs_;
   if (metrics_ != nullptr) {
     metrics_->epochs->inc();
@@ -55,27 +85,58 @@ void PerformanceMonitor::observe_epoch(const TruthFn& truth) {
     return;
   }
   const std::size_t s = site_names_.size();
+  LSL_ASSERT(truth_mbps.size() == s * s);
+  // Row a takes the draws the serial (a, b) loop gave it: start it from a
+  // copy of the generator at the row's first draw.
+  const std::uint64_t row_draws = noise_.draws() * (s - 1);
+  row_rngs_.clear();
   for (std::size_t a = 0; a < s; ++a) {
-    for (std::size_t b = 0; b < s; ++b) {
-      if (a == b) {
-        continue;
+    row_rngs_.push_back(rng_);
+    rng_.discard(row_draws);
+  }
+  // Workers own whole rows, and so their banks, and write no instrument:
+  // row a tallies its forecast errors and keeps them, in reading order, at
+  // the head of its slice of errors_.
+  obs::Histogram* const histogram =
+      metrics_ != nullptr ? metrics_->forecast_abs_rel_error : nullptr;
+  errors_.resize(s * s);
+  row_tallies_.resize(s, obs::HistogramTally(0));  // each row sets its own
+  std::atomic<std::size_t> cursor{0};
+  run_on_threads(jobs == 0 ? default_jobs() : jobs, [&](std::size_t) {
+    while (true) {
+      const std::size_t a = cursor.fetch_add(1, std::memory_order_relaxed);
+      if (a >= s) {
+        return;
       }
-      const std::size_t host_a = site_representative_[a];
-      const std::size_t host_b = site_representative_[b];
-      const double measured = noise_.sample(
-          truth(host_a, host_b).megabits_per_second(), rng_);
-      const std::optional<double> predicted =
-          banks_[a * s + b].observe(measured);
-      if (metrics_ != nullptr) {
-        metrics_->observations->inc();
+      Rng rng = row_rngs_[a];
+      obs::HistogramTally tally(histogram ? histogram->bounds().size() : 0);
+      for (std::size_t b = 0; b < s; ++b) {
+        if (a == b) {
+          continue;
+        }
+        const std::size_t pair = a * s + b;
+        const double measured = noise_.sample(truth_mbps[pair], rng);
+        const std::optional<double> predicted = banks_[pair].observe(measured);
         // Error of the forecast the bank held for this reading: how far off
         // would the scheduler's input have been this epoch?
-        if (predicted && measured > 0.0) {
-          metrics_->forecast_abs_rel_error->observe(
-              std::abs(measured - *predicted) / measured);
+        if (histogram != nullptr && predicted && measured > 0.0) {
+          const double error = std::abs(measured - *predicted) / measured;
+          errors_[a * s + tally.count] = error;
+          tally.observe(histogram->bounds(), error);
         }
       }
+      row_tallies_[a] = std::move(tally);
     }
+  });
+  if (metrics_ == nullptr) {
+    return;
+  }
+  metrics_->observations->inc(s * (s - 1));
+  // Rows in order: the histogram's sum adds the errors in serial (a, b)
+  // order, on which its bits depend.
+  for (std::size_t a = 0; a < s; ++a) {
+    histogram->add(row_tallies_[a],
+                   std::span(errors_).subspan(a * s, row_tallies_[a].count));
   }
 }
 

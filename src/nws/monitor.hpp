@@ -4,10 +4,16 @@
 // host-level cost matrix using site cliques -- all hosts at site A share the
 // A->B wide-area measurement, mirroring the performance-topology aggregation
 // the paper takes from Swany & Wolski [34].
+//
+// An epoch measures against a ground-truth table by site pair. The speedup
+// sweep builds that table once (its grid's truth never changes) and runs
+// each epoch's source-site rows on its workers; the result is bitwise the
+// serial loop's for any job count (observe_epoch below says why).
 #pragma once
 
 #include <cstddef>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -46,6 +52,10 @@ struct NoiseModel {
   double outlier_factor = 0.3;
 
   [[nodiscard]] double sample(double truth, Rng& rng) const;
+
+  /// next_u64 draws one sample() takes: two for the lognormal's Box-Muller,
+  /// and one for the outlier trial unless its probability is <= 0 or >= 1.
+  [[nodiscard]] std::uint64_t draws() const;
 };
 
 /// Ground-truth callback: current end-to-end bandwidth between two hosts.
@@ -58,8 +68,21 @@ class PerformanceMonitor {
   PerformanceMonitor(std::vector<std::string> sites, NoiseModel noise,
                      std::uint64_t seed);
 
-  /// Take one measurement epoch against the ground truth. During a
-  /// blackout the epoch is skipped (no probes run) and forecasts go stale.
+  /// Ground truth in Mbit/s from site a to site b at [a * sites + b], read
+  /// at each site's representative (first) host; the diagonal reads 0.
+  [[nodiscard]] std::vector<double> truth_table(const TruthFn& truth) const;
+
+  /// Take one measurement epoch against a truth_table(). During a blackout
+  /// the epoch is skipped (no probes run, no draws) and forecasts go stale.
+  /// Source-site rows run on `jobs` workers (0 = default_jobs()). Each row
+  /// samples from a copy of the generator taken where the serial loop would
+  /// reach it, each bank belongs to one row, and the calling thread adds the
+  /// forecast errors to the histogram's sum in serial order, so every
+  /// forecast and instrument is bitwise the same for any `jobs`.
+  void observe_epoch(std::span<const double> truth_mbps, std::size_t jobs);
+
+  /// One epoch on one thread against `truth`, read afresh (callers whose
+  /// truth changes between epochs).
   void observe_epoch(const TruthFn& truth);
 
   /// Measurement blackout (monitoring infrastructure fault): while set,
@@ -85,6 +108,11 @@ class PerformanceMonitor {
   std::vector<std::string> site_names_;  ///< unique, in first-seen order
   NoiseModel noise_;
   Rng rng_;
+  /// Per epoch, reused: each source row's generator at its first draw, its
+  /// forecast errors in reading order from [a * sites], and their tally.
+  std::vector<Rng> row_rngs_;
+  std::vector<double> errors_;
+  std::vector<obs::HistogramTally> row_tallies_;
   /// Bank over measured Mbit/s from site a to site b at [a * sites + b].
   std::vector<ForecastBank> banks_;
   std::vector<std::size_t> site_index_of_host_;

@@ -62,49 +62,82 @@ std::string json_escape(const std::string& s) {
 // ---------------------------------------------------------------------------
 // Histogram
 
+void HistogramTally::observe(const std::vector<double>& bounds, double v) {
+  const auto it = std::lower_bound(bounds.begin(), bounds.end(), v);
+  ++buckets[static_cast<std::size_t>(it - bounds.begin())];
+  if (count == 0) {
+    min = v;
+    max = v;
+  } else {
+    min = std::min(min, v);
+    max = std::max(max, v);
+  }
+  ++count;
+}
+
+void HistogramTally::merge(const HistogramTally& other) {
+  LSL_ASSERT(buckets.size() == other.buckets.size());
+  if (other.count == 0) {
+    return;
+  }
+  if (count == 0) {
+    min = other.min;
+    max = other.max;
+  } else {
+    min = std::min(min, other.min);
+    max = std::max(max, other.max);
+  }
+  count += other.count;
+  for (std::size_t i = 0; i < buckets.size(); ++i) {
+    buckets[i] += other.buckets[i];
+  }
+}
+
 Histogram::Histogram(std::string name, std::vector<double> bounds)
-    : name_(std::move(name)), bounds_(std::move(bounds)) {
+    : name_(std::move(name)),
+      bounds_(std::move(bounds)),
+      tally_(bounds_.size()) {
   LSL_ASSERT_MSG(!bounds_.empty(), "histogram needs at least one bucket");
   LSL_ASSERT_MSG(std::is_sorted(bounds_.begin(), bounds_.end()),
                  "histogram bounds must ascend");
-  buckets_.assign(bounds_.size() + 1, 0);
 }
 
 void Histogram::observe(double v) {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  ++buckets_[static_cast<std::size_t>(it - bounds_.begin())];
-  if (count_ == 0) {
-    min_ = v;
-    max_ = v;
-  } else {
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
-  }
-  ++count_;
+  tally_.observe(bounds_, v);
   sum_ += v;
 }
 
+void Histogram::add(const HistogramTally& tally,
+                    std::span<const double> values) {
+  LSL_ASSERT(tally.count == values.size());
+  tally_.merge(tally);
+  for (const double v : values) {
+    sum_ += v;
+  }
+}
+
 double Histogram::quantile(double q) const {
-  if (count_ == 0) {
+  const HistogramTally& t = tally_;
+  if (t.count == 0) {
     return 0.0;
   }
   q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(count_);
+  const double target = q * static_cast<double>(t.count);
   double cum = 0.0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    const double next = cum + static_cast<double>(buckets_[i]);
-    if (next >= target && buckets_[i] > 0) {
+  for (std::size_t i = 0; i < t.buckets.size(); ++i) {
+    const double next = cum + static_cast<double>(t.buckets[i]);
+    if (next >= target && t.buckets[i] > 0) {
       // Interpolate within bucket i: [lower, upper].
-      const double lower = i == 0 ? min_ : bounds_[i - 1];
-      const double upper = i < bounds_.size() ? bounds_[i] : max_;
+      const double lower = i == 0 ? t.min : bounds_[i - 1];
+      const double upper = i < bounds_.size() ? bounds_[i] : t.max;
       const double frac =
-          (target - cum) / static_cast<double>(buckets_[i]);
+          (target - cum) / static_cast<double>(t.buckets[i]);
       const double v = lower + frac * (upper - lower);
-      return std::clamp(v, min_, max_);
+      return std::clamp(v, t.min, t.max);
     }
     cum = next;
   }
-  return max_;
+  return t.max;
 }
 
 std::vector<double> linear_buckets(double start, double width,
@@ -214,11 +247,8 @@ void Registry::reset_values() {
         break;
       case Kind::kHistogram: {
         auto& h = *entry.histogram;
-        std::fill(h.buckets_.begin(), h.buckets_.end(), 0);
-        h.count_ = 0;
+        h.tally_ = HistogramTally(h.bounds_.size());
         h.sum_ = 0.0;
-        h.min_ = 0.0;
-        h.max_ = 0.0;
         break;
       }
     }
@@ -319,19 +349,9 @@ void Registry::merge_from(const Registry& other) {
         Histogram& dst = histogram(src.name(), src.bounds());
         LSL_ASSERT_MSG(dst.bounds_ == src.bounds_,
                        "histogram merged with different buckets");
-        if (src.count_ > 0) {
-          if (dst.count_ == 0) {
-            dst.min_ = src.min_;
-            dst.max_ = src.max_;
-          } else {
-            dst.min_ = std::min(dst.min_, src.min_);
-            dst.max_ = std::max(dst.max_, src.max_);
-          }
-          dst.count_ += src.count_;
+        if (src.count() > 0) {
+          dst.tally_.merge(src.tally_);
           dst.sum_ += src.sum_;
-          for (std::size_t i = 0; i < src.buckets_.size(); ++i) {
-            dst.buckets_[i] += src.buckets_[i];
-          }
         }
         break;
       }

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -58,6 +59,25 @@ class Gauge {
   double high_water_ = 0.0;
 };
 
+/// The part of a histogram that does not depend on the order its values
+/// arrive in (NaN and signed zeros aside): bucket counts, count, min and
+/// max. A worker thread that must not touch a shared Histogram tallies its
+/// values here, and the owner folds the tally in with Histogram::add.
+struct HistogramTally {
+  explicit HistogramTally(std::size_t bound_count)
+      : buckets(bound_count + 1, 0) {}
+
+  /// Count `v` in the first bucket of `bounds` (ascending upper bounds)
+  /// that holds it; the last bucket catches everything above.
+  void observe(const std::vector<double>& bounds, double v);
+  void merge(const HistogramTally& other);
+
+  std::vector<std::uint64_t> buckets;  ///< one per bound, then overflow
+  std::uint64_t count = 0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
 /// Fixed-bucket histogram. Buckets are defined by ascending upper bounds;
 /// an implicit overflow bucket catches everything above the last bound.
 /// observe() is a binary search over the (small) bound list plus three
@@ -66,13 +86,17 @@ class Histogram {
  public:
   void observe(double v);
 
-  [[nodiscard]] std::uint64_t count() const { return count_; }
+  /// observe() of each of `values` in order, given their tally against
+  /// bounds(): the tally merges, and the sum adds the values in order.
+  void add(const HistogramTally& tally, std::span<const double> values);
+
+  [[nodiscard]] std::uint64_t count() const { return tally_.count; }
   [[nodiscard]] double sum() const { return sum_; }
   [[nodiscard]] double mean() const {
-    return count_ > 0 ? sum_ / static_cast<double>(count_) : 0.0;
+    return count() > 0 ? sum_ / static_cast<double>(count()) : 0.0;
   }
-  [[nodiscard]] double min() const { return count_ > 0 ? min_ : 0.0; }
-  [[nodiscard]] double max() const { return count_ > 0 ? max_ : 0.0; }
+  [[nodiscard]] double min() const { return count() > 0 ? tally_.min : 0.0; }
+  [[nodiscard]] double max() const { return count() > 0 ? tally_.max : 0.0; }
 
   /// Quantile estimate (q in [0,1]) by linear interpolation inside the
   /// containing bucket; exact to within one bucket width. Clamped to the
@@ -82,7 +106,7 @@ class Histogram {
   /// Ascending upper bounds; bucket_counts() has one extra overflow slot.
   [[nodiscard]] const std::vector<double>& bounds() const { return bounds_; }
   [[nodiscard]] const std::vector<std::uint64_t>& bucket_counts() const {
-    return buckets_;
+    return tally_.buckets;
   }
   [[nodiscard]] const std::string& name() const { return name_; }
 
@@ -92,11 +116,8 @@ class Histogram {
 
   std::string name_;
   std::vector<double> bounds_;
-  std::vector<std::uint64_t> buckets_;  ///< bounds_.size() + 1 (overflow)
-  std::uint64_t count_ = 0;
+  HistogramTally tally_;
   double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 /// `count` buckets of `width` starting at `start`: start+width, start+2w, ...

@@ -47,13 +47,18 @@ SweepResult run_speedup_sweep(const SyntheticGrid& grid,
   Rng rng(seed);
   SweepResult result;
 
-  // 1. Measure the pool and build the scheduler's matrix.
-  nws::PerformanceMonitor monitor(grid.sites(), nws::NoiseModel{},
-                                  rng.fork(1).next_u64());
-  for (std::size_t epoch = 0; epoch < config.monitor_epochs; ++epoch) {
-    monitor.observe_epoch(grid.truth());
-  }
-  sched::CostMatrix matrix = monitor.build_matrix();
+  // 1. Measure the pool and build the scheduler's matrix. The monitor's
+  // banks (42 MiB on the 1,024-host pool) go before the trees are built.
+  sched::CostMatrix matrix = [&] {
+    nws::PerformanceMonitor monitor(grid.sites(), nws::NoiseModel{},
+                                    rng.fork(1).next_u64());
+    // The grid's ground truth is fixed: read it once, not once per epoch.
+    const std::vector<double> truth = monitor.truth_table(grid.truth());
+    for (std::size_t epoch = 0; epoch < config.monitor_epochs; ++epoch) {
+      monitor.observe_epoch(truth, config.jobs);
+    }
+    return monitor.build_matrix();
+  }();
   if (config.matrix_drift_sigma > 0.0) {
     // Scheduling from stale information: the world moved since the matrix
     // was built. Persistent per-pair drift, symmetric.

@@ -41,6 +41,12 @@ std::uint64_t Rng::next_u64() {
   return result;
 }
 
+void Rng::discard(std::uint64_t n) {
+  for (; n > 0; --n) {
+    next_u64();
+  }
+}
+
 std::uint64_t Rng::next_below(std::uint64_t n) {
   LSL_ASSERT(n > 0);
   // Lemire's unbiased bounded generation.

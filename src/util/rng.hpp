@@ -25,6 +25,9 @@ class Rng {
   /// Uniform 64-bit value.
   std::uint64_t next_u64();
 
+  /// Skip `n` values: the state `n` calls of next_u64() would leave.
+  void discard(std::uint64_t n);
+
   /// Uniform in [0, n). n must be > 0.
   std::uint64_t next_below(std::uint64_t n);
 

@@ -1,5 +1,5 @@
-// One fork-join fan-out for the parallel trial engine and the scheduler's
-// tree prebuild.
+// One fork-join fan-out for the parallel trial engine, the scheduler's tree
+// prebuild and the NWS monitor's epoch rows.
 //
 // Deliberately not a pool or a task queue: each caller partitions its own
 // work and hands every worker the same callable, which claims items off the

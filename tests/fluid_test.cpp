@@ -171,6 +171,22 @@ TEST(FluidSolverTest, CompletionReleasesShareMidSim) {
   EXPECT_EQ(net.active_flows(), 0u);  // both drained at their last marker
 }
 
+TEST(FluidSolverTest, MarkerAlreadyPassedKeepsProgress) {
+  // A marker registered behind the flow fires at once and loses no bytes.
+  sim::Simulator sim;
+  FluidNetwork net(sim);
+  const auto l = net.add_link(100 * kMbps);
+  const auto f = net.start_flow(spec_on({l}));
+  net.add_bytes(f, 10 * kMiB);
+  run_until(sim, SimTime::milliseconds(400));
+  EXPECT_EQ(net.transmitted(f), 5'000'000u);
+  SimTime fired = SimTime::zero();
+  net.notify_at(f, kMiB, [&] { fired = sim.now(); });
+  run_until(sim, SimTime::milliseconds(600));
+  EXPECT_EQ(fired, SimTime::milliseconds(400));
+  EXPECT_EQ(net.transmitted(f), 7'500'000u);
+}
+
 TEST(FluidSolverTest, ZeroCapacityLinkStallsAndHealedLinkResumes) {
   sim::Simulator sim;
   FluidNetwork net(sim);

@@ -120,8 +120,9 @@ TEST(MaterializeTest, FlowModelAgreesWithPacketExecutionOnScheduledCases) {
   // no-noise prediction.
   const auto grid = SyntheticGrid::planetlab(PlanetLabConfig{}, 2004);
   nws::PerformanceMonitor monitor(grid.sites(), nws::NoiseModel{}, 7);
+  const std::vector<double> truth = monitor.truth_table(grid.truth());
   for (int epoch = 0; epoch < 20; ++epoch) {
-    monitor.observe_epoch(grid.truth());
+    monitor.observe_epoch(truth, /*jobs=*/1);
   }
   const sched::Scheduler scheduler(monitor.build_matrix(),
                                    {.epsilon = grid.noise().sweep_epsilon});

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -174,6 +175,20 @@ TEST(NoiseModelTest, OutliersPullLow) {
   EXPECT_NEAR(noise.sample(100.0, rng), 25.0, 2.0);
 }
 
+TEST(NoiseModelTest, DrawsIsWhatSampleTakes) {
+  // Row snapshots skip whole rows by draws(): it must be exactly what
+  // sample() takes from the stream, with and without the outlier trial.
+  for (const double p : {0.0, 0.02, 1.0}) {
+    NoiseModel noise;
+    noise.outlier_probability = p;
+    Rng sampled(41);
+    (void)noise.sample(100.0, sampled);
+    Rng skipped(41);
+    skipped.discard(noise.draws());
+    EXPECT_EQ(skipped.next_u64(), sampled.next_u64()) << "p = " << p;
+  }
+}
+
 TEST(MonitorTest, SiteAggregationSharesForecasts) {
   // Two hosts at site A, one at site B: A-hosts must get identical
   // forecasts toward B (they share the wide-area measurement).
@@ -253,10 +268,11 @@ std::vector<std::string> five_hosts_four_sites() {
   return {"a.edu", "b.edu", "b.edu", "c.edu", "d.edu"};
 }
 
-TEST(MonitorTest, ForecastsMatchParentBitForBit) {
-  // Pinned from the std::map + virtual-member monitor this bank replaced:
-  // 40 epochs of a truth that swings and then doubles, with measurements
-  // blacked out for epochs 20-24.
+/// 40 epochs of a truth that swings and then doubles, with measurements
+/// blacked out for epochs 20-24, through the TruthFn adapter (`jobs` unset)
+/// or through one truth_table per epoch on `jobs` workers.
+void expect_parent_forecasts(std::optional<std::size_t> jobs) {
+  SCOPED_TRACE(jobs ? "jobs " + std::to_string(*jobs) : "adapter");
   obs::Registry registry;
   obs::ScopedRegistry scope(registry);
   PerformanceMonitor monitor(five_hosts_four_sites(), NoiseModel{}, 2004);
@@ -269,7 +285,11 @@ TEST(MonitorTest, ForecastsMatchParentBitForBit) {
   };
   for (; epoch < 40; ++epoch) {
     monitor.set_blackout(epoch >= 20 && epoch < 25);
-    monitor.observe_epoch(truth);
+    if (jobs) {
+      monitor.observe_epoch(monitor.truth_table(truth), *jobs);
+    } else {
+      monitor.observe_epoch(truth);
+    }
   }
   // bit/s; the diagonal is unused.
   constexpr double kExpected[5][5] = {
@@ -297,6 +317,72 @@ TEST(MonitorTest, ForecastsMatchParentBitForBit) {
                          obs::linear_buckets(0.05, 0.05, 20));
   EXPECT_EQ(error.count(), 408u);
   EXPECT_EQ(error.sum(), 0x1.74307db1c1863p+6);
+}
+
+TEST(MonitorTest, ForecastsMatchParentBitForBit) {
+  // Pinned from the std::map + virtual-member monitor this bank replaced.
+  expect_parent_forecasts(std::nullopt);
+  for (const std::size_t jobs : {1, 2, 4}) {
+    expect_parent_forecasts(jobs);
+  }
+}
+
+TEST(MonitorTest, ParallelRowsAreIdenticalForAnyJobsValue) {
+  // 240 hosts over 200 sites: rows long enough that up to 8 workers each
+  // take many, in an order that varies from run to run. The truth moves
+  // every epoch, epochs 6-8 are blacked out, and each run must match the
+  // serial one in every forecast bit, in the matrix and in every
+  // instrument.
+  std::vector<std::string> sites;
+  for (std::size_t h = 0; h < 240; ++h) {
+    sites.push_back("s" + std::to_string(h % 200) + ".edu");
+  }
+  struct Run {
+    std::vector<std::uint64_t> forecast_bits;
+    std::vector<std::uint64_t> cost_bits;
+    std::string metrics;
+    std::uint64_t error_sum_bits = 0;  ///< to_json() prints 12 digits
+  };
+  const auto run = [&sites](std::size_t jobs) {
+    obs::Registry registry;
+    obs::ScopedRegistry scope(registry);
+    PerformanceMonitor monitor(sites, NoiseModel{}, 88);
+    for (std::size_t epoch = 0; epoch < 16; ++epoch) {
+      const auto truth = [epoch](std::size_t i, std::size_t j) {
+        return Bandwidth::mbps(
+            1.0 + static_cast<double>((i * 7 + j * 3 + epoch * 5) % 97));
+      };
+      monitor.set_blackout(epoch >= 6 && epoch < 9);
+      monitor.observe_epoch(monitor.truth_table(truth), jobs);
+    }
+    Run out;
+    const sched::CostMatrix matrix = monitor.build_matrix();
+    for (std::size_t i = 0; i < sites.size(); ++i) {
+      for (std::size_t j = 0; j < sites.size(); ++j) {
+        out.forecast_bits.push_back(std::bit_cast<std::uint64_t>(
+            monitor.forecast(i, j).bits_per_second()));
+        out.cost_bits.push_back(
+            std::bit_cast<std::uint64_t>(matrix.cost(i, j)));
+      }
+    }
+    out.metrics = registry.to_json();
+    out.error_sum_bits = std::bit_cast<std::uint64_t>(
+        registry
+            .histogram("nws.monitor.forecast_abs_rel_error",
+                       obs::linear_buckets(0.05, 0.05, 20))
+            .sum());
+    EXPECT_EQ(registry.counter("nws.monitor.blackout_epochs").value(), 3u);
+    return out;
+  };
+  const Run serial = run(1);
+  for (const std::size_t jobs : {2, 4, 8}) {
+    const Run parallel = run(jobs);
+    EXPECT_EQ(parallel.forecast_bits, serial.forecast_bits) << "jobs " << jobs;
+    EXPECT_EQ(parallel.cost_bits, serial.cost_bits) << "jobs " << jobs;
+    EXPECT_EQ(parallel.metrics, serial.metrics) << "jobs " << jobs;
+    EXPECT_EQ(parallel.error_sum_bits, serial.error_sum_bits)
+        << "jobs " << jobs;
+  }
 }
 
 /// build_matrix() must equal a matrix filled pair by pair from forecast().

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -188,14 +190,33 @@ TEST(ParallelSweepTest, SweepIsBitwiseIdenticalForAnyJobsValue) {
   config.max_cases = 30;
   config.monitor_epochs = 5;
 
-  config.jobs = 1;
-  const auto serial = testbed::run_speedup_sweep(grid, config, 42);
+  // The metrics too: the monitor's rows and the tree builds run on the
+  // workers. to_json() prints 12 digits, so the forecast error histogram's
+  // sum, which depends on the order of its additions, is compared in bits.
+  const auto sweep = [&](std::size_t jobs, obs::Registry& registry) {
+    const obs::ScopedRegistry scope(registry);
+    config.jobs = jobs;
+    return testbed::run_speedup_sweep(grid, config, 42);
+  };
+  const auto error_sum = [](obs::Registry& registry) {
+    return registry
+        .histogram("nws.monitor.forecast_abs_rel_error",
+                   obs::linear_buckets(0.05, 0.05, 20))
+        .sum();
+  };
+  obs::Registry serial_registry;
+  const auto serial = sweep(1, serial_registry);
   ASSERT_GT(serial.scheduled_cases, 0u);
+  ASSERT_GT(serial_registry.counter("nws.monitor.observations").value(), 0u);
 
   for (const std::size_t jobs : {std::size_t{2}, std::size_t{8}}) {
-    config.jobs = jobs;
-    const auto parallel = testbed::run_speedup_sweep(grid, config, 42);
+    obs::Registry registry;
+    const auto parallel = sweep(jobs, registry);
     expect_identical(serial, parallel, jobs);
+    EXPECT_EQ(serial_registry.to_json(), registry.to_json()) << "jobs=" << jobs;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(error_sum(serial_registry)),
+              std::bit_cast<std::uint64_t>(error_sum(registry)))
+        << "jobs=" << jobs;
   }
 }
 

@@ -229,8 +229,9 @@ TEST(SweepTest, SimulatedSweepTwinsAreTheClosedFormOnItsOwnRealizations) {
   Rng rng(42);
   nws::PerformanceMonitor monitor(grid.sites(), nws::NoiseModel{},
                                   rng.fork(1).next_u64());
+  const std::vector<double> truth = monitor.truth_table(grid.truth());
   for (std::size_t epoch = 0; epoch < config.monitor_epochs; ++epoch) {
-    monitor.observe_epoch(grid.truth());
+    monitor.observe_epoch(truth, /*jobs=*/1);
   }
   sched::SchedulerOptions options;
   options.epsilon = config.epsilon;

@@ -153,6 +153,18 @@ TEST(RngTest, ForkIndependence) {
   EXPECT_EQ(parent_again.next_u64(), p_copy.next_u64());
 }
 
+TEST(RngTest, DiscardSkipsThatManyDraws) {
+  for (const std::uint64_t n : {0u, 1u, 2u, 3u, 1533u}) {
+    Rng drawn(29);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      (void)drawn.next_u64();
+    }
+    Rng skipped(29);
+    skipped.discard(n);
+    EXPECT_EQ(skipped.next_u64(), drawn.next_u64()) << "n = " << n;
+  }
+}
+
 TEST(RngTest, HashStable) {
   EXPECT_EQ(Rng::hash("abilene"), Rng::hash("abilene"));
   EXPECT_NE(Rng::hash("ucsb"), Rng::hash("uiuc"));
