@@ -39,9 +39,18 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
   /// Forcefully terminate this session (depot shutdown).
   void abort_session() { fail(); }
 
+  /// Report what a live delivery of `id` has received so far.
+  void sync_delivery(const SessionId& id) {
+    if (phase_ == Phase::kDelivering && ledger_tracked_ &&
+        hdr_.session_id == id) {
+      up_->sync_stream();
+    }
+  }
+
   void detach_callbacks() {
     auto clear = [](const tcp::Connection::Ptr& c) {
       if (c) {
+        c->read_stream(nullptr);
         c->on_readable = nullptr;
         c->on_writable = nullptr;
         c->on_eof = nullptr;
@@ -143,6 +152,7 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
       }
       // Leaf (or not in the tree at all): consume locally.
       phase_ = Phase::kDelivering;
+      consume_payload();
       pump();
       return;
     }
@@ -162,6 +172,7 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
           depot_.metrics_->sessions_resumed->inc();
         }
       }
+      consume_payload();
       pump();
       return;
     }
@@ -170,6 +181,7 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
       // Last depot on an asynchronous session: park the payload here; the
       // receiver fetches it later by session id.
       phase_ = Phase::kStoring;
+      consume_payload();
       pump();
       return;
     }
@@ -192,6 +204,15 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
     phase_ = Phase::kForwarding;
     user_buffer_granted_ = depot_.reserve_user_memory();
     open_child(next, std::move(fwd), /*required=*/true);
+    // At flow fidelity the payload does not pass through this relay: the
+    // next hop's flow is supplied by the upstream's through a buffer of the
+    // upstream receive, user and downstream send buffers. This hand-off is
+    // the one place the session layer tells the fidelities apart; at
+    // packet fidelity the splice is invalid and the pump relays.
+    splice_ = up_->splice_incoming(up_->options().recv_buffer_bytes +
+                                   user_buffer_granted_ +
+                                   depot_.config_.tcp.send_buffer_bytes);
+    splice_live_ = splice_.id != flow::kInvalidSplice;
     pump();
   }
 
@@ -211,9 +232,18 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
       LSL_ASSERT_MSG(n == bytes.size(),
                      "send buffer must hold the session header");
       c.header_written = true;
+      if (splice_.id != flow::kInvalidSplice &&
+          c.conn->splice_outgoing(splice_)) {
+        spliced_payload_written(c);
+      }
       pump();
     };
-    child.conn->on_writable = [this] { pump(); };
+    child.conn->on_writable = [this, index] {
+      if (splice_.id != flow::kInvalidSplice) {
+        spliced_payload_written(children_[index]);
+      }
+      pump();
+    };
     child.conn->on_closed = [this, index] {
       Child& c = children_[index];
       if (phase_ == Phase::kDone || c.closed) {
@@ -228,24 +258,29 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
     };
   }
 
+  /// The splice's last byte entered the next hop's send buffer: the pump
+  /// would have written everything now.
+  void spliced_payload_written(Child& child) {
+    if (child.sent == splice_.payload) {
+      return;
+    }
+    child.sent = splice_.payload;
+    depot_.stats_.bytes_relayed += child.sent;
+    if (depot_.metrics_ != nullptr) {
+      depot_.metrics_->bytes_relayed->inc(child.sent);
+    }
+  }
+
   // ---- the relay pump ----------------------------------------------------
 
   void pump() {
     if (phase_ == Phase::kDone || phase_ == Phase::kReadingHeader) {
       return;
     }
-    switch (phase_) {
-      case Phase::kForwarding:
-        push_children();
-        pull_upstream();
-        push_children();
-        break;
-      case Phase::kDelivering:
-      case Phase::kStoring:
-        drain_locally();
-        break;
-      default:
-        break;
+    if (phase_ == Phase::kForwarding && splice_.id == flow::kInvalidSplice) {
+      push_children();
+      pull_upstream();
+      push_children();
     }
     finish_if_drained();
   }
@@ -320,17 +355,14 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
     account_buffer();
   }
 
-  void drain_locally() {
-    while (up_->readable_bytes() > 0) {
-      const auto r = up_->read(up_->readable_bytes());
-      if (r.n == 0) {
-        break;
-      }
-      payload_seen_ += r.n;
+  /// Delivering and storing consume the payload as it arrives.
+  void consume_payload() {
+    up_->read_stream([this](std::uint64_t n) {
+      payload_seen_ += n;
       if (phase_ == Phase::kDelivering) {
-        deliver_chunk(r.n);
+        deliver_chunk(n);
       }
-    }
+    });
   }
 
   /// Hand one drained chunk to the receiving application and account it.
@@ -384,22 +416,21 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
     response.payload_bytes = stored_bytes;
     const auto bytes = encode(response);
     up_->write_bytes(bytes);
-    fetch_remaining_ = stored_bytes;
-    up_->on_writable = [this] { pump_fetch(); };
-    pump_fetch();
+    fetch_bytes_ = stored_bytes;
+    up_->on_writable = [this] { finish_fetch(); };
+    if (up_->write_stream(stored_bytes)) {
+      finish_fetch();
+    }
   }
 
-  void pump_fetch() {
-    while (fetch_remaining_ > 0) {
-      const std::uint64_t n = up_->write_synthetic(fetch_remaining_);
-      if (n == 0) {
-        return;
-      }
-      fetch_remaining_ -= n;
-      depot_.stats_.bytes_relayed += n;
-      if (depot_.metrics_ != nullptr) {
-        depot_.metrics_->bytes_relayed->inc(n);
-      }
+  /// The stored payload is queued behind the response header.
+  void finish_fetch() {
+    if (phase_ != Phase::kServingFetch) {
+      return;
+    }
+    depot_.stats_.bytes_relayed += fetch_bytes_;
+    if (depot_.metrics_ != nullptr) {
+      depot_.metrics_->bytes_relayed->inc(fetch_bytes_);
     }
     up_->close();
     done();
@@ -433,6 +464,12 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
 
   void on_upstream_eof() {
     up_eof_ = true;
+    if (splice_.id != flow::kInvalidSplice) {
+      // Every payload byte has arrived: the next hop can send the rest
+      // on its own.
+      end_splice();
+      payload_seen_ = buf_base_ = buf_high_ = splice_.payload;
+    }
     pump();
   }
 
@@ -527,11 +564,12 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
     if (phase_ == Phase::kDone) {
       return;
     }
+    end_splice();
     if (phase_ == Phase::kDelivering) {
       // Commit whatever arrived before the failure so the source can resume
-      // from here instead of byte 0; bytes still queued in the socket are
+      // from here instead of byte 0; arrived bytes not yet reported are
       // salvaged first (deliver_chunk commits each salvaged chunk).
-      drain_locally();
+      up_->sync_stream();
       if (ledger_tracked_ && resume_base_ + payload_seen_ > 0) {
         depot_.commit_progress(hdr_.session_id, resume_base_ + payload_seen_);
       }
@@ -546,6 +584,31 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
       }
     }
     done();
+  }
+
+  /// End the flow-fidelity splice (idempotent), filling the relay-buffer
+  /// telemetry the pump keeps at packet fidelity: stall time, and the user
+  /// buffer's peak. The splice's level spans the upstream receive, user and
+  /// downstream send buffers; it fills the downstream send buffer first,
+  /// then the user buffer, as the pump does.
+  void end_splice() {
+    if (!splice_live_) {
+      return;
+    }
+    splice_live_ = false;
+    flow::FluidNetwork* fnet = depot_.stack_.topology().fluid();
+    const auto stats = fnet->splice_stats(splice_.id);
+    fnet->end_splice(splice_.id);
+    if (depot_.metrics_ != nullptr) {
+      const std::uint64_t send = depot_.config_.tcp.send_buffer_bytes;
+      const std::uint64_t user = std::min(
+          user_buffer_granted_,
+          stats.peak_level > send ? stats.peak_level - send : 0);
+      depot_.metrics_->buffer_occupancy->set(static_cast<double>(user));
+      depot_.metrics_->buffer_occupancy->set(0.0);
+      depot_.metrics_->stall_us->inc(
+          static_cast<std::uint64_t>(stats.full_time.ns() / 1000));
+    }
   }
 
   void done() {
@@ -587,7 +650,10 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
   std::uint64_t payload_seen_ = 0;
   /// Resumed delivery: stream offset where this connection's payload starts.
   std::uint64_t resume_base_ = 0;
-  std::uint64_t fetch_remaining_ = 0;
+  std::uint64_t fetch_bytes_ = 0;
+  /// The flow-fidelity hand-off of a unicast forwarding session.
+  tcp::Connection::Splice splice_;
+  bool splice_live_ = false;
   SimTime accepted_at_;
   std::uint64_t user_buffer_granted_ = 0;
   /// True for resumable unicast deliveries that account through the
@@ -815,7 +881,12 @@ std::uint64_t Depot::commit_progress(const SessionId& id,
   return previous;
 }
 
-std::uint64_t Depot::committed_offset(const SessionId& id) const {
+std::uint64_t Depot::committed_offset(const SessionId& id) {
+  // A live delivery at flow fidelity reports its bytes lazily: bring the
+  // ledger up to what has arrived.
+  for (const auto& relay : relays_) {
+    relay->sync_delivery(id);
+  }
   const auto it = progress_.find(id);
   return it == progress_.end() ? 0 : it->second;
 }

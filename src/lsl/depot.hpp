@@ -140,9 +140,10 @@ class Depot {
   [[nodiscard]] std::size_t active_sessions() const { return active_; }
 
   /// Committed byte count for a (possibly interrupted) delivery, 0 when the
-  /// session is unknown. This is what kOffsetQuery probes read; a source
-  /// resumes its resend from here instead of byte 0.
-  [[nodiscard]] std::uint64_t committed_offset(const SessionId& id) const;
+  /// session is unknown; live deliveries report what has arrived first.
+  /// This is what kOffsetQuery probes read; a source resumes its resend
+  /// from here instead of byte 0.
+  [[nodiscard]] std::uint64_t committed_offset(const SessionId& id);
 
   /// Async-session store introspection (bytes held for a session id).
   [[nodiscard]] std::optional<std::uint64_t> stored_bytes(

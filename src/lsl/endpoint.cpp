@@ -47,10 +47,10 @@ LslSource::Ptr LslSource::start(tcp::TcpStack& stack, const TransferSpec& spec,
   for (std::uint16_t s = 0; s < spec.streams; ++s) {
     SessionHeader header = base_header;
     Stripe stripe;
-    stripe.remaining = (s + 1 == spec.streams)
-                           ? spec.payload_bytes - per_stripe * (spec.streams - 1)
-                           : per_stripe;
-    header.payload_bytes = stripe.remaining;
+    stripe.payload = (s + 1 == spec.streams)
+                         ? spec.payload_bytes - per_stripe * (spec.streams - 1)
+                         : per_stripe;
+    header.payload_bytes = stripe.payload;
     if (spec.streams > 1) {
       header.stripe = StripeInfo{s, spec.streams};
     }
@@ -63,25 +63,21 @@ LslSource::Ptr LslSource::start(tcp::TcpStack& stack, const TransferSpec& spec,
       const std::uint64_t n = conn->write_bytes(bytes);
       LSL_ASSERT_MSG(n == bytes.size(),
                      "send buffer must accommodate the session header");
-      source->pump(index);
+      if (conn->write_stream(source->stripes_[index].payload)) {
+        source->finish(index);
+      }
     };
-    conn->on_writable = [source, index] { source->pump(index); };
+    // The stripe's whole payload is queued: it is sent.
+    conn->on_writable = [source, index] { source->finish(index); };
     source->stripes_.push_back(std::move(stripe));
   }
   return source;
 }
 
-void LslSource::pump(std::size_t stripe_index) {
+void LslSource::finish(std::size_t stripe_index) {
   Stripe& stripe = stripes_[stripe_index];
   if (stripe.finished) {
     return;
-  }
-  while (stripe.remaining > 0) {
-    const std::uint64_t sent = stripe.conn->write_synthetic(stripe.remaining);
-    if (sent == 0) {
-      return;
-    }
-    stripe.remaining -= sent;
   }
   stripe.finished = true;
   stripe.conn->close();
@@ -159,16 +155,10 @@ void AsyncFetcher::on_readable() {
         conn_->abort();
         return;
     }
-  }
-  while (true) {
-    if (conn_->readable_bytes() == 0) {
-      return;
-    }
-    const auto r = conn_->read(conn_->readable_bytes());
-    if (r.n == 0) {
-      return;
-    }
-    payload_ += r.n;
+    // The payload behind the header is only counted.
+    conn_->read_stream([self = shared_from_this()](std::uint64_t n) {
+      self->payload_ += n;
+    });
   }
 }
 

@@ -64,11 +64,12 @@ class LslSource : public std::enable_shared_from_this<LslSource> {
 
   struct Stripe {
     tcp::Connection::Ptr conn;
-    std::uint64_t remaining = 0;
+    std::uint64_t payload = 0;
     bool finished = false;
   };
 
-  void pump(std::size_t stripe_index);
+  /// The stripe's payload is queued: close it (FIN after the last byte).
+  void finish(std::size_t stripe_index);
 
   SessionId id_;
   std::vector<Stripe> stripes_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -14,18 +16,6 @@ namespace lsl::obs {
 namespace {
 
 bool g_metrics_enabled = true;
-
-/// Doubles render shortest-round-trip; integers without a trailing ".0"
-/// would also be valid JSON but %.17g keeps both cases readable.
-std::string json_number(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  // JSON has no inf/nan; clamp to strings a loader will notice.
-  if (std::strstr(buf, "inf") != nullptr || std::strstr(buf, "nan") != nullptr) {
-    return "null";
-  }
-  return buf;
-}
 
 std::string json_escape(const std::string& s) {
   std::string out;
@@ -58,6 +48,16 @@ std::string json_escape(const std::string& s) {
 }
 
 }  // namespace
+
+std::string json_number(double v) {
+  // JSON has no inf/nan; clamp to a value a loader will notice.
+  if (!std::isfinite(v)) {
+    return "null";
+  }
+  char buf[64];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  return std::string(buf, res.ptr);
+}
 
 // ---------------------------------------------------------------------------
 // Histogram

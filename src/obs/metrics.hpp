@@ -128,6 +128,11 @@ class Histogram {
                                                       double factor,
                                                       std::size_t count);
 
+/// A double as JSON: the shortest text that reads back as the same double,
+/// so two values that differ in the last bit print differently; `null` for
+/// inf and nan, which JSON cannot express.
+[[nodiscard]] std::string json_number(double v);
+
 /// Owns instruments; lazy registration (the first request for a name creates
 /// the instrument, later requests return the same one). Registration order
 /// is preserved in exports.

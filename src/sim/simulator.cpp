@@ -128,6 +128,50 @@ void KernelProfile::merge_from(const KernelProfile& other) {
 }
 
 // ---------------------------------------------------------------------------
+// KernelCounts
+
+void KernelCounts::add(const KernelCounts& other) {
+  events_scheduled += other.events_scheduled;
+  events_executed += other.events_executed;
+  events_cancelled += other.events_cancelled;
+  queue_high_water = std::max(queue_high_water, other.queue_high_water);
+  sim_time += other.sim_time;
+  wall_seconds += other.wall_seconds;
+  for (std::size_t id = 0; id < Tag::kMaxTags; ++id) {
+    tag_counts[id] += other.tag_counts[id];
+  }
+  for (std::size_t i = 0; i <= kLayerCount; ++i) {
+    layer_wall_seconds[i] += other.layer_wall_seconds[i];
+  }
+}
+
+KernelProfile KernelCounts::profile() const {
+  KernelProfile p;
+  p.events_scheduled = events_scheduled;
+  p.events_executed = events_executed;
+  p.events_cancelled = events_cancelled;
+  p.queue_high_water = queue_high_water;
+  p.sim_time = sim_time;
+  p.wall_seconds = wall_seconds;
+  p.layer_wall_seconds = layer_wall_seconds;
+  // Name order first, then a sort by count: the listing's tie order does
+  // not depend on the order tags were interned in.
+  std::map<std::string, std::uint64_t> by_name;
+  for (std::size_t id = 1; id < Tag::id_count(); ++id) {
+    if (tag_counts[id] == 0) {
+      continue;
+    }
+    const Tag tag = Tag::from_id(static_cast<std::uint8_t>(id));
+    by_name.emplace(tag.name(), tag_counts[id]);
+    p.layer_counts[static_cast<std::size_t>(tag.layer())] += tag_counts[id];
+  }
+  p.category_counts.assign(by_name.begin(), by_name.end());
+  std::sort(p.category_counts.begin(), p.category_counts.end(),
+            [](const auto& a, const auto& b) { return a.second > b.second; });
+  return p;
+}
+
+// ---------------------------------------------------------------------------
 // Simulator
 
 Simulator::Simulator() {
@@ -517,29 +561,22 @@ std::uint64_t Simulator::run(SimTime limit) {
 }
 
 KernelProfile Simulator::profile() const {
-  KernelProfile p;
-  p.events_scheduled = events_scheduled_;
-  p.events_executed = events_executed_;
-  p.events_cancelled = events_cancelled_;
-  p.queue_high_water = queue_high_water_;
-  p.sim_time = now_;
-  p.wall_seconds = wall_seconds_;
-  p.layer_wall_seconds = layer_wall_;
-  // Name order first, then a sort by count: the listing's tie order does
-  // not depend on the order tags were interned in.
-  std::map<std::string, std::uint64_t> by_name;
-  for (std::size_t id = 1; id < Tag::id_count(); ++id) {
-    if (tag_counts_[id] == 0) {
-      continue;
-    }
-    const Tag tag = Tag::from_id(static_cast<std::uint8_t>(id));
-    by_name.emplace(tag.name(), tag_counts_[id]);
-    p.layer_counts[static_cast<std::size_t>(tag.layer())] += tag_counts_[id];
-  }
-  p.category_counts.assign(by_name.begin(), by_name.end());
-  std::sort(p.category_counts.begin(), p.category_counts.end(),
-            [](const auto& a, const auto& b) { return a.second > b.second; });
-  return p;
+  KernelCounts counts;
+  add_counts_to(counts);
+  return counts.profile();
+}
+
+void Simulator::add_counts_to(KernelCounts& out) const {
+  KernelCounts mine;
+  mine.events_scheduled = events_scheduled_;
+  mine.events_executed = events_executed_;
+  mine.events_cancelled = events_cancelled_;
+  mine.queue_high_water = queue_high_water_;
+  mine.sim_time = now_;
+  mine.wall_seconds = wall_seconds_;
+  mine.tag_counts = tag_counts_;
+  mine.layer_wall_seconds = layer_wall_;
+  out.add(mine);
 }
 
 }  // namespace lsl::sim

@@ -82,6 +82,30 @@ struct KernelProfile {
   void merge_from(const KernelProfile& other);
 };
 
+/// The kernel's raw self-measurements, unnamed: schedules per interned tag
+/// id rather than per category name. Adding one per run costs a few array
+/// sums, so a sweep adds every transfer's counts and names the total once
+/// (profile()), where folding KernelProfiles would build and sort a name
+/// map per transfer.
+struct KernelCounts {
+  std::uint64_t events_scheduled = 0;
+  std::uint64_t events_executed = 0;
+  std::uint64_t events_cancelled = 0;
+  std::uint64_t queue_high_water = 0;  ///< max over the runs added
+  SimTime sim_time = SimTime::zero();  ///< summed over the runs added
+  double wall_seconds = 0.0;
+  /// Schedules per Tag id (index 0 counts untagged events).
+  std::array<std::uint64_t, Tag::kMaxTags> tag_counts{};
+  /// Dispatch wall seconds per layer; the last slot is untagged events'.
+  std::array<double, kLayerCount + 1> layer_wall_seconds{};
+
+  /// Counts add, high water maxes (KernelProfile::merge_from's rules).
+  void add(const KernelCounts& other);
+  /// Name the categories and sort them: equal to the merge_from fold of the
+  /// profiles of the runs added, in any order.
+  [[nodiscard]] KernelProfile profile() const;
+};
+
 /// One schedulable event as shown to a ChoiceHook: enough identity to
 /// reason about commutativity (actor), report (category), and replay (seq).
 struct ReadyEvent {
@@ -174,6 +198,8 @@ class Simulator {
   void set_choice_hook(ChoiceHook* hook, SimTime slack = SimTime::zero());
 
   [[nodiscard]] KernelProfile profile() const;
+  /// Add this kernel's raw counters to `out` (see KernelCounts).
+  void add_counts_to(KernelCounts& out) const;
 
  private:
   /// Heap key: 16 bytes of POD (4 per cache line, so a 4-ary sift level is

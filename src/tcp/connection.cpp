@@ -17,9 +17,6 @@ const sim::Tag kPersistTag{"tcp.persist", sim::Layer::kTcp};
 const sim::Tag kTimeWaitTag{"tcp.time_wait", sim::Layer::kTcp};
 const sim::Tag kDelackTag{"tcp.delack", sim::Layer::kTcp};
 const sim::Tag kEofTag{"tcp.eof", sim::Layer::kTcp};
-// The fluid data plane's stand-ins for segment delivery and ACKs.
-const sim::Tag kFluidDeliverTag{"net.fluid.deliver", sim::Layer::kFlow};
-const sim::Tag kFluidAckTag{"net.fluid.ack", sim::Layer::kFlow};
 
 }  // namespace
 
@@ -75,6 +72,7 @@ Connection::Connection(TcpStack& stack, net::NodeId local, net::NodeId remote,
       local_port_(local_port),
       remote_port_(remote_port),
       opts_(opts),
+      fluid_mode_(stack.fluid_mode()),
       send_buf_(opts.send_buffer_bytes),
       recv_buf_(opts.recv_buffer_bytes),
       cc_(make_congestion_control(opts)),
@@ -96,9 +94,21 @@ Connection::Connection(TcpStack& stack, net::NodeId local, net::NodeId remote,
   }
 }
 
-Connection::~Connection() = default;
+Connection::~Connection() {
+  // The channels outlive neither end's hooks into this object.
+  if (fluid_out_ != nullptr) {
+    fluid_out_->sender = {};
+  }
+  if (fluid_in_ != nullptr) {
+    fluid_in_->receiver = {};
+    fluid_in_->drop_reader();
+  }
+}
 
-std::uint64_t Connection::acked_payload() const { return send_buf_.head(); }
+std::uint64_t Connection::acked_payload() const {
+  // At flow fidelity the engine's transmitted count stands in for acks.
+  return fluid_out_ != nullptr ? fluid_out_->transmitted() : send_buf_.head();
+}
 
 std::string Connection::debug_string() const {
   char buf[512];
@@ -157,7 +167,8 @@ void Connection::close() {
     return;  // already closing
   }
   fin_pending_ = true;
-  fin_wire_ = stream_data_end_wire();
+  fin_wire_ =
+      fluid_out_ != nullptr ? 1 + fluid_out_->queued() : stream_data_end_wire();
   try_send();
 }
 
@@ -178,6 +189,9 @@ std::uint64_t Connection::write_bytes(std::span<const std::byte> bytes) {
   if (fin_pending_ || state_ == TcpState::kDead) {
     return 0;
   }
+  if (flow::FluidChannel* ch = fluid_out()) {
+    return ch->write_content(bytes);
+  }
   const std::uint64_t n = send_buf_.append_bytes(bytes);
   try_send();
   return n;
@@ -187,30 +201,54 @@ std::uint64_t Connection::write_synthetic(std::uint64_t n) {
   if (fin_pending_ || state_ == TcpState::kDead) {
     return 0;
   }
+  if (flow::FluidChannel* ch = fluid_out()) {
+    return ch->write(n);
+  }
   const std::uint64_t accepted = send_buf_.append_synthetic(n);
   try_send();
   return accepted;
 }
 
-RecvBuffer::ReadResult Connection::read(std::uint64_t max) {
-  auto r = recv_buf_.read(max);
-  if (r.n > 0) {
-    if (fluid_admit_pending() && recv_buf_.readable() > 0) {
-      // Held fluid chunks became readable mid-read. Notify from a fresh
-      // event: the caller's read loop may already have decided it drained
-      // the buffer and would otherwise never come back for them.
-      auto self = shared_from_this();
-      sim_.schedule_after(
-          SimTime::zero(),
-          [self] {
-            if (self->state_ != TcpState::kDead && self->on_readable &&
-                self->recv_buf_.readable() > 0) {
-              self->on_readable();
-            }
-          },
-          kFluidDeliverTag);
+bool Connection::write_stream(std::uint64_t n) {
+  if (fin_pending_ || state_ == TcpState::kDead) {
+    return false;
+  }
+  if (flow::FluidChannel* ch = fluid_out()) {
+    return ch->write_stream(n);
+  }
+  stream_left_ = n;
+  return pump_stream();
+}
+
+bool Connection::pump_stream() {
+  while (stream_left_ > 0) {
+    const std::uint64_t sent = write_synthetic(stream_left_);
+    if (sent == 0) {
+      return false;
     }
-    maybe_send_window_update();
+    stream_left_ -= sent;
+  }
+  return true;
+}
+
+void Connection::notify_writable() {
+  if (stream_left_ > 0 && !pump_stream()) {
+    return;
+  }
+  if (on_writable) {
+    on_writable();
+  }
+}
+
+RecvBuffer::ReadResult Connection::read(std::uint64_t max) {
+  RecvBuffer::ReadResult r;
+  if (fluid_in_ != nullptr) {
+    r.n = fluid_in_->read(max, r.real_bytes);
+  } else {
+    r = recv_buf_.read(max);
+    if (r.n > 0) {
+      maybe_send_window_update();
+    }
   }
   if (at_eof() && !eof_delivered_) {
     eof_delivered_ = true;
@@ -229,6 +267,48 @@ RecvBuffer::ReadResult Connection::read(std::uint64_t max) {
         kEofTag);
   }
   return r;
+}
+
+void Connection::read_stream(std::function<void(std::uint64_t)> fn) {
+  if (fluid_in_ != nullptr) {
+    fluid_in_->read_stream(std::move(fn));
+    return;
+  }
+  stream_reader_ = std::move(fn);
+  drain_stream();
+}
+
+void Connection::drain_stream() {
+  while (stream_reader_ && recv_buf_.readable() > 0) {
+    const auto r = read(recv_buf_.readable());
+    if (r.n == 0) {
+      break;
+    }
+    stream_reader_(r.n);
+  }
+}
+
+void Connection::sync_stream() {
+  if (fluid_in_ != nullptr) {
+    fluid_in_->sync_stream();
+  } else {
+    drain_stream();
+  }
+}
+
+Connection::Splice Connection::splice_incoming(std::uint64_t capacity) {
+  Splice splice;
+  if (fluid_in_ != nullptr) {
+    splice.id = fluid_in_->splice_upstream(capacity, splice.payload);
+  }
+  return splice;
+}
+
+bool Connection::splice_outgoing(const Splice& splice) {
+  // No channel means the peer is gone: nothing is queued or credited, and
+  // this connection's own failure ends the relay.
+  flow::FluidChannel* ch = fluid_out();
+  return ch != nullptr && ch->splice_downstream(splice.id, splice.payload);
 }
 
 // ---------------------------------------------------------------------------
@@ -354,14 +434,16 @@ void Connection::try_send() {
     return;
   }
 
-  if (stack_.fluid_mode() && ensure_fluid_channel()) {
-    fluid_pump();
+  if (fluid_mode_ && (fluid_out_ != nullptr || send_buf_.end() > 0) &&
+      ensure_fluid_channel()) {
     // The FIN rides a real packet, emitted once the last payload byte has
-    // fully left the sender. It can race the final fluid delivery, but the
-    // receiver holds an early FIN until rcv_nxt reaches it
-    // (maybe_accept_pending_fin), exactly as with reordered packets.
-    if (fin_pending_ && !fin_sent_ && fluid_offered_ == send_buf_.end() &&
-        fluid_transmitted_ == send_buf_.end()) {
+    // left the sender. It can overtake the last bytes' arrival; the
+    // receiver holds it until they are in (maybe_accept_pending_fin).
+    if (fin_pending_ && !fin_sent_) {
+      if (!fluid_out_->all_transmitted()) {
+        fluid_out_->arm_drained();
+        return;
+      }
       send_control(net::kFlagFin, fin_wire_);
       snd_nxt_ = fin_wire_ + 1;
       snd_max_ = std::max(snd_max_, snd_nxt_);
@@ -625,10 +707,13 @@ void Connection::handle_packet(const net::Packet& packet) {
     process_fin(packet);
   }
   if (had_fin) {
-    // FIN always elicits an immediate ACK.
-    delack_timer_.cancel();
-    unacked_segments_ = 0;
-    send_pure_ack();
+    // FIN always elicits an immediate ACK, except one held for the fluid
+    // plane's last bytes: that is acknowledged once they are in.
+    if (fin_rcvd_ || fluid_in_ == nullptr) {
+      delack_timer_.cancel();
+      unacked_segments_ = 0;
+      send_pure_ack();
+    }
   } else if (had_payload) {
     const bool out_of_order = recv_buf_.ooo_bytes() > 0;
     acknowledge_data(out_of_order);
@@ -661,26 +746,15 @@ void Connection::process_ack(const net::Packet& packet) {
   }
 
   if (fluid_data_plane()) {
-    // Packets carry no payload on the fluid plane, so an arriving ACK is
-    // either a window update (re-opens a pump stalled on the peer's buffer)
-    // or the FIN acknowledgment. The congestion machinery below must not
-    // run: the peer's pure ACKs would read as duplicates and fake a loss
-    // episode.
+    // Packets carry no payload on the fluid plane, so an arriving ACK is a
+    // window update or the FIN acknowledgment. The congestion machinery
+    // below must not run: the peer's pure ACKs would read as duplicates and
+    // fake a loss episode.
     snd_wnd_ = h.wnd;
     if (ack > snd_una_) {
       snd_una_ = ack;
       data_retries_ = 0;
       snd_nxt_ = std::max(snd_nxt_, snd_una_);
-      const std::uint64_t data_acked =
-          std::min(ack > 0 ? ack - 1 : 0, send_buf_.end());
-      const std::uint64_t before = send_buf_.head();
-      if (data_acked > before) {
-        send_buf_.release_through(data_acked);
-        fluid_acked_ = std::max(fluid_acked_, data_acked);
-        if (on_ack_advance) {
-          on_ack_advance(sim_.now(), send_buf_.head());
-        }
-      }
       if (fin_sent_ && !fin_acked_ && snd_una_ > fin_wire_) {
         fin_acked_ = true;
         on_fin_acked();
@@ -689,9 +763,6 @@ void Connection::process_ack(const net::Packet& packet) {
         }
       }
       restart_rto_if_needed();
-      if (on_writable && send_buf_.free_space() > 0 && !fin_pending_) {
-        on_writable();
-      }
     }
     try_send();
     return;
@@ -798,8 +869,8 @@ void Connection::process_ack(const net::Packet& packet) {
     }
 
     restart_rto_if_needed();
-    if (on_writable && send_buf_.free_space() > 0 && !fin_pending_) {
-      on_writable();
+    if (send_buf_.free_space() > 0 && !fin_pending_) {
+      notify_writable();
     }
     try_send();
     return;
@@ -952,8 +1023,11 @@ void Connection::process_payload(const net::Packet& packet) {
   if (res.advanced) {
     rcv_nxt_wire_ = 1 + recv_buf_.rcv_nxt();
     maybe_accept_pending_fin();
-    if (on_readable && recv_buf_.readable() > 0) {
-      on_readable();
+    if (recv_buf_.readable() > 0) {
+      drain_stream();
+      if (on_readable) {
+        on_readable();
+      }
     }
   }
 }
@@ -969,7 +1043,16 @@ void Connection::process_fin(const net::Packet& packet) {
 }
 
 void Connection::maybe_accept_pending_fin() {
-  if (!peer_fin_seen_ || fin_rcvd_ || rcv_nxt_wire_ != peer_fin_seq_) {
+  if (!peer_fin_seen_ || fin_rcvd_) {
+    return;
+  }
+  if (fluid_in_ != nullptr) {
+    // The FIN rides a packet and can overtake the last payload bytes: hold
+    // it until they have arrived (on_fluid_arrived comes back here).
+    if (!fluid_in_->hold_fin(peer_fin_seq_ - 1)) {
+      return;
+    }
+  } else if (rcv_nxt_wire_ != peer_fin_seq_) {
     return;
   }
   fin_rcvd_ = true;
@@ -1107,18 +1190,22 @@ void Connection::become_dead() {
 void Connection::release_callbacks() {
   // Take every callback out before any is destroyed: destroying one may
   // destroy an owner whose destructor touches this socket.
+  if (fluid_in_ != nullptr) {
+    fluid_in_->drop_reader();
+  }
   const auto released = std::make_tuple(
       std::exchange(on_connected, nullptr), std::exchange(on_readable, nullptr),
       std::exchange(on_writable, nullptr), std::exchange(on_eof, nullptr),
       std::exchange(on_closed, nullptr), std::exchange(on_error, nullptr),
-      std::exchange(on_ack_advance, nullptr));
+      std::exchange(on_ack_advance, nullptr),
+      std::exchange(stream_reader_, nullptr));
 }
 
 // ---------------------------------------------------------------------------
 // Fluid data plane
 
 bool Connection::ensure_fluid_channel() {
-  if (fluid_data_plane()) {
+  if (fluid_out_ != nullptr) {
     return true;
   }
   if (fluid_checked_) {
@@ -1144,186 +1231,98 @@ bool Connection::ensure_fluid_channel() {
   if (peer == nullptr) {
     return false;
   }
-  fluid_peer_ = peer;
-  fluid_window_ = std::max<std::uint64_t>(
-      1, std::min(opts_.send_buffer_bytes, peer->opts_.recv_buffer_bytes));
 
   // One-way timing as a data segment experiences it: each forward hop's
   // propagation plus one full-MTU store-and-forward serialization; the
   // ACK's return leg is propagation only.
   constexpr std::uint64_t kMtuBytes = flow::kMss + net::kPacketOverheadBytes;
   flow::FluidFlowSpec spec;
+  SimTime reverse = SimTime::zero();
   for (const net::Link* link : *fwd) {
     spec.path.push_back(link->fluid_link_id());
-    fluid_fwd_latency_ += link->config().propagation_delay +
-                          link->config().rate.transmit_time(kMtuBytes);
+    spec.latency += link->config().propagation_delay +
+                    link->config().rate.transmit_time(kMtuBytes);
   }
   for (const net::Link* link : *rev) {
-    fluid_rev_latency_ += link->config().propagation_delay;
+    reverse += link->config().propagation_delay;
   }
-  spec.rtt = std::max(fluid_fwd_latency_ + fluid_rev_latency_,
-                      SimTime::microseconds(1));
-  spec.window_bytes = fluid_window_;
+  spec.rtt = std::max(spec.latency + reverse, SimTime::microseconds(1));
+  spec.window_bytes = std::max<std::uint64_t>(
+      1, std::min(opts_.send_buffer_bytes, peer->opts_.recv_buffer_bytes));
   spec.cca = opts_.cca;
-  fluid_flow_ = fnet->start_flow(std::move(spec));
-  return fluid_data_plane();
+  fluid_out_ = flow::FluidChannel::open(*fnet, std::move(spec),
+                                        opts_.send_buffer_bytes,
+                                        peer->opts_.recv_buffer_bytes);
+  fluid_out_->sender.writable = [this] { on_fluid_writable(); };
+  fluid_out_->sender.drained = [this] { try_send(); };
+  Connection* receiver = peer.get();
+  fluid_out_->receiver.readable = [receiver] { receiver->on_fluid_readable(); };
+  fluid_out_->receiver.arrived = [receiver] { receiver->on_fluid_arrived(); };
+  peer->fluid_in_ = fluid_out_;
+  if (peer->stream_reader_) {
+    peer->fluid_in_->read_stream(std::exchange(peer->stream_reader_, nullptr));
+  }
+  // Bytes queued before the handshake completed move to the channel.
+  if (send_buf_.end() > 0) {
+    const auto content = send_buf_.content_slice(0, send_buf_.end());
+    fluid_out_->write_content(content);
+    fluid_out_->write(send_buf_.end() - content.size());
+  }
+  return true;
 }
 
-void Connection::fluid_pump() {
-  flow::FluidNetwork* fnet = stack_.topology().fluid();
-  if (fnet == nullptr || !fnet->alive(fluid_flow_)) {
-    return;
+flow::FluidChannel* Connection::open_fluid_out() {
+  if (fluid_out_ != nullptr) {
+    return fluid_out_.get();
   }
-  // Chunks large enough to amortize marker events, small enough that two of
-  // them fit under the unacked cap so the engine never drains between offers.
-  const std::uint64_t quantum =
-      std::clamp<std::uint64_t>(fluid_window_, 64 * kKiB, 4 * kMiB);
-  // The engine's rate cap (window/RTT) already models the ACK clock, so the
-  // pump must not serialize on acknowledgements a second time: with two
-  // windows offered-but-unacked the next chunk is always queued before the
-  // engine drains the current one, while acks (one reverse latency behind
-  // delivery) free the budget in time to keep transmission continuous. A
-  // momentary overshoot of the peer's buffer is held in its pending queue,
-  // so this bound is about engine-side state, not delivery safety.
-  const std::uint64_t inflight_limit = 2 * fluid_window_;
-  while (true) {
-    const std::uint64_t avail = send_buf_.end() - fluid_offered_;
-    if (avail == 0) {
-      break;
-    }
-    const std::uint64_t inflight = fluid_offered_ - fluid_acked_;
-    if (inflight >= inflight_limit) {
-      break;
-    }
-    const std::uint64_t n =
-        std::min({avail, quantum, inflight_limit - inflight});
-    fluid_offered_ += n;
-    snd_max_ = std::max(snd_max_, 1 + fluid_offered_);
-    fnet->add_bytes(fluid_flow_, n);
-    auto self = shared_from_this();
-    fnet->notify_at(fluid_flow_, fluid_offered_,
-                    [self, end = fluid_offered_] {
-                      self->on_fluid_transmitted(end);
-                    });
+  const bool may_send =
+      state_ == TcpState::kEstablished || state_ == TcpState::kCloseWait;
+  if (!may_send || !ensure_fluid_channel()) {
+    return nullptr;
   }
+  return fluid_out_.get();
 }
 
-void Connection::on_fluid_transmitted(std::uint64_t end_offset) {
+void Connection::on_fluid_writable() {
   if (state_ == TcpState::kDead) {
     return;
   }
-  const std::uint64_t begin = fluid_transmitted_;
-  if (end_offset <= begin) {
-    return;
+  if (on_ack_advance) {
+    on_ack_advance(sim_.now(), acked_payload());
   }
-  fluid_transmitted_ = end_offset;
-  if (const auto peer = fluid_peer_.lock()) {
-    auto content = send_buf_.content_slice(begin, end_offset - begin);
-    auto self = shared_from_this();
-    sim_.schedule_after(
-        fluid_fwd_latency_,
-        [self, peer, begin, end_offset, c = std::move(content)]() mutable {
-          peer->fluid_deliver(begin, end_offset - begin, std::move(c), self);
-        },
-        kFluidDeliverTag);
+  if (!fin_pending_ && on_writable) {
+    on_writable();
   }
-  // The engine is lossless and the delivery closure owns the bytes now, so
-  // the send buffer reopens at transmit-complete. Releasing only on acks
-  // would serialize refills on whole-chunk round trips; at packet fidelity
-  // acks stream back per segment and refill the buffer continuously.
-  if (end_offset > send_buf_.head()) {
-    send_buf_.release_through(end_offset);
-    if (on_writable && send_buf_.free_space() > 0 && !fin_pending_) {
-      on_writable();
-    }
-  }
-  try_send();  // emits the FIN once the last byte has left
 }
 
-void Connection::fluid_deliver(std::uint64_t offset, std::uint64_t len,
-                               std::vector<std::byte> content,
-                               const Ptr& sender) {
-  if (state_ == TcpState::kDead || !syn_rcvd_) {
-    return;  // receiver gone: bytes vanish, the sender's watchdog decides
-  }
-  fluid_pending_.push_back(FluidPending{offset, len, std::move(content),
-                                        sender});
-  if (fluid_admit_pending() && on_readable && recv_buf_.readable() > 0) {
+void Connection::on_fluid_readable() {
+  if (state_ != TcpState::kDead && on_readable && readable_bytes() > 0) {
     on_readable();
   }
 }
 
-bool Connection::fluid_admit_pending() {
-  bool advanced = false;
-  Ptr acker;
-  while (!fluid_pending_.empty()) {
-    auto& p = fluid_pending_.front();
-    const auto res = recv_buf_.on_segment(
-        p.offset, p.len, std::span<const std::byte>(p.content));
-    advanced = advanced || res.advanced;
-    if (res.accepted > 0) {
-      acker = p.sender;
-    }
-    if (res.accepted < p.len) {
-      // Receive buffer full: hold the tail until the application reads.
-      // The sender's ack budget stalls with it, which is what throttles
-      // the flow -- no bytes are ever dropped on the fluid plane.
-      p.offset += res.accepted;
-      p.len -= res.accepted;
-      p.content.erase(p.content.begin(),
-                      p.content.begin() +
-                          static_cast<std::ptrdiff_t>(std::min<std::uint64_t>(
-                              res.accepted, p.content.size())));
-      break;
-    }
-    fluid_pending_.pop_front();
-  }
-  if (advanced) {
-    rcv_nxt_wire_ = 1 + recv_buf_.rcv_nxt();
-    maybe_accept_pending_fin();
-  }
-  if (acker != nullptr) {
-    // Report the in-order frontier back after the reverse path's latency --
-    // the fluid stand-in for the ACK clock (never lost, never duplicated).
-    const std::uint64_t ack_data = recv_buf_.rcv_nxt();
-    sim_.schedule_after(
-        acker->fluid_rev_latency_,
-        [acker, ack_data] { acker->fluid_handle_ack(ack_data); },
-        kFluidAckTag);
-  }
-  return advanced;
-}
-
-void Connection::fluid_handle_ack(std::uint64_t ack_data) {
-  if (state_ == TcpState::kDead || ack_data <= fluid_acked_) {
+void Connection::on_fluid_arrived() {
+  if (state_ == TcpState::kDead) {
     return;
   }
-  fluid_acked_ = ack_data;
-  data_retries_ = 0;
-  snd_una_ = std::max(snd_una_, 1 + ack_data);
-  snd_nxt_ = std::max(snd_nxt_, snd_una_);
-  snd_max_ = std::max(snd_max_, snd_nxt_);
-  if (ack_data > send_buf_.head()) {
-    send_buf_.release_through(ack_data);  // markers normally release first
+  on_fluid_readable();
+  maybe_accept_pending_fin();
+  // The held FIN was acknowledged as not yet in when it came; acknowledge
+  // it now unless the application's close in on_eof already did.
+  if (fin_rcvd_ && state_ != TcpState::kDead && state_ != TcpState::kLastAck) {
+    send_pure_ack();
   }
-  if (on_ack_advance) {
-    on_ack_advance(sim_.now(), fluid_acked_);
-  }
-  if (on_writable && send_buf_.free_space() > 0 && !fin_pending_) {
-    on_writable();
-  }
-  try_send();
 }
 
 void Connection::fluid_teardown() {
-  fluid_pending_.clear();  // drops the sender refs held for pending acks
-  if (!fluid_data_plane()) {
-    return;
+  if (fluid_in_ != nullptr) {
+    // Lazily consumed bytes count as read up to the failure.
+    fluid_in_->sync_stream();
+    fluid_in_->close_receiver();
   }
-  if (flow::FluidNetwork* fnet = stack_.topology().fluid()) {
-    fnet->end_flow(fluid_flow_);
+  if (fluid_out_ != nullptr) {
+    fluid_out_->close_sender();
   }
-  fluid_flow_ = flow::kInvalidFluidFlow;
 }
 
 }  // namespace lsl::tcp

@@ -16,13 +16,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "flow/channel.hpp"
 #include "flow/fluid.hpp"
 #include "net/packet.hpp"
 #include "net/topology.hpp"
@@ -136,19 +136,48 @@ class Connection : public std::enable_shared_from_this<Connection> {
   std::uint64_t write_bytes(std::span<const std::byte> bytes);
   /// Queue synthetic payload bytes. Returns accepted.
   std::uint64_t write_synthetic(std::uint64_t n);
+  /// Intent: queue `n` synthetic bytes as the send buffer drains. True when
+  /// the last of them is queued at once; otherwise on_writable fires once,
+  /// when it is. At packet fidelity this is the application's write loop,
+  /// run where on_writable would fire; at flow fidelity the remainder goes
+  /// to the fluid channel whole.
+  bool write_stream(std::uint64_t n);
   /// Read up to `max` in-order bytes.
   RecvBuffer::ReadResult read(std::uint64_t max);
+  /// Intent: consume every synthetic byte as it becomes readable and
+  /// report the counts to `fn` (nullptr stops). At packet fidelity this is
+  /// the application's read loop, run where on_readable would fire (and at
+  /// once); at flow fidelity the counts are reported lazily: at the
+  /// stream's end, on failure, and on sync_stream.
+  void read_stream(std::function<void(std::uint64_t)> fn);
+  /// Report every byte that has arrived by now to the read_stream reader.
+  void sync_stream();
+
+  /// A relay splice (flow fidelity): the rest of an incoming stream handed
+  /// to a relay buffer. Invalid at packet fidelity, where the relay pumps.
+  struct Splice {
+    flow::FluidSpliceId id = flow::kInvalidSplice;
+    std::uint64_t payload = 0;  ///< bytes of the stream left to relay
+  };
+  /// Hand the rest of the incoming stream to a relay buffer of `capacity`
+  /// bytes (upstream receive + user + downstream send buffers).
+  Splice splice_incoming(std::uint64_t capacity);
+  /// Send `splice.payload` synthetic bytes supplied by the splice. Like
+  /// write_stream: true when the last of them is queued at once, otherwise
+  /// on_writable fires once it is. False with nothing queued when no fluid
+  /// channel opens (the peer connection is gone).
+  bool splice_outgoing(const Splice& splice);
   /// Close the send direction after all queued data (half-close).
   void close();
   /// Hard abort: RST to peer, immediate teardown.
   void abort();
 
   [[nodiscard]] std::uint64_t readable_bytes() const {
-    return recv_buf_.readable();
+    return fluid_in_ != nullptr ? fluid_in_->readable() : recv_buf_.readable();
   }
   /// True once the peer's FIN is received and every byte has been read.
   [[nodiscard]] bool at_eof() const {
-    return fin_rcvd_ && recv_buf_.readable() == 0;
+    return fin_rcvd_ && readable_bytes() == 0;
   }
 
   // ---- introspection ---------------------------------------------------
@@ -243,32 +272,29 @@ class Connection : public std::enable_shared_from_this<Connection> {
 
   // ---- fluid data plane ------------------------------------------------
   // When the topology runs at flow fidelity, payload bytes ride a fluid
-  // flow instead of data segments: the pump offers window-sized chunks to
-  // the fluid engine, transmit-completion markers schedule deliveries into
-  // the peer's receive buffer after the path's one-way latency, and
-  // deliveries schedule rate-less "ACK" callbacks that release the send
-  // buffer. Packets still carry SYN/FIN/RST and window updates, so
-  // handshake loss, resets, and teardown behave exactly as at packet
-  // fidelity.
-  [[nodiscard]] bool fluid_data_plane() const {
-    return fluid_flow_ != flow::kInvalidFluidFlow;
-  }
-  /// Lazily create the fluid flow + peer binding; false when unavailable
-  /// (packet fidelity, no route, or peer endpoint gone).
+  // channel (flow/channel.hpp) instead of data segments. Packets still
+  // carry SYN/FIN/RST and window updates, so handshake loss, resets, and
+  // teardown behave exactly as at packet fidelity.
+  [[nodiscard]] bool fluid_data_plane() const { return fluid_out_ != nullptr; }
+  /// Lazily open the outgoing channel (and bind the peer's end); false when
+  /// unavailable (packet fidelity, no route, or peer endpoint gone).
   bool ensure_fluid_channel();
-  void fluid_pump();
-  void on_fluid_transmitted(std::uint64_t end_offset);
-  /// Receiver side: admit [offset, offset+len) into the receive buffer (or
-  /// hold it in the pending queue while the buffer is full).
-  void fluid_deliver(std::uint64_t offset, std::uint64_t len,
-                     std::vector<std::byte> content, const Ptr& sender);
-  /// Move held chunks into the receive buffer as space opens; returns
-  /// whether the in-order frontier advanced. Schedules cumulative acks.
-  bool fluid_admit_pending();
-  /// Sender side: cumulative in-order receive frontier reported back.
-  void fluid_handle_ack(std::uint64_t ack_data);
+  /// The outgoing channel once the connection may send, else nullptr
+  /// (always at packet fidelity, for the cost of one flag test).
+  [[nodiscard]] flow::FluidChannel* fluid_out() {
+    return fluid_mode_ ? open_fluid_out() : nullptr;
+  }
+  [[nodiscard]] flow::FluidChannel* open_fluid_out();
+  void on_fluid_writable();
+  void on_fluid_readable();
+  void on_fluid_arrived();
+  /// Packet fidelity: run the write_stream loop; true once it is done.
+  bool pump_stream();
+  /// Packet fidelity: run the read_stream loop over what is readable.
+  void drain_stream();
+  /// Where on_writable fires: the stream loop first, if one is pending.
+  void notify_writable();
   void fluid_teardown();
-
   [[nodiscard]] std::uint64_t flight() const { return snd_nxt_ - snd_una_; }
   [[nodiscard]] std::uint64_t usable_window() const;
   [[nodiscard]] std::uint64_t advertised_window() const;
@@ -283,6 +309,7 @@ class Connection : public std::enable_shared_from_this<Connection> {
   net::Port local_port_;
   net::Port remote_port_;
   TcpOptions opts_;
+  const bool fluid_mode_;  ///< the topology runs the fluid data plane
 
   TcpState state_ = TcpState::kClosed;
   ConnectionError error_ = ConnectionError::kNone;
@@ -341,25 +368,14 @@ class Connection : public std::enable_shared_from_this<Connection> {
   std::uint64_t stream_span_ = 0;
   SimTime rto_armed_at_ = SimTime::zero();
 
-  // Fluid data plane (all zero/invalid at packet fidelity).
-  struct FluidPending {
-    std::uint64_t offset = 0;
-    std::uint64_t len = 0;
-    std::vector<std::byte> content;
-    Ptr sender;  ///< kept alive until its bytes are admitted and acked
-  };
+  // Intents at packet fidelity (flow fidelity keeps them in the channel).
+  std::uint64_t stream_left_ = 0;  ///< write_stream bytes not yet queued
+  std::function<void(std::uint64_t)> stream_reader_;
 
-  flow::FluidFlowId fluid_flow_ = flow::kInvalidFluidFlow;
+  // Fluid data plane (null at packet fidelity).
+  std::shared_ptr<flow::FluidChannel> fluid_out_;  ///< payload we send
+  std::shared_ptr<flow::FluidChannel> fluid_in_;   ///< payload we receive
   bool fluid_checked_ = false;  ///< channel setup attempted (and failed)
-  std::weak_ptr<Connection> fluid_peer_;
-  SimTime fluid_fwd_latency_ = SimTime::zero();  ///< transmit end -> delivery
-  SimTime fluid_rev_latency_ = SimTime::zero();  ///< delivery -> ack
-  std::uint64_t fluid_window_ = 0;  ///< min(send buffer, peer recv buffer)
-  std::uint64_t fluid_offered_ = 0;      ///< bytes handed to the engine
-  std::uint64_t fluid_transmitted_ = 0;  ///< bytes whose markers fired
-  std::uint64_t fluid_acked_ = 0;        ///< bytes released by acks
-  /// Receiver side: arrived chunks waiting for receive-buffer space.
-  std::deque<FluidPending> fluid_pending_;
 };
 
 }  // namespace lsl::tcp

@@ -182,7 +182,7 @@ SweepResult run_speedup_sweep(const SyntheticGrid& grid,
   struct CaseResult {
     std::vector<double> speedup_by_size;  ///< parallel to `sizes`
     std::vector<double> twin_by_size;     ///< simulated sweeps only
-    sim::KernelProfile kernel;            ///< simulated sweeps only
+    sim::KernelCounts kernel;             ///< simulated sweeps only
   };
   // Bandwidth sums (bit/s) of one (case, size) over its iterations.
   struct BandwidthSums {
@@ -216,14 +216,14 @@ SweepResult run_speedup_sweep(const SyntheticGrid& grid,
   const exp::Fidelity sim_fidelity = config.fidelity == SweepFidelity::kFlow
                                          ? exp::Fidelity::kFlow
                                          : exp::Fidelity::kPacket;
-  // Run one transfer of `size` bytes along a materialized chain and fold
-  // its kernel profile into `kernel`; returns achieved bandwidth in bit/s
+  // Run one transfer of `size` bytes along a materialized chain and add
+  // its kernel counters to `kernel`; returns achieved bandwidth in bit/s
   // (0 on a deadline miss, which only a pathological realization can
   // produce at this deadline).
   const auto simulate_chain =
       [&](const std::vector<std::size_t>& path,
           const std::vector<PairRealization>& hops, std::uint64_t size,
-          std::uint64_t sim_seed, sim::KernelProfile& kernel) -> double {
+          std::uint64_t sim_seed, sim::KernelCounts& kernel) -> double {
     Materialized m =
         materialize_path(grid, path, hops, sim_seed, sim_fidelity);
     session::TransferSpec spec;
@@ -236,7 +236,7 @@ SweepResult run_speedup_sweep(const SyntheticGrid& grid,
         tcp::TcpOptions{}.with_buffers(grid.host(path.front()).tcp_buffer);
     const auto outcome = m.harness->run_transfer(m.nodes.front(), spec,
                                                  SimTime::seconds(86400));
-    kernel.merge_from(m.harness->simulator().profile());
+    m.harness->simulator().add_counts_to(kernel);
     if (!outcome.completed || outcome.elapsed <= SimTime::zero()) {
       return 0.0;
     }
@@ -281,6 +281,7 @@ SweepResult run_speedup_sweep(const SyntheticGrid& grid,
         }
         return out;
       });
+  sim::KernelCounts kernel;
   for (const CaseResult& cr : measured) {
     for (std::size_t s = 0; s < sizes.size(); ++s) {
       result.speedups_by_size[sizes[s]].push_back(cr.speedup_by_size[s]);
@@ -288,8 +289,10 @@ SweepResult run_speedup_sweep(const SyntheticGrid& grid,
     for (std::size_t s = 0; s < cr.twin_by_size.size(); ++s) {
       result.analytic_twins_by_size[sizes[s]].push_back(cr.twin_by_size[s]);
     }
-    result.kernel.merge_from(cr.kernel);
+    kernel.add(cr.kernel);
   }
+  // The categories are named and sorted once, for the whole sweep.
+  result.kernel = kernel.profile();
   result.total_measurements +=
       cases.size() * sizes.size() * config.iterations * 2;
   return result;

@@ -77,9 +77,10 @@ struct SweepResult {
   std::size_t total_measurements = 0;
   /// Mean depot-path hop count among scheduled cases.
   double mean_path_hops = 0.0;
-  /// kFlow and kPacket only (empty at kAnalytic): the kernel profiles of
-  /// every simulated transfer, merged in case order. The kernels run
-  /// without wall-clock sampling, so the profile is the same for any jobs.
+  /// kFlow and kPacket only (empty at kAnalytic): the kernel counters of
+  /// every simulated transfer, summed and named once (sim::KernelCounts).
+  /// The kernels run without wall-clock sampling, so the profile is the
+  /// same for any jobs.
   sim::KernelProfile kernel;
 
   [[nodiscard]] std::vector<double> all_speedups() const;

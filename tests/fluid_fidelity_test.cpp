@@ -7,9 +7,11 @@
 #include <cstdint>
 #include <vector>
 
+#include "exp/harness.hpp"
 #include "exp/raw_tcp.hpp"
 #include "fixtures.hpp"
 #include "flow/fluid.hpp"
+#include "lsl/endpoint.hpp"
 #include "net/topology.hpp"
 #include "tcp/stack.hpp"
 #include "util/units.hpp"
@@ -239,6 +241,7 @@ TEST(FluidFidelityTest, AbortTearsDownFluidFlow) {
 
   EXPECT_EQ(server_err, tcp::ConnectionError::kReset);
   EXPECT_EQ(net.topo->fluid()->active_flows(), 0U);
+  EXPECT_EQ(net.topo->fluid()->active_splices(), 0U);
 }
 
 TEST(FluidFidelityTest, MultiHopPathMatchesPacketFidelity) {
@@ -271,6 +274,157 @@ TEST(FluidFidelityTest, MultiHopPathMatchesPacketFidelity) {
                          fluid.goodput.bits_per_second()),
             0.10)
       << "packet=" << packet.goodput.str() << " fluid=" << fluid.goodput.str();
+}
+
+// One-depot LSL sessions on loss-free links: at flow fidelity the depot
+// splices the next hop's flow to the upstream's, and the goodput must stay
+// within the 10% MultiHopPathMatchesPacketFidelity allows. The windows
+// (256 KiB) fit the 20 Mbit/s hop's pipe plus its queue, so packet TCP sees
+// no loss either.
+double relay_goodput_mbps(exp::Fidelity fidelity, double up_mbps,
+                          double down_mbps, std::uint64_t user_buffer) {
+  exp::SimHarness h(23, fidelity);
+  const net::NodeId src = h.add_host("src");
+  const net::NodeId depot = h.add_host("depot");
+  const net::NodeId dst = h.add_host("dst");
+  h.add_link(src, depot, wan_link(up_mbps, 10));
+  h.add_link(depot, dst, wan_link(down_mbps, 10));
+  session::DepotConfig cfg;
+  cfg.tcp = tcp::TcpOptions{}.with_buffers(256 * kKiB);
+  cfg.user_buffer_bytes = user_buffer;
+  h.deploy(cfg);
+  session::TransferSpec spec;
+  spec.dst = dst;
+  spec.via = {depot};
+  spec.payload_bytes = 16 * kMiB;
+  spec.tcp = cfg.tcp;
+  const auto outcome = h.run_transfer(src, spec);
+  EXPECT_TRUE(outcome.completed);
+  EXPECT_EQ(h.open_connection_count(), 0u);
+  return outcome.goodput.megabits_per_second();
+}
+
+TEST(FluidFidelityTest, RelayWithFullDepotBufferMatchesPacketFidelity) {
+  // A fast upstream (window-limited near 50 Mbit/s) into a 20 Mbit/s next
+  // hop: the 1 MiB user buffer fills and backpressure paces the upstream.
+  const double packet =
+      relay_goodput_mbps(exp::Fidelity::kPacket, 100, 20, kMiB);
+  const double flow = relay_goodput_mbps(exp::Fidelity::kFlow, 100, 20, kMiB);
+  EXPECT_LT(relative_gap(packet, flow), 0.10)
+      << "packet=" << packet << " flow=" << flow;
+}
+
+TEST(FluidFidelityTest, SupplyLimitedRelayMatchesPacketFidelity) {
+  // A 20 Mbit/s upstream into a faster next hop: the next hop sends each
+  // byte as it arrives.
+  const double packet =
+      relay_goodput_mbps(exp::Fidelity::kPacket, 20, 100, 16 * kMiB);
+  const double flow =
+      relay_goodput_mbps(exp::Fidelity::kFlow, 20, 100, 16 * kMiB);
+  EXPECT_LT(relative_gap(packet, flow), 0.10)
+      << "packet=" << packet << " flow=" << flow;
+}
+
+// The next hop resets its half-open connection while its SYN-ACK is in
+// flight, so the relay's child connects to a peer that is gone and no fluid
+// channel opens. The splice must credit nothing as relayed; the reset that
+// follows ends the session.
+TEST(FluidFidelityTest, SpliceToAVanishedNextHopRelaysNothing) {
+  exp::SimHarness h(29, exp::Fidelity::kFlow);
+  const net::NodeId src = h.add_host("src");
+  const net::NodeId depot = h.add_host("depot");
+  const net::NodeId dst = h.add_host("dst");
+  h.add_link(src, depot, wan_link(50, 10));
+  h.add_link(depot, dst, wan_link(50, 10));
+  session::DepotConfig cfg;
+  cfg.tcp = tcp::TcpOptions{}.with_buffers(256 * kKiB);
+  h.deploy(cfg);
+  int resets = 0;
+  h.depot(depot).on_downstream_open = [&h, &resets, depot, dst](
+                                          tcp::Connection& child,
+                                          const session::SessionHeader&) {
+    // The SYN reaches dst after 10 ms and its SYN-ACK is back after 20.
+    const tcp::ConnKey key{depot, child.remote_port(), child.local_port()};
+    h.simulator().schedule_after(
+        SimTime::milliseconds(15), [&h, &resets, dst, key] {
+          if (const auto peer = h.stack(dst).find_connection(key)) {
+            peer->abort();
+            ++resets;
+          }
+        });
+  };
+  session::TransferSpec spec;
+  spec.dst = dst;
+  spec.via = {depot};
+  spec.payload_bytes = 4 * kMiB;
+  spec.tcp = cfg.tcp;
+  const auto outcome = h.run_transfer(src, spec, SimTime::seconds(60));
+  EXPECT_GT(resets, 0);
+  EXPECT_FALSE(outcome.completed);
+  EXPECT_EQ(h.depot(depot).stats().bytes_relayed, 0u);
+  EXPECT_EQ(h.depot(dst).stats().bytes_delivered, 0u);
+}
+
+// The session kinds beyond plain unicast, at flow fidelity: a multicast
+// tree (its fan-out depot pumps over stepped sockets), relayed stripes
+// (each stripe spliced on its own), and an async session stored at the
+// last depot and fetched (the fetch answer is one write_stream).
+TEST(FluidFidelityTest, SessionKindsCompleteAtFlowFidelity) {
+  exp::SimHarness h(31, exp::Fidelity::kFlow);
+  const net::NodeId src = h.add_host("src");
+  const net::NodeId root = h.add_host("root");
+  const net::NodeId l1 = h.add_host("l1");
+  const net::NodeId l2 = h.add_host("l2");
+  h.add_link(src, root, wan_link(100, 5));
+  h.add_link(root, l1, wan_link(40, 5));
+  h.add_link(root, l2, wan_link(60, 8));
+  session::DepotConfig cfg;
+  cfg.tcp = tcp::TcpOptions{}.with_buffers(kMiB);
+  cfg.user_buffer_bytes = 2 * kMiB;  // smaller than every payload below
+  h.deploy(cfg);
+  session::TransferSpec tree;
+  tree.dst = root;
+  tree.multicast = session::MulticastTree{};
+  tree.multicast->entries = {{root, 0}, {l1, 0}, {l2, 0}};
+  tree.payload_bytes = 8 * kMiB;
+  tree.tcp = cfg.tcp;
+  session::LslSource::start(h.stack(src), tree, h.rng());
+  h.simulator().run(h.simulator().now() + SimTime::seconds(60));
+  for (const net::NodeId leaf : {l1, l2}) {
+    EXPECT_EQ(h.depot(leaf).stats().sessions_delivered, 1u);
+    EXPECT_EQ(h.depot(leaf).stats().bytes_delivered, 8 * kMiB);
+  }
+
+  session::TransferSpec striped;
+  striped.dst = l1;
+  striped.via = {root};
+  striped.streams = 3;
+  striped.payload_bytes = 10 * kMiB + 7;
+  striped.tcp = cfg.tcp;
+  const auto outcome = h.run_transfer(
+      src, striped, h.simulator().now() + SimTime::seconds(60));
+  EXPECT_TRUE(outcome.completed);
+  EXPECT_EQ(outcome.bytes, 10 * kMiB + 7);
+
+  session::TransferSpec parked;
+  parked.dst = l2;
+  parked.via = {root};
+  parked.async_session = true;
+  parked.payload_bytes = 6 * kMiB;
+  parked.tcp = cfg.tcp;
+  const auto source = session::LslSource::start(h.stack(src), parked, h.rng());
+  h.simulator().run(h.simulator().now() + SimTime::seconds(60));
+  ASSERT_EQ(h.depot(root).stored_bytes(source->session_id()), 6 * kMiB);
+  std::uint64_t fetched = 0;
+  auto fetcher = session::AsyncFetcher::start(h.stack(l2), root,
+                                              source->session_id(), cfg.tcp);
+  fetcher->on_complete = [&](const session::AsyncFetcher::Result& r) {
+    fetched = r.bytes;
+  };
+  h.simulator().run(h.simulator().now() + SimTime::seconds(60));
+  EXPECT_EQ(fetched, 6 * kMiB);
+  EXPECT_EQ(h.open_connection_count(), 0u);
+  EXPECT_EQ(h.topology().fluid()->active_splices(), 0u);
 }
 
 }  // namespace

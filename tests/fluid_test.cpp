@@ -1,6 +1,8 @@
 // Unit tests for the fluid (flow-level) engine: max-min solver edge cases,
-// slow-start ramp / Mathis cap calibration against the analytic model, and
-// the max-min properties of the solved rates on random topologies.
+// slow-start ramp / Mathis cap calibration against the analytic model, the
+// max-min properties of the solved rates on random topologies, the splice
+// invariants on random relay chains, and a session's event count against
+// its payload.
 #include "flow/fluid.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +13,7 @@
 #include <set>
 #include <vector>
 
+#include "exp/harness.hpp"
 #include "flow/tcp_model.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -408,6 +411,215 @@ TEST(FluidSolverTest, DeterministicAcrossIdenticalRuns) {
   run(&first);
   run(&second);
   EXPECT_EQ(first, second);  // bitwise: no randomness anywhere in the engine
+}
+
+// ---- splices ----------------------------------------------------------------
+
+TEST(FluidSpliceTest, ArrivalsTrailTransmissionsByTheLatency) {
+  sim::Simulator sim;
+  FluidNetwork net(sim);
+  const auto l = net.add_link(80 * kMbps);
+  auto spec = spec_on({l});
+  spec.latency = SimTime::milliseconds(30);
+  const auto f = net.start_flow(spec);
+  net.add_bytes(f, 10'000'000);  // 1 s at 80 Mbit/s
+  SimTime arrived_at = SimTime::zero();
+  net.notify_arrival(f, 5'000'000, [&] { arrived_at = sim.now(); });
+  run_until(sim, SimTime::milliseconds(200));
+  EXPECT_EQ(net.transmitted(f), 2'000'000u);
+  EXPECT_EQ(net.arrived(f), 1'700'000u);
+  net.set_link(l, 40 * kMbps, 0.0);  // half rate from 0.2 s
+  run_until(sim, SimTime::seconds(3));
+  // 2 MB by 0.2 s, 3 MB more at 40 Mbit/s by 0.8 s, arriving 30 ms later.
+  EXPECT_NEAR(arrived_at.to_seconds(), 0.83, 1e-6);
+  EXPECT_EQ(net.transmitted(f), 10'000'000u);
+  EXPECT_EQ(net.arrived(f), 10'000'000u);
+}
+
+// Three depots whose buffers are all full at once: every upstream runs at
+// its child's rate, and the last hop's fair share on a link it shares with
+// cross traffic sets them all. When the cross flow leaves, the whole chain
+// speeds up in that one solve. With equal links every hop ties the last
+// one then, so each upstream waits a water-fill round for its child's rate.
+TEST(FluidSpliceTest, FullBuffersPassTheLastHopsShareUpTheChain) {
+  for (const std::vector<double>& mbps :
+       {std::vector<double>{100, 80, 60, 40}, std::vector<double>(4, 40)}) {
+    sim::Simulator sim;
+    FluidNetwork net(sim);
+    std::vector<FluidLinkId> links;
+    std::vector<FluidFlowId> hops;
+    for (const double rate : mbps) {
+      links.push_back(net.add_link(rate * kMbps));
+      auto spec = spec_on({links.back()}, SimTime::milliseconds(10));
+      spec.latency = SimTime::milliseconds(5);
+      hops.push_back(net.start_flow(spec));
+      net.add_bytes(hops.back(), 64 * kMiB);
+    }
+    const auto cross = net.start_flow(spec_on({links.back()}));
+    net.add_bytes(cross, 64 * kMiB);
+    std::vector<FluidSpliceId> splices;
+    for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
+      splices.push_back(net.splice(hops[i], 0, 256 * kKiB));
+      net.attach_child(splices.back(), hops[i + 1], 0);
+    }
+    run_until(sim, SimTime::seconds(1));
+    for (const FluidSpliceId s : splices) {
+      EXPECT_GT(net.splice_stats(s).full_time, SimTime::zero());
+    }
+    for (const FluidFlowId f : hops) {
+      EXPECT_EQ(net.rate_bps(f), 20 * kMbps) << "first hop " << mbps[0];
+    }
+    net.end_flow(cross);
+    for (const FluidFlowId f : hops) {
+      EXPECT_EQ(net.rate_bps(f), 40 * kMbps) << "first hop " << mbps[0];
+    }
+  }
+}
+
+// A relay chain of 1-3 depots on random links, each hop's payload supplied
+// by the previous hop's arrivals through a buffer of random capacity, with
+// link brownouts mid-transfer. Checked at every millisecond: no child sends
+// payload that has not arrived, and no upstream leads its slowest child by
+// more than the capacity. At the end every byte has arrived, once.
+TEST(FluidSpliceTest, SpliceInvariantsHoldOnRandomChains) {
+  constexpr std::uint64_t kPayload = 4 * kMiB;
+  constexpr double kSlack = 2.0;  // bytes: event times round to 1 ns
+  int filled = 0;  // seeds in which some depot buffer filled
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    sim::Simulator sim;
+    FluidNetwork net(sim);
+    Rng rng(seed * 104729);
+    const std::size_t depots = 1 + rng.pick_index(3);
+    std::vector<FluidLinkId> links;
+    std::vector<FluidFlowId> flows;
+    for (std::size_t hop = 0; hop <= depots; ++hop) {
+      links.push_back(net.add_link(rng.uniform(5.0, 200.0) * kMbps));
+      auto spec = spec_on({links.back()},
+                          SimTime::milliseconds(2 + rng.pick_index(40)),
+                          rng.chance(0.5) ? 256 * kKiB : 64 * kMiB);
+      spec.latency = spec.rtt / 2;
+      spec.initial_cwnd_segments = rng.chance(0.5) ? 2 : 0;
+      flows.push_back(net.start_flow(spec));
+    }
+    struct Coupling {
+      FluidSpliceId splice;
+      FluidFlowId up;
+      FluidFlowId child;
+      double capacity;
+    };
+    std::vector<Coupling> couplings;
+    net.add_bytes(flows.front(), kPayload);
+    for (std::size_t hop = 0; hop < depots; ++hop) {
+      const std::uint64_t capacity = kib(64 + rng.pick_index(4096));
+      const auto splice = net.splice(flows[hop], 0, capacity);
+      couplings.push_back({splice, flows[hop], flows[hop + 1],
+                           static_cast<double>(capacity)});
+      // The child connects a little later, as a next hop's handshake does.
+      const FluidFlowId child = flows[hop + 1];
+      sim.schedule_at(SimTime::milliseconds(1 + rng.pick_index(100)),
+                      [&net, splice, child] {
+                        net.add_bytes(child, kPayload);
+                        net.attach_child(splice, child, 0);
+                      });
+      // The relay lets go once every payload byte has arrived.
+      net.notify_arrival(flows[hop], kPayload,
+                         [&net, splice] { net.end_splice(splice); });
+    }
+    std::vector<int> arrivals(flows.size(), 0);
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      net.notify_arrival(flows[i], kPayload, [&arrivals, i] { ++arrivals[i]; });
+    }
+    for (int b = 0; b < 3; ++b) {
+      const FluidLinkId l = links[rng.pick_index(links.size())];
+      const double mbps = rng.uniform(1.0, 100.0);
+      sim.schedule_at(SimTime::milliseconds(rng.pick_index(3000)),
+                      [&net, l, mbps] { net.set_link(l, mbps * kMbps, 0.0); });
+    }
+    int violations = 0;
+    for (int ms = 1; ms <= 600'000 && arrivals.back() == 0; ++ms) {
+      run_until(sim, SimTime::milliseconds(ms));
+      for (const Coupling& c : couplings) {
+        if (net.active_splices() == 0) {
+          break;
+        }
+        const auto up_sent = static_cast<double>(net.transmitted(c.up));
+        const auto up_in = static_cast<double>(net.arrived(c.up));
+        const auto child_sent = static_cast<double>(net.transmitted(c.child));
+        if (child_sent > up_in + kSlack) {
+          ++violations;
+          ADD_FAILURE() << "seed " << seed << " t=" << ms
+                        << "ms: child sent " << child_sent
+                        << " of " << up_in << " arrived";
+        }
+        if (up_sent - child_sent > c.capacity + kSlack) {
+          ++violations;
+          ADD_FAILURE() << "seed " << seed << " t=" << ms
+                        << "ms: upstream leads by " << up_sent - child_sent
+                        << " > " << c.capacity;
+        }
+      }
+      if (violations > 3) {
+        break;
+      }
+    }
+    sim.run();
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      EXPECT_EQ(net.arrived(flows[i]), kPayload) << "seed " << seed;
+      EXPECT_EQ(arrivals[i], 1) << "seed " << seed << " flow " << i;
+    }
+    EXPECT_EQ(net.active_splices(), 0u) << "seed " << seed;
+    filled += std::any_of(couplings.begin(), couplings.end(),
+                          [&net](const Coupling& c) {
+                            return net.splice_stats(c.splice).full_time >
+                                   SimTime::zero();
+                          });
+  }
+  EXPECT_GT(filled, 0);  // the backpressure coupling was exercised
+}
+
+// ---- a session's events against its payload --------------------------------
+
+std::uint64_t session_events(std::uint64_t payload, bool via_depot) {
+  exp::SimHarness h(11, exp::Fidelity::kFlow);
+  const net::NodeId src = h.add_host("src");
+  const net::NodeId depot = h.add_host("depot");
+  const net::NodeId dst = h.add_host("dst");
+  net::LinkConfig fast;
+  fast.rate = Bandwidth::mbps(400);
+  fast.propagation_delay = SimTime::milliseconds(12);
+  net::LinkConfig slow = fast;
+  slow.rate = Bandwidth::mbps(150);
+  slow.propagation_delay = SimTime::milliseconds(20);
+  h.add_link(src, depot, fast);
+  h.add_link(depot, dst, slow);
+  h.add_link(src, dst, slow);
+  session::DepotConfig cfg;
+  cfg.tcp = tcp::TcpOptions{}.with_buffers(4 * kMiB);
+  cfg.user_buffer_bytes = 8 * kMiB;
+  h.deploy(cfg);
+  session::TransferSpec spec;
+  spec.dst = dst;
+  if (via_depot) {
+    spec.via = {depot};
+  }
+  spec.payload_bytes = payload;
+  spec.tcp = cfg.tcp;
+  const auto outcome = h.run_transfer(src, spec, SimTime::seconds(3600));
+  EXPECT_TRUE(outcome.completed);
+  EXPECT_EQ(outcome.bytes, payload);
+  return h.simulator().events_executed();
+}
+
+TEST(FluidSessionTest, EventsDoNotGrowWithPayload) {
+  // Every event is a rate change (the ramp), a level boundary (the depot
+  // buffer filling, the next hop catching up, the last byte leaving or
+  // arriving) or a control packet, none of which scales with the bytes.
+  for (const bool via_depot : {false, true}) {
+    const std::uint64_t at_64mib = session_events(64 * kMiB, via_depot);
+    EXPECT_EQ(session_events(1024 * kMiB, via_depot), at_64mib)
+        << (via_depot ? "one depot" : "direct");
+    EXPECT_LT(at_64mib, 200u);
+  }
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 #include <cctype>
 #include <cstddef>
 #include <cstdint>
+#include <cmath>
+#include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -311,6 +314,40 @@ TEST(ObsMetricsTest, RegistryJsonIsWellFormed) {
   EXPECT_NE(json.find("\"tcp.conn.retransmits\": 3"), std::string::npos);
 }
 
+TEST(ObsMetricsTest, JsonNumberRoundTripsEveryDouble) {
+  const double awkward[] = {0.1,
+                            1.0 / 3.0,
+                            std::numeric_limits<double>::denorm_min() * 3,
+                            std::nextafter(std::numeric_limits<double>::max(),
+                                           0.0),
+                            -2.5e-300,
+                            0.0,
+                            123456789.0};
+  for (const double x : awkward) {
+    const std::string text = obs::json_number(x);
+    EXPECT_EQ(std::strtod(text.c_str(), nullptr), x) << text;
+  }
+  EXPECT_EQ(obs::json_number(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(obs::json_number(std::nan("")), "null");
+}
+
+TEST(ObsMetricsTest, JsonSeesTheLastBitOfAHistogramSum) {
+  // The same three values in the opposite order: equal counts, buckets,
+  // min and max, and sums one ulp apart ((0.1+0.2)+0.3 vs (0.3+0.2)+0.1).
+  obs::Registry forward;
+  obs::Registry backward;
+  const auto bounds = obs::linear_buckets(0.0, 0.25, 4);
+  for (const double v : {0.1, 0.2, 0.3}) {
+    forward.histogram("h", bounds).observe(v);
+  }
+  for (const double v : {0.3, 0.2, 0.1}) {
+    backward.histogram("h", bounds).observe(v);
+  }
+  ASSERT_NE(forward.histogram("h", bounds).sum(),
+            backward.histogram("h", bounds).sum());
+  EXPECT_NE(forward.to_json(), backward.to_json());
+}
+
 // ---------------------------------------------------------------------------
 // Chrome trace export of the span stream
 
@@ -447,6 +484,46 @@ TEST(ObsKernelTest, ProfileMergeAccumulates) {
   ASSERT_EQ(a.category_counts.size(), 2u);
   EXPECT_EQ(a.category_counts[0].first, "net.link.tx");
   EXPECT_EQ(a.category_counts[0].second, 7u);
+}
+
+TEST(ObsKernelTest, CountsNamedOnceEqualTheProfileFold) {
+  // Three runs over four tags, with ties inside one run and across the
+  // total, folded both ways: KernelProfile::merge_from of each run's
+  // profile, and KernelCounts summed raw and named once.
+  static const sim::Tag kA{"test.counts.a", sim::Layer::kNet};
+  static const sim::Tag kB{"test.counts.b", sim::Layer::kTcp};
+  static const sim::Tag kC{"test.counts.c", sim::Layer::kFlow};
+  static const sim::Tag kD{"test.counts.d", sim::Layer::kLsl};
+  const std::vector<std::vector<std::pair<const sim::Tag*, int>>> runs = {
+      {{&kA, 3}, {&kB, 3}, {&kC, 1}},
+      {{&kB, 2}, {&kD, 5}},
+      {{&kA, 2}, {&kC, 4}, {&kD, 1}},
+  };
+  sim::KernelProfile fold;
+  sim::KernelCounts counts;
+  for (const auto& run : runs) {
+    sim::Simulator simulator;
+    for (const auto& [tag, n] : run) {
+      for (int i = 0; i < n; ++i) {
+        simulator.schedule_after(SimTime::milliseconds(i + 1), [] {}, *tag);
+      }
+    }
+    simulator.schedule_after(SimTime::seconds(1), [] {});  // untagged
+    simulator.run();
+    fold.merge_from(simulator.profile());
+    simulator.add_counts_to(counts);
+  }
+  const sim::KernelProfile named = counts.profile();
+  EXPECT_EQ(named.category_counts, fold.category_counts);
+  EXPECT_EQ(named.layer_counts, fold.layer_counts);
+  EXPECT_EQ(named.queue_high_water, fold.queue_high_water);
+  EXPECT_EQ(named.events_scheduled, fold.events_scheduled);
+  EXPECT_EQ(named.events_executed, fold.events_executed);
+  EXPECT_EQ(named.events_cancelled, fold.events_cancelled);
+  EXPECT_EQ(named.sim_time, fold.sim_time);
+  // The totals tie (a 5, b 5, d 6, c 5): the tie order is the fold's too.
+  ASSERT_EQ(named.category_counts.size(), 4u);
+  EXPECT_EQ(named.category_counts[0].first, "test.counts.d");
 }
 
 TEST(ObsKernelTest, ExportMetricsPublishesKernelGauges) {
